@@ -1,9 +1,9 @@
 """Streaming trajectory stabilization and 3D reconstruction evaluation toolkit."""
 
-from .frame_scoring import (GrayImage, ScoreConfig, Spectrum,
+from .frame_scoring import (GrayImage, ScoreConfig, ScoreTerms,
                             adaptive_update_weight, dft2_magnitude_centered,
                             highfreq_ratio, motion_score, quality_score,
-                            score_frame, to_grayscale)
+                            score_frame, score_terms, to_grayscale)
 from .geometry import (PointSet, Pose, Quaternion, Trajectory,
                        quat_geodesic_angle, quat_normalize, relative_pose,
                        slerp)

@@ -12,13 +12,9 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import CountMismatch, ParseError, ToolkitError
-from .frame_scoring import (ScoreConfig, dft2_magnitude_centered,
-                            highfreq_ratio, motion_score, quality_score)
-from .geometry import relative_pose
-from .io_formats import (read_pfm, read_pgm, read_ply_ascii,
+from .frame_scoring import ScoreConfig, score_terms
+from .io_formats import (_fmt, read_pfm, read_pgm, read_ply_ascii,
                          read_trajectory_tum, write_pfm, write_ply_ascii,
                          write_trajectory_tum)
 from .losses import (LossWeights, loss_acc, loss_ate, loss_pose, loss_rpe,
@@ -29,8 +25,6 @@ from .simulate import simulate_stream
 from .spatial import BilateralConfig, Intrinsics, bilateral_depth, depth_to_points
 from .stabilization import OneEuroConfig, stabilize_trajectory
 
-_FMT = "%.17g"
-
 # real defaults live here; parser defaults are None so that config-file
 # values can slot in underneath explicitly given flags
 _DEFAULTS = {
@@ -38,8 +32,7 @@ _DEFAULTS = {
               "clip_max": 1.0, "initial_weight": 1.0},
     "stabilize": {"fmin": 1.0, "beta_gain": 0.007, "default_dt": 1.0 / 30.0},
     "refine": {"window": 2, "sigma_s": 2.0, "sigma_r": None,
-               "sigma_r_adaptive": False, "fx": None, "fy": None,
-               "cx": None, "cy": None},
+               "fx": None, "fy": None, "cx": None, "cy": None},
     "eval-traj": {"prefix_frames": None, "align": "se3"},
     "eval-depth": {"mode": "original"},
     "eval-recon": {"k_normals": 16},
@@ -51,13 +44,14 @@ _DEFAULTS = {
 }
 
 
-def _f(x: float) -> str:
-    return _FMT % x
-
-
 def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset options from the config file, then from defaults."""
+    """Fill unset options from the config file, then from defaults.
+
+    A config value is converted and checked with the type and choices of the
+    flag that has the same dest; a bad value is a ParseError with its line.
+    """
     defaults = dict(_DEFAULTS[args.command])
+    flags = {action.dest: action for action in args.parser._actions}
     config_path = getattr(args, "config", None)
     if config_path:
         for lineno, line in enumerate(
@@ -73,28 +67,40 @@ def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
                 raise ParseError(
                     f"unknown config key {key!r} for {args.command}",
                     line=lineno)
-            old = defaults[key]
-            if isinstance(old, bool):
-                defaults[key] = value.strip().lower() in ("1", "true", "yes")
-            elif isinstance(old, int) and not isinstance(old, bool):
-                defaults[key] = int(value)
-            elif key in ("align", "mode", "policy"):
-                defaults[key] = value.strip()
-            else:
-                defaults[key] = float(value)
+            flag = flags[key]
+            value = value.strip()
+            try:
+                value = flag.type(value) if flag.type else value
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ParseError(f"invalid value for {key}: {exc}",
+                                 line=lineno)
+            if flag.choices is not None and value not in flag.choices:
+                raise ParseError(
+                    f"invalid value for {key}: {value!r} is not one of "
+                    f"{', '.join(flag.choices)}", line=lineno)
+            defaults[key] = value
     for key, value in defaults.items():
-        current = getattr(args, key, None)
-        if current is None:
-            setattr(args, key, value)
-        elif key == "sigma_r_adaptive" and current is False:
-            # store_true flags default to False, not None
+        if getattr(args, key, None) is None:
             setattr(args, key, value)
     return args
 
 
-def _add_config_flag(sub):
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _add_command(subs, name: str, func, help: str) -> argparse.ArgumentParser:
+    sub = subs.add_parser(name, help=help)
+    sub.set_defaults(func=func, parser=sub)
     sub.add_argument("--config", help="flat key=value config file; "
                                       "explicit flags take precedence")
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,7 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Streaming trajectory stabilization and evaluation toolkit")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("score", help="per-frame adaptive update weights")
+    p = _add_command(subs, "score", _cmd_score,
+                     "per-frame adaptive update weights")
     p.add_argument("--traj", required=True, help="TUM trajectory file")
     p.add_argument("--frames", required=True,
                    help="directory of PGM frames in lexicographic order")
@@ -117,9 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="weight clip (default 1.0)")
     p.add_argument("--initial-weight", type=float, dest="initial_weight",
                    help="weight of the first frame (default 1.0)")
-    _add_config_flag(p)
 
-    p = subs.add_parser("stabilize", help="smooth a trajectory online")
+    p = _add_command(subs, "stabilize", _cmd_stabilize,
+                     "smooth a trajectory online")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
     p.add_argument("--fmin", type=float,
@@ -128,9 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cutoff gain per unit speed (default 0.007)")
     p.add_argument("--default-dt", type=float, dest="default_dt",
                    help="fallback frame interval in s (default 1/30)")
-    _add_config_flag(p)
 
-    p = subs.add_parser("refine", help="bilateral depth refinement")
+    p = _add_command(subs, "refine", _cmd_refine, "bilateral depth refinement")
     p.add_argument("--in", dest="infile", required=True, help="input PFM")
     p.add_argument("--out", dest="outfile", required=True,
                    help="output .pfm or .ply")
@@ -139,41 +145,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-s", type=float, dest="sigma_s",
                    help="spatial sigma in pixels (default 2.0)")
     p.add_argument("--sigma-r", type=float, dest="sigma_r",
-                   help="range sigma in depth units")
-    p.add_argument("--sigma-r-adaptive", action="store_true",
-                   dest="sigma_r_adaptive",
-                   help="use 0.05 x median valid depth (default when "
-                        "--sigma-r is absent)")
+                   help="range sigma in depth units "
+                        "(default 0.05 x median valid depth)")
     p.add_argument("--fx", type=float, help="focal length x (PLY output)")
     p.add_argument("--fy", type=float, help="focal length y (PLY output)")
     p.add_argument("--cx", type=float, help="principal point x (PLY output)")
     p.add_argument("--cy", type=float, help="principal point y (PLY output)")
-    _add_config_flag(p)
 
-    p = subs.add_parser("eval-traj", help="ATE / RPE trajectory metrics")
+    p = _add_command(subs, "eval-traj", _cmd_eval_traj,
+                     "ATE / RPE trajectory metrics")
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
-    p.add_argument("--prefix-frames", type=int, dest="prefix_frames",
+    p.add_argument("--prefix-frames", type=_positive_int, dest="prefix_frames",
                    help="evaluate only the first k frames")
     p.add_argument("--align", choices=["se3", "sim3"],
                    help="ATE alignment class (default se3)")
-    _add_config_flag(p)
 
-    p = subs.add_parser("eval-depth", help="depth metrics")
+    p = _add_command(subs, "eval-depth", _cmd_eval_depth, "depth metrics")
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--mode", choices=["original", "scale", "scale_and_shift"],
                    help="alignment mode (default original)")
-    _add_config_flag(p)
 
-    p = subs.add_parser("eval-recon", help="point-cloud reconstruction metrics")
+    p = _add_command(subs, "eval-recon", _cmd_eval_recon,
+                     "point-cloud reconstruction metrics")
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--k-normals", type=int, dest="k_normals",
                    help="neighbors for normal estimation (default 16)")
-    _add_config_flag(p)
 
-    p = subs.add_parser("eval-loss", help="trajectory loss components")
+    p = _add_command(subs, "eval-loss", _cmd_eval_loss,
+                     "trajectory loss components")
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--wa", type=float, help="ATE term weight (default 1.0)")
@@ -188,16 +190,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="precomputed confidence loss value (default 0.0)")
     p.add_argument("--rgb-loss", type=float, dest="rgb_loss",
                    help="precomputed RGB loss value (default 0.0)")
-    _add_config_flag(p)
 
-    p = subs.add_parser("simulate", help="synthetic memory-state stream")
+    p = _add_command(subs, "simulate", _cmd_simulate,
+                     "synthetic memory-state stream")
     p.add_argument("--frames", type=int, help="steps to run (default 100)")
     p.add_argument("--state-dim", type=int, dest="state_dim",
                    help="state dimension (default 64)")
     p.add_argument("--seed", type=int, help="RNG seed (default 0)")
     p.add_argument("--policy",
                    help="'adaptive' or 'constant:<beta>' (default adaptive)")
-    _add_config_flag(p)
 
     return parser
 
@@ -218,18 +219,8 @@ def _cmd_score(args) -> None:
             img = read_pgm(path.read_bytes())
         except FileNotFoundError:
             raise ParseError(f"missing frame file {path}")
-        spec = dft2_magnitude_centered(img)
-        radius = cfg.effective_radius(img.height, img.width)
-        ratio = highfreq_ratio(spec, radius, cfg.epsilon)
-        s2 = quality_score(ratio, cfg.sigmoid_gain, cfg.sigmoid_midpoint)
-        if prev is None:
-            dx, dq, s1, weight = 0.0, 0.0, 0.0, cfg.initial_weight
-        else:
-            delta_t, dq = relative_pose(prev, pose)
-            dx = float(np.linalg.norm(delta_t))
-            s1 = motion_score(dx, dq, cfg.w1, cfg.w2)
-            weight = min(s1 * s2, cfg.clip_max)
-        print(",".join([str(i)] + [_f(v) for v in (dx, dq, s1, ratio, s2, weight)]))
+        terms = score_terms(prev, pose, img, cfg)
+        print(",".join([str(i)] + [_fmt(v) for v in terms]))
         prev = pose
 
 
@@ -240,22 +231,21 @@ def _cmd_stabilize(args) -> None:
     Path(args.outfile).write_text(write_trajectory_tum(stabilize_trajectory(traj, cfg)))
 
 
-def _cmd_refine(args, parser) -> None:
+def _cmd_refine(args) -> None:
     depth_map = read_pfm(Path(args.infile).read_bytes())
-    sigma_r = None if args.sigma_r_adaptive else args.sigma_r
     cfg = BilateralConfig(window=args.window, sigma_s=args.sigma_s,
-                          sigma_r=sigma_r)
+                          sigma_r=args.sigma_r)
     refined = bilateral_depth(depth_map, cfg)
     out = Path(args.outfile)
     if out.suffix.lower() == ".pfm":
         out.write_bytes(write_pfm(refined))
     elif out.suffix.lower() == ".ply":
         if None in (args.fx, args.fy, args.cx, args.cy):
-            parser.error("PLY output requires --fx --fy --cx --cy")
+            args.parser.error("PLY output requires --fx --fy --cx --cy")
         intr = Intrinsics(args.fx, args.fy, args.cx, args.cy)
         out.write_bytes(write_ply_ascii(depth_to_points(refined, intr)))
     else:
-        parser.error(f"unsupported output extension {out.suffix!r}")
+        args.parser.error(f"unsupported output extension {out.suffix!r}")
 
 
 def _load_pair(args):
@@ -282,7 +272,7 @@ def _cmd_eval_traj(args) -> None:
     ate = metric_ate(pred, gt, with_scale=args.align == "sim3")
     rpe_trans, rpe_rot = metric_rpe(pred, gt)
     print("frames,ate,rpe_trans,rpe_rot")
-    print(",".join([str(len(pred))] + [_f(v) for v in (ate, rpe_trans, rpe_rot)]))
+    print(",".join([str(len(pred))] + [_fmt(v) for v in (ate, rpe_trans, rpe_rot)]))
 
 
 def _cmd_eval_depth(args) -> None:
@@ -290,7 +280,7 @@ def _cmd_eval_depth(args) -> None:
     gt = read_pfm(Path(args.gt).read_bytes())
     abs_rel, delta = metric_depth(pred, gt, DepthEvalMode(args.mode))
     print("abs_rel,delta_125")
-    print(",".join(_f(v) for v in (abs_rel, delta)))
+    print(",".join(_fmt(v) for v in (abs_rel, delta)))
 
 
 def _cmd_eval_recon(args) -> None:
@@ -298,7 +288,7 @@ def _cmd_eval_recon(args) -> None:
     gt = read_ply_ascii(Path(args.gt).read_bytes())
     acc, comp, nc = metric_recon(pred, gt, k_normals=args.k_normals)
     print("acc,comp,nc")
-    print(",".join(_f(v) for v in (acc, comp, nc)))
+    print(",".join(_fmt(v) for v in (acc, comp, nc)))
 
 
 def _cmd_eval_loss(args) -> None:
@@ -312,38 +302,22 @@ def _cmd_eval_loss(args) -> None:
     pose = loss_pose(pred, gt, w)
     total = loss_total(args.conf_loss, args.rgb_loss, pose, w)
     print("ate,rpe,acc,pose,conf,rgb,total")
-    print(",".join(_f(v) for v in (ate, rpe, acc, pose,
-                                   args.conf_loss, args.rgb_loss, total)))
+    print(",".join(_fmt(v) for v in (ate, rpe, acc, pose,
+                                     args.conf_loss, args.rgb_loss, total)))
 
 
 def _cmd_simulate(args) -> None:
     rows = simulate_stream(args.frames, args.state_dim, args.seed, args.policy)
     print("step,beta,recall_first,recall_latest")
     for step, beta, r_first, r_latest in rows:
-        print(",".join([str(step)] + [_f(v) for v in (beta, r_first, r_latest)]))
+        print(",".join([str(step)] + [_fmt(v) for v in (beta, r_first, r_latest)]))
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         args = _apply_config(args)
-        if args.command == "score":
-            _cmd_score(args)
-        elif args.command == "stabilize":
-            _cmd_stabilize(args)
-        elif args.command == "refine":
-            _cmd_refine(args, parser)
-        elif args.command == "eval-traj":
-            _cmd_eval_traj(args)
-        elif args.command == "eval-depth":
-            _cmd_eval_depth(args)
-        elif args.command == "eval-recon":
-            _cmd_eval_recon(args)
-        elif args.command == "eval-loss":
-            _cmd_eval_loss(args)
-        elif args.command == "simulate":
-            _cmd_simulate(args)
+        args.func(args)
     except (ParseError, CountMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,21 +38,6 @@ class GrayImage:
 
 
 @dataclass(frozen=True)
-class Spectrum:
-    """Centered 2D magnitude spectrum; DC sits at (H//2, W//2)."""
-
-    magnitudes: np.ndarray
-
-    @property
-    def height(self) -> int:
-        return self.magnitudes.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.magnitudes.shape[1]
-
-
-@dataclass(frozen=True)
 class ScoreConfig:
     w1: float = 1.0
     w2: float = 1.0
@@ -77,20 +63,20 @@ def to_grayscale(rgb: np.ndarray) -> GrayImage:
     return GrayImage(gray)
 
 
-def dft2_magnitude_centered(img: GrayImage) -> Spectrum:
-    """Magnitude of the 2D DFT, zero frequency shifted to the center."""
-    mags = np.abs(np.fft.fftshift(np.fft.fft2(img.pixels)))
-    return Spectrum(mags)
+def dft2_magnitude_centered(img: GrayImage) -> np.ndarray:
+    """Magnitude of the 2D DFT, zero frequency shifted to the center
+    (DC sits at (H//2, W//2))."""
+    return np.abs(np.fft.fftshift(np.fft.fft2(img.pixels)))
 
 
-def highfreq_ratio(spec: Spectrum, radius: float, epsilon: float = 1e-8) -> float:
-    """Fraction of spectral magnitude outside the centered disk of `radius`."""
-    h, w = spec.height, spec.width
+def highfreq_ratio(mags: np.ndarray, radius: float, epsilon: float = 1e-8) -> float:
+    """Fraction of centered spectral magnitude outside the disk of `radius`."""
+    h, w = mags.shape
     v = np.arange(h)[:, None] - h // 2
     u = np.arange(w)[None, :] - w // 2
     mask = (u * u + v * v) > radius * radius
-    total = float(spec.magnitudes.sum())
-    return float(spec.magnitudes[mask].sum()) / (total + epsilon)
+    total = float(mags.sum())
+    return float(mags[mask].sum()) / (total + epsilon)
 
 
 def quality_score(ratio: float, gain: float = 20.0, midpoint: float = 0.1) -> float:
@@ -110,19 +96,41 @@ def adaptive_update_weight(s1: float, s2: float, clip_max: float = 1.0) -> float
     return min(s1 * s2, clip_max)
 
 
-def score_frame(prev: Pose | None, cur: Pose, img: GrayImage,
-                cfg: ScoreConfig = ScoreConfig()) -> float:
+class ScoreTerms(NamedTuple):
+    """Every intermediate of one frame's score, ending in its weight."""
+
+    delta_x: float
+    delta_q: float
+    s1: float
+    ratio: float
+    s2: float
+    weight: float
+
+
+def score_terms(prev: Pose | None, cur: Pose, img: GrayImage,
+                cfg: ScoreConfig = ScoreConfig()) -> ScoreTerms:
     """Full scoring pipeline for one frame of a stream.
 
-    The first frame (prev is None) returns cfg.initial_weight so the first
-    observation can fully initialize the state.
+    The first frame (prev is None) has zero motion terms and weight
+    cfg.initial_weight, so the first observation can fully initialize the
+    state; its ratio and s2 are still computed.
     """
+    ratio = highfreq_ratio(dft2_magnitude_centered(img),
+                           cfg.effective_radius(img.height, img.width),
+                           cfg.epsilon)
+    s2 = quality_score(ratio, cfg.sigmoid_gain, cfg.sigmoid_midpoint)
+    if prev is None:
+        return ScoreTerms(0.0, 0.0, 0.0, ratio, s2, cfg.initial_weight)
+    delta_t, delta_q = relative_pose(prev, cur)
+    delta_x = float(np.linalg.norm(delta_t))
+    s1 = motion_score(delta_x, delta_q, cfg.w1, cfg.w2)
+    return ScoreTerms(delta_x, delta_q, s1, ratio, s2,
+                      adaptive_update_weight(s1, s2, cfg.clip_max))
+
+
+def score_frame(prev: Pose | None, cur: Pose, img: GrayImage,
+                cfg: ScoreConfig = ScoreConfig()) -> float:
+    """The frame's update weight; the first frame skips the spectrum."""
     if prev is None:
         return cfg.initial_weight
-    delta_t, delta_angle = relative_pose(prev, cur)
-    s1 = motion_score(float(np.linalg.norm(delta_t)), delta_angle, cfg.w1, cfg.w2)
-    spec = dft2_magnitude_centered(img)
-    r = cfg.effective_radius(img.height, img.width)
-    ratio = highfreq_ratio(spec, r, cfg.epsilon)
-    s2 = quality_score(ratio, cfg.sigmoid_gain, cfg.sigmoid_midpoint)
-    return adaptive_update_weight(s1, s2, cfg.clip_max)
+    return score_terms(prev, cur, img, cfg).weight

@@ -130,7 +130,8 @@ def read_pgm(data: bytes) -> GrayImage:
 
 def write_pgm(img: GrayImage, maxval: int = 255) -> bytes:
     """P5 writer used by fixtures and tests."""
-    values = np.clip(np.rint(img.pixels * maxval), 0, maxval).astype(np.uint8)
+    dtype = ">u2" if maxval > 255 else np.uint8
+    values = np.clip(np.rint(img.pixels * maxval), 0, maxval).astype(dtype)
     header = f"P5\n{img.width} {img.height}\n{maxval}\n".encode("ascii")
     return header + values.tobytes()
 

@@ -153,7 +153,8 @@ def metric_depth(pred: DepthMap, gt: DepthMap,
     abs_rel = float(np.mean(np.abs(p - g) / g))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.maximum(p / g, g / p)
-    delta = 100.0 * float(np.mean(ratio < 1.25))
+    # an aligned depth <= 0 gives a negative or infinite ratio: an outlier
+    delta = 100.0 * float(np.mean((p > 0) & (ratio < 1.25)))
     return abs_rel, delta
 
 

@@ -9,15 +9,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .frame_scoring import GrayImage, ScoreConfig, score_frame
+from .frame_scoring import GrayImage
 from .geometry import Pose, Quaternion, quat_normalize
 from .state_update import (MemoryState, Observation, apply_update,
-                           associative_gradient, recall_error)
+                           associative_gradient, recall_error, stream_step)
 
 
 def simulate_stream(frames: int, state_dim: int, seed: int,
-                    policy: str = "adaptive",
-                    cfg: ScoreConfig = ScoreConfig()) -> list[tuple[int, float, float, float]]:
+                    policy: str = "adaptive"
+                    ) -> list[tuple[int, float, float, float]]:
     """Run a seeded synthetic stream and return per-step rows
     (step, beta, recall_first, recall_latest)."""
     constant_beta = None
@@ -46,10 +46,10 @@ def simulate_stream(frames: int, state_dim: int, seed: int,
 
         if constant_beta is not None:
             beta = constant_beta
+            state = apply_update(state, associative_gradient(state, obs), beta)
         else:
             img = GrayImage(rng.uniform(size=(16, 16)))
-            beta = score_frame(prev_pose, pose, img, cfg)
-        state = apply_update(state, associative_gradient(state, obs), beta)
+            state, beta = stream_step(state, prev_pose, pose, img, obs)
         prev_pose = pose
 
         rows.append((step, beta,

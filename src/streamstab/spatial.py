@@ -47,8 +47,6 @@ class BilateralConfig:
     window: int = 2          # half-width; neighborhood is (2w+1)^2
     sigma_s: float = 2.0     # spatial sigma, pixels
     sigma_r: float | None = None  # None -> adaptive: 0.05 * median valid depth
-    center_weighted: bool = False  # weight the center depth instead of the
-                                   # neighbor depth (degenerates to identity)
 
     def effective_sigma_r(self, depth_map: DepthMap) -> float:
         if self.sigma_r is not None:
@@ -94,7 +92,7 @@ def bilateral_depth(depth_map: DepthMap, cfg: BilateralConfig = BilateralConfig(
             rng = np.exp(-((cd - nd) ** 2) / (2.0 * sigma_r ** 2))
             wgt = np.where(nv, spatial * rng, 0.0)
             weight_sum[y0:y1, x0:x1] += wgt
-            value_sum[y0:y1, x0:x1] += wgt * (cd if cfg.center_weighted else nd)
+            value_sum[y0:y1, x0:x1] += wgt * nd
 
     out = np.array(d, copy=True)
     ok = valid & (weight_sum >= 1e-300)

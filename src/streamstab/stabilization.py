@@ -47,13 +47,9 @@ def cutoff_freq(cfg: OneEuroConfig, speed: float) -> float:
     return cfg.f_min + cfg.beta_gain * abs(speed)
 
 
-def filter_step(state: FilterState, raw: Pose, cfg: OneEuroConfig,
-                alpha_override: float | None = None) -> tuple[FilterState, Pose]:
-    """Advance the filter by one frame.
-
-    alpha_override pins the smoothing factor for diagnostics; it is not
-    exposed on the CLI.
-    """
+def filter_step(state: FilterState, raw: Pose, cfg: OneEuroConfig
+                ) -> tuple[FilterState, Pose]:
+    """Advance the filter by one frame."""
     q_raw = quat_normalize(raw.q)
     if not state.initialized:
         out = Pose(raw.t, q_raw, raw.timestamp)
@@ -63,11 +59,8 @@ def filter_step(state: FilterState, raw: Pose, cfg: OneEuroConfig,
     dt = raw.timestamp - state.last_timestamp
     if dt <= 0:
         dt = cfg.default_dt
-    if alpha_override is not None:
-        alpha = alpha_override
-    else:
-        speed = float(np.linalg.norm(raw.t - state.last_t)) / dt
-        alpha = smoothing_alpha(cutoff_freq(cfg, speed), dt)
+    speed = float(np.linalg.norm(raw.t - state.last_t)) / dt
+    alpha = smoothing_alpha(cutoff_freq(cfg, speed), dt)
 
     t_smooth = alpha * raw.t + (1.0 - alpha) * state.last_t
     q_smooth = slerp(state.last_q, q_raw, alpha)

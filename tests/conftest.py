@@ -1,8 +1,16 @@
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 
 from streamstab import Pose, Quaternion, Trajectory, quat_normalize
+
+# Subprocess tests run `python -m streamstab` from a temporary cwd, where a
+# relative PYTHONPATH entry such as `src` no longer resolves.
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [
+    str(Path(__file__).resolve().parent.parent / "src"),
+    os.environ.get("PYTHONPATH")]))
 
 
 def random_unit_quat(rng) -> Quaternion:

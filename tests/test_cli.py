@@ -166,6 +166,15 @@ class TestEval:
         assert "clamping" in err
         assert out.splitlines()[1].startswith("5,")
 
+    def test_non_positive_prefix_frames_usage_error(self, tmp_path):
+        rng = np.random.default_rng(1)
+        path = tmp_path / "t.txt"
+        path.write_text(write_trajectory_tum(random_trajectory(rng, 5)))
+        with pytest.raises(SystemExit) as exc:
+            main(["eval-traj", "--pred", str(path), "--gt", str(path),
+                  "--prefix-frames", "-3"])
+        assert exc.value.code == 2
+
     def test_eval_depth_scale_mode(self, capsys, tmp_path):
         rng = np.random.default_rng(2)
         gt = DepthMap.from_depths(rng.uniform(1.0, 5.0, size=(8, 8)))
@@ -265,3 +274,28 @@ class TestConfigFile:
                                     "--config", str(cfg)])
         assert code == 2
         assert "bogus" in err
+
+    def test_int_key_typed_by_flag(self, capsys, tmp_path):
+        rng = np.random.default_rng(5)
+        path = tmp_path / "t.txt"
+        path.write_text(write_trajectory_tum(random_trajectory(rng, 10)))
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("prefix_frames=5\n")
+        code, out, _ = run(capsys, ["eval-traj", "--pred", str(path),
+                                    "--gt", str(path), "--config", str(cfg)])
+        assert code == 0
+        assert out.splitlines()[1].startswith("5,")
+
+    @pytest.mark.parametrize("command, line", [
+        (["score", "--traj", "t.txt", "--frames", "f"], "w1=abc"),
+        (["eval-traj", "--pred", "t.txt", "--gt", "t.txt"], "align=foo"),
+        (["eval-traj", "--pred", "t.txt", "--gt", "t.txt"], "prefix_frames=5.0"),
+        (["eval-traj", "--pred", "t.txt", "--gt", "t.txt"], "prefix_frames=0"),
+    ])
+    def test_bad_value_parse_error_with_line(self, capsys, tmp_path,
+                                             command, line):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"# settings\n{line}\n")
+        code, _, err = run(capsys, command + ["--config", str(cfg)])
+        assert code == 2
+        assert "line 2" in err

@@ -6,7 +6,7 @@ import pytest
 from streamstab import (GrayImage, Pose, Quaternion, ScoreConfig,
                         adaptive_update_weight, dft2_magnitude_centered,
                         highfreq_ratio, motion_score, quality_score,
-                        score_frame, to_grayscale)
+                        score_frame, score_terms, to_grayscale)
 from streamstab.errors import EmptyImage, NegativeMagnitude
 
 from conftest import random_unit_quat
@@ -56,14 +56,14 @@ class TestDft:
         spec = dft2_magnitude_centered(GrayImage(np.full((n, n), c)))
         expected = np.zeros((n, n))
         expected[n // 2, n // 2] = c * n * n
-        assert np.max(np.abs(spec.magnitudes - expected)) < 1e-9
+        assert np.max(np.abs(spec - expected)) < 1e-9
 
     def test_impulse_flat_spectrum(self):
         n = 8
         px = np.zeros((n, n))
         px[0, 0] = 1.0
         spec = dft2_magnitude_centered(GrayImage(px))
-        assert np.max(np.abs(spec.magnitudes - 1.0)) < 1e-9
+        assert np.max(np.abs(spec - 1.0)) < 1e-9
 
     @pytest.mark.parametrize("size", [8, 16])
     def test_matches_naive_oracle(self, size):
@@ -72,14 +72,14 @@ class TestDft:
             px = rng.uniform(size=(size, size))
             spec = dft2_magnitude_centered(GrayImage(px))
             oracle = naive_dft2_magnitude_centered(px)
-            assert np.max(np.abs(spec.magnitudes - oracle)) < 1e-9
+            assert np.max(np.abs(spec - oracle)) < 1e-9
 
     def test_non_power_of_two(self):
         rng = np.random.default_rng(11)
         px = rng.uniform(size=(6, 10))
         spec = dft2_magnitude_centered(GrayImage(px))
         oracle = naive_dft2_magnitude_centered(px)
-        assert np.max(np.abs(spec.magnitudes - oracle)) < 1e-9
+        assert np.max(np.abs(spec - oracle)) < 1e-9
 
     def test_parseval(self):
         rng = np.random.default_rng(12)
@@ -87,7 +87,7 @@ class TestDft:
             px = rng.uniform(size=(16, 16))
             spec = dft2_magnitude_centered(GrayImage(px))
             lhs = np.sum(px ** 2) * px.size
-            rhs = np.sum(spec.magnitudes ** 2)
+            rhs = np.sum(spec ** 2)
             assert abs(lhs - rhs) / rhs < 1e-9
 
 
@@ -185,6 +185,18 @@ class TestScoreFrame:
         img = GrayImage(np.full((16, 16), 0.5))
         expected = 1.0 / (1.0 + math.exp(2.0))  # s1 = 1, s2 at R = 0
         assert score_frame(a, b, img) == pytest.approx(expected, abs=1e-9)
+        terms = score_terms(a, b, img)
+        assert (terms.delta_x, terms.delta_q, terms.s1, terms.ratio) == (1.0, 0.0, 1.0, 0.0)
+        assert terms.weight == score_frame(a, b, img)
+
+    def test_first_frame_terms(self):
+        img = GrayImage(checkerboard(8))
+        cur = Pose(np.zeros(3), Quaternion.identity())
+        terms = score_terms(None, cur, img, ScoreConfig(initial_weight=0.25))
+        assert terms[:3] == (0.0, 0.0, 0.0)
+        assert terms.ratio == pytest.approx(1.0, abs=1e-9)
+        assert terms.s2 == quality_score(terms.ratio)
+        assert terms.weight == 0.25
 
     def test_large_motion_clipped(self):
         a = Pose(np.zeros(3), Quaternion.identity(), 0.0)

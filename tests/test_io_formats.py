@@ -100,6 +100,12 @@ class TestPgm:
         back = read_pgm(write_pgm(img))
         assert np.max(np.abs(back.pixels - img.pixels)) < 1e-12
 
+    def test_sixteen_bit_round_trip(self):
+        rng = np.random.default_rng(2)
+        img = GrayImage(rng.integers(0, 65536, size=(5, 7)) / 65535.0)
+        back = read_pgm(write_pgm(img, maxval=65535))
+        assert np.max(np.abs(back.pixels - img.pixels)) < 1e-12
+
 
 class TestPfm:
     def test_round_trip(self):

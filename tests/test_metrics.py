@@ -184,6 +184,13 @@ class TestMetricDepth:
         assert abs_rel == pytest.approx(0.0, abs=1e-6)
         assert delta == 100.0
 
+    def test_non_positive_aligned_depth_is_outlier(self):
+        # the affine fit maps the last pred pixel to a negative depth
+        pred = DepthMap.from_depths(np.arange(1.0, 7.0).reshape(2, 3))
+        gt = DepthMap.from_depths(np.array([[9.0, 7.0, 5.0], [3.0, 1.0, 0.5]]))
+        _, delta = metric_depth(pred, gt, DepthEvalMode.SCALE_AND_SHIFT)
+        assert delta == pytest.approx(200.0 / 3.0, abs=1e-9)
+
     def test_scale_mode_invariant_to_uniform_scaling(self):
         rng = np.random.default_rng(13)
         gt = DepthMap.from_depths(rng.uniform(1.0, 5.0, size=(8, 8)))

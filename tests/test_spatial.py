@@ -90,13 +90,6 @@ class TestBilateralDepth:
         with pytest.raises(NoValidPixels):
             bilateral_depth(dm)
 
-    def test_center_weighted_mode_is_identity(self):
-        rng = np.random.default_rng(5)
-        depths = rng.uniform(1.0, 5.0, size=(6, 6))
-        dm = DepthMap.from_depths(depths)
-        out = bilateral_depth(dm, BilateralConfig(sigma_r=0.5, center_weighted=True))
-        assert np.max(np.abs(out.depths - depths)) < 1e-12
-
 
 class TestDepthToPoints:
     def test_principal_ray(self):

@@ -90,9 +90,11 @@ class TestFilterStep:
         e = Quaternion.identity()
         h = math.sqrt(0.5)
         state = FilterState()
-        state, _ = filter_step(state, Pose(np.zeros(3), e, 0.0), OneEuroConfig())
+        # cutoff 30 / (2 pi) Hz over a 1/30 s step gives alpha = 1 / (1 + 1)
+        cfg = OneEuroConfig(f_min=30.0 / (2.0 * math.pi), beta_gain=0.0)
+        state, _ = filter_step(state, Pose(np.zeros(3), e, 0.0), cfg)
         raw = Pose(np.array([2.0, 0, 0]), Quaternion(h, 0, 0, h), 1.0 / 30.0)
-        _, out = filter_step(state, raw, OneEuroConfig(), alpha_override=0.5)
+        _, out = filter_step(state, raw, cfg)
         assert np.allclose(out.t, [1.0, 0, 0])
         assert out.q.w == pytest.approx(math.cos(math.pi / 8), abs=1e-12)
         assert out.q.z == pytest.approx(math.sin(math.pi / 8), abs=1e-12)
