@@ -9,6 +9,7 @@ defaults; explicit flags override it.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -85,13 +86,29 @@ def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(low: int):
+    """argparse type: an int no smaller than `low`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite float greater than 0."""
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be finite and positive, got {value}")
     return value
 
 
@@ -140,11 +157,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, help="input PFM")
     p.add_argument("--out", dest="outfile", required=True,
                    help="output .pfm or .ply")
-    p.add_argument("--window", type=int,
+    p.add_argument("--window", type=_int_at_least(0),
                    help="window half-width (default 2)")
-    p.add_argument("--sigma-s", type=float, dest="sigma_s",
+    p.add_argument("--sigma-s", type=_positive_float, dest="sigma_s",
                    help="spatial sigma in pixels (default 2.0)")
-    p.add_argument("--sigma-r", type=float, dest="sigma_r",
+    p.add_argument("--sigma-r", type=_positive_float, dest="sigma_r",
                    help="range sigma in depth units "
                         "(default 0.05 x median valid depth)")
     p.add_argument("--fx", type=float, help="focal length x (PLY output)")
@@ -156,7 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
                      "ATE / RPE trajectory metrics")
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
-    p.add_argument("--prefix-frames", type=_positive_int, dest="prefix_frames",
+    p.add_argument("--prefix-frames", type=_int_at_least(1),
+                   dest="prefix_frames",
                    help="evaluate only the first k frames")
     p.add_argument("--align", choices=["se3", "sim3"],
                    help="ATE alignment class (default se3)")

@@ -193,12 +193,18 @@ def read_ply_ascii(data: bytes) -> PointSet:
         if not fields or fields[0] == "comment":
             continue
         if fields[0] == "format":
+            if len(fields) < 2:
+                raise ParseError("format line names no format", line=i)
             if fields[1] != "ascii":
                 raise UnsupportedMagic("only ascii PLY is supported")
         elif fields[0] == "element":
-            in_vertex_element = fields[1] == "vertex"
+            in_vertex_element = fields[1:2] == ["vertex"]
             if in_vertex_element:
-                n_vertices = int(fields[2])
+                try:
+                    n_vertices = int(fields[2])
+                except (IndexError, ValueError):
+                    raise ParseError("element vertex needs an integer count",
+                                     line=i)
         elif fields[0] == "property" and in_vertex_element:
             properties.append(fields[-1])
         elif fields[0] == "end_header":
@@ -238,10 +244,9 @@ def write_ply_ascii(cloud: PointSet) -> bytes:
     if has_conf:
         header.append("property float confidence")
     header.append("end_header")
-    lines = header
-    for i in range(len(cloud)):
-        vals = list(cloud.points[i])
-        if has_conf:
-            vals.append(cloud.confidences[i])
-        lines.append(" ".join(_fmt(v) for v in vals))
-    return ("\n".join(lines) + "\n").encode("ascii")
+    table = cloud.points
+    if has_conf:
+        table = np.column_stack([table, cloud.confidences])
+    row = " ".join([_FMT] * table.shape[1])
+    body = "".join([row + "\n"] * len(table)) % tuple(table.ravel().tolist())
+    return ("\n".join(header) + "\n" + body).encode("ascii")

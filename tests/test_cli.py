@@ -138,6 +138,35 @@ class TestRefine:
         assert len(cloud) == 16
 
 
+    @pytest.mark.parametrize("flag, values", [
+        ("--window", ["-1", "1.5", "x"]),
+        ("--sigma-s", ["0", "-2", "nan", "inf", "x"]),
+        ("--sigma-r", ["0", "-1", "nan", "-inf", "x"]),
+    ])
+    def test_out_of_range_flag_usage_error(self, capsys, tmp_path, flag,
+                                           values):
+        src = tmp_path / "in.pfm"
+        src.write_bytes(write_pfm(DepthMap.from_depths(np.full((4, 4), 2.0))))
+        for value in values:
+            with pytest.raises(SystemExit) as exc:
+                main(["refine", "--in", str(src),
+                      "--out", str(tmp_path / "o.pfm"), flag, value])
+            assert exc.value.code == 2
+            assert flag in capsys.readouterr().err
+
+    def test_window_zero_returns_input(self, capsys, tmp_path):
+        rng = np.random.default_rng(4)
+        dm = DepthMap.from_depths(rng.uniform(1.0, 5.0, size=(5, 7)))
+        src = tmp_path / "in.pfm"
+        src.write_bytes(write_pfm(dm))
+        dst = tmp_path / "out.pfm"
+        code, _, err = run(capsys, ["refine", "--in", str(src),
+                                    "--out", str(dst), "--window", "0"])
+        assert code == 0
+        assert err == ""
+        assert dst.read_bytes() == src.read_bytes()
+
+
 class TestEval:
     def test_eval_traj_identical(self, capsys, tmp_path):
         rng = np.random.default_rng(0)
@@ -200,6 +229,23 @@ class TestEval:
         acc, comp, nc = (float(v) for v in out.strip().splitlines()[1].split(","))
         assert acc == 0.0 and comp == 0.0
         assert nc == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("header, line", [
+        (b"format\nelement vertex 1\n", 2),
+        (b"format ascii 1.0\nelement vertex\n", 3),
+        (b"format ascii 1.0\nelement vertex x\n", 3),
+    ], ids=["bare-format", "vertex-without-count", "vertex-count-not-int"])
+    def test_eval_recon_bad_ply_header_parse_error(self, capsys, tmp_path,
+                                                   header, line):
+        path = tmp_path / "c.ply"
+        path.write_bytes(b"ply\n" + header + b"property float x\n"
+                         b"property float y\nproperty float z\n"
+                         b"end_header\n1 2 3\n")
+        code, out, err = run(capsys, ["eval-recon", "--pred", str(path),
+                                      "--gt", str(path)])
+        assert code == 2
+        assert out == ""
+        assert f"line {line}" in err
 
     def test_eval_loss_identical_constant_velocity(self, capsys, tmp_path):
         e = Quaternion.identity()
@@ -291,6 +337,9 @@ class TestConfigFile:
         (["eval-traj", "--pred", "t.txt", "--gt", "t.txt"], "align=foo"),
         (["eval-traj", "--pred", "t.txt", "--gt", "t.txt"], "prefix_frames=5.0"),
         (["eval-traj", "--pred", "t.txt", "--gt", "t.txt"], "prefix_frames=0"),
+        (["refine", "--in", "d.pfm", "--out", "o.pfm"], "window=-1"),
+        (["refine", "--in", "d.pfm", "--out", "o.pfm"], "sigma_s=0"),
+        (["refine", "--in", "d.pfm", "--out", "o.pfm"], "sigma_r=-1"),
     ])
     def test_bad_value_parse_error_with_line(self, capsys, tmp_path,
                                              command, line):

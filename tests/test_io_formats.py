@@ -4,7 +4,7 @@ import pytest
 from streamstab import DepthMap, GrayImage, PointSet, Pose, Quaternion, Trajectory
 from streamstab.errors import (MissingProperty, NonMonotonicTimestamps,
                                ParseError, UnsupportedMagic)
-from streamstab.io_formats import (read_pfm, read_pgm, read_ply_ascii,
+from streamstab.io_formats import (_fmt, read_pfm, read_pgm, read_ply_ascii,
                                    read_trajectory_tum, write_pfm, write_pgm,
                                    write_ply_ascii, write_trajectory_tum)
 
@@ -158,6 +158,25 @@ class TestPly:
         back = read_ply_ascii(write_ply_ascii(cloud))
         assert np.array_equal(back.points, cloud.points)
         assert np.array_equal(back.confidences, cloud.confidences)
+
+    def test_writer_matches_per_value_format(self):
+        rng = np.random.default_rng(4)
+        points = rng.standard_normal((50, 3)) * 10.0 ** rng.integers(-5, 5, (50, 3))
+        points[3] = [-0.0, 0.0, 1e300]
+        conf = rng.uniform(0.1, 2.0, size=50)
+        lines = ["ply", "format ascii 1.0", "element vertex 50",
+                 "property float x", "property float y", "property float z",
+                 "property float confidence", "end_header"]
+        lines += [" ".join(_fmt(v) for v in (*p, c))
+                  for p, c in zip(points, conf)]
+        expected = ("\n".join(lines) + "\n").encode("ascii")
+        assert write_ply_ascii(PointSet(points, conf)) == expected
+
+    def test_empty_cloud_header_only(self):
+        data = write_ply_ascii(PointSet(np.zeros((0, 3))))
+        assert data.endswith(b"element vertex 0\nproperty float x\n"
+                             b"property float y\nproperty float z\n"
+                             b"end_header\n")
 
     def test_missing_z_rejected(self):
         data = (b"ply\nformat ascii 1.0\nelement vertex 1\n"

@@ -6,6 +6,39 @@ from streamstab import (BilateralConfig, DepthMap, Intrinsics,
 from streamstab.errors import NoValidPixels
 
 
+def bilateral_loop_oracle(depth_map, cfg):
+    """The bilateral filter as a per-offset loop over whole shifted frames;
+    bilateral_depth must match it bit for bit."""
+    d = depth_map.depths
+    valid = depth_map.valid
+    sigma_r = cfg.effective_sigma_r(depth_map)
+    w = cfg.window
+    h, wid = d.shape
+
+    weight_sum = np.zeros_like(d)
+    value_sum = np.zeros_like(d)
+    for dy in range(-w, w + 1):
+        for dx in range(-w, w + 1):
+            # shifted neighbor views; out-of-bounds neighbors contribute nothing
+            y0, y1 = max(0, -dy), min(h, h - dy)
+            x0, x1 = max(0, -dx), min(wid, wid - dx)
+            if y0 >= y1 or x0 >= x1:
+                continue
+            nd = d[y0 + dy:y1 + dy, x0 + dx:x1 + dx]
+            nv = valid[y0 + dy:y1 + dy, x0 + dx:x1 + dx]
+            cd = d[y0:y1, x0:x1]
+            spatial = np.exp(-(dy * dy + dx * dx) / (2.0 * cfg.sigma_s ** 2))
+            rng = np.exp(-((cd - nd) ** 2) / (2.0 * sigma_r ** 2))
+            wgt = np.where(nv, spatial * rng, 0.0)
+            weight_sum[y0:y1, x0:x1] += wgt
+            value_sum[y0:y1, x0:x1] += wgt * nd
+
+    out = np.array(d, copy=True)
+    ok = valid & (weight_sum >= 1e-300)
+    out[ok] = value_sum[ok] / weight_sum[ok]
+    return out
+
+
 def gaussian_blur_oracle(depths, valid, window, sigma_s):
     """Truncated-Gaussian blur over valid pixels, plain nested loops."""
     h, w = depths.shape
@@ -91,6 +124,91 @@ class TestBilateralDepth:
             bilateral_depth(dm)
 
 
+class TestBilateralMatchesLoop:
+    """The kernel against the per-offset loop, compared with array_equal."""
+
+    @staticmethod
+    def bordered_map(shape, seed):
+        # a smooth surface with noise, so range weights span many magnitudes;
+        # invalid pixels on every border and corner, and some inside
+        rng = np.random.default_rng(seed)
+        h, w = shape
+        yy, xx = np.mgrid[0:h, 0:w]
+        depths = 2.0 + 0.01 * xx + 0.02 * yy + rng.normal(0.0, 0.05, shape)
+        valid = rng.uniform(size=shape) > 0.1
+        valid[0, ::2] = False
+        valid[-1, 1::2] = False
+        valid[::3, 0] = False
+        valid[1::3, -1] = False
+        valid[[0, 0, -1, -1], [0, -1, 0, -1]] = False
+        if not valid.any():
+            valid[h // 2, w // 2] = True
+        return DepthMap(np.where(valid, depths, 0.0), valid)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (3, 4),
+                                       (33, 17), (70, 45), (384, 512)])
+    @pytest.mark.parametrize("window", [0, 1, 2, 5])
+    @pytest.mark.parametrize("sigma_r", [None, 0.08])
+    def test_bit_identical(self, shape, window, sigma_r):
+        dm = self.bordered_map(shape, seed=window)
+        cfg = BilateralConfig(window=window, sigma_s=1.7, sigma_r=sigma_r)
+        out = bilateral_depth(dm, cfg)
+        assert np.array_equal(out.depths, bilateral_loop_oracle(dm, cfg))
+        assert np.array_equal(out.valid, dm.valid)
+
+    @pytest.mark.parametrize("reuse_bytes", [0, 20_000])
+    def test_capped_weight_reuse_bit_identical(self, monkeypatch, reuse_bytes):
+        # no kept weights, and only the first few offsets kept
+        monkeypatch.setattr("streamstab.spatial._REUSE_BYTES", reuse_bytes)
+        dm = self.bordered_map((45, 38), seed=3)
+        cfg = BilateralConfig(window=3, sigma_s=1.2)
+        assert np.array_equal(bilateral_depth(dm, cfg).depths,
+                              bilateral_loop_oracle(dm, cfg))
+
+    def test_all_valid_bit_identical(self):
+        rng = np.random.default_rng(7)
+        dm = DepthMap.from_depths(rng.uniform(1.0, 5.0, size=(40, 29)))
+        cfg = BilateralConfig(window=3, sigma_s=2.5, sigma_r=0.3)
+        assert np.array_equal(bilateral_depth(dm, cfg).depths,
+                              bilateral_loop_oracle(dm, cfg))
+
+    @pytest.mark.parametrize("fill", [np.nan, np.inf, -np.inf, -1.0])
+    def test_invalid_values_do_not_reach_neighbours(self, fill):
+        dm = self.bordered_map((37, 23), seed=11)
+        cfg = BilateralConfig(window=2, sigma_r=0.1)
+        clean = bilateral_depth(dm, cfg)
+        dirty_depths = np.where(dm.valid, dm.depths, fill)
+        dirty = bilateral_depth(DepthMap(dirty_depths, dm.valid), cfg)
+        assert np.array_equal(dirty.depths[dm.valid], clean.depths[dm.valid])
+        invalid = ~dm.valid
+        assert np.array_equal(dirty.depths[invalid], dirty_depths[invalid],
+                              equal_nan=True)
+
+    def test_nan_hole_from_depths(self):
+        dm = DepthMap.from_depths([[1, np.nan, 1], [1, 1, 1], [1, 1, 1]])
+        out = bilateral_depth(dm, BilateralConfig(sigma_r=0.1))
+        assert np.array_equal(out.depths, dm.depths, equal_nan=True)
+
+
+class TestBilateralConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("window", -1),
+        ("sigma_s", 0.0), ("sigma_s", -2.0), ("sigma_s", np.nan),
+        ("sigma_s", np.inf),
+        ("sigma_r", 0.0), ("sigma_r", -1.0), ("sigma_r", np.nan),
+        ("sigma_r", np.inf),
+    ])
+    def test_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            BilateralConfig(**{field: value})
+
+    def test_window_zero_is_identity(self):
+        rng = np.random.default_rng(8)
+        dm = DepthMap.from_depths(rng.uniform(1.0, 5.0, size=(5, 6)))
+        out = bilateral_depth(dm, BilateralConfig(window=0, sigma_r=0.1))
+        assert np.array_equal(out.depths, dm.depths)
+
+
 class TestDepthToPoints:
     def test_principal_ray(self):
         dm = DepthMap.from_depths(np.full((5, 5), 2.0))
@@ -106,6 +224,18 @@ class TestDepthToPoints:
         pts = depth_to_points(dm, Intrinsics(1.0, 1.0, 0.0, 0.0))
         assert len(pts) == 1
         assert np.allclose(pts.points[0], [3, 4, 1])
+
+    def test_matches_stacked_formula(self):
+        rng = np.random.default_rng(9)
+        depths = rng.uniform(0.5, 4.0, size=(13, 17))
+        depths[rng.uniform(size=depths.shape) < 0.2] = 0.0
+        dm = DepthMap.from_depths(depths)
+        intr = Intrinsics(51.3, 47.9, 8.3, 6.1)
+        vs, us = np.nonzero(dm.valid)
+        z = depths[vs, us]
+        expected = np.stack([(us - intr.cx) * z / intr.fx,
+                             (vs - intr.cy) * z / intr.fy, z], axis=1)
+        assert np.array_equal(depth_to_points(dm, intr).points, expected)
 
     def test_projection_round_trip(self):
         rng = np.random.default_rng(6)
