@@ -100,15 +100,22 @@ def _int_at_least(low: int):
     return parse
 
 
-def _positive_float(text: str) -> float:
-    """argparse type: a finite float greater than 0."""
+def _finite_float(text: str) -> float:
+    """argparse type: a finite float."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(
-            f"must be finite and positive, got {value}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite float greater than 0."""
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     return value
 
 
@@ -164,10 +171,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-r", type=_positive_float, dest="sigma_r",
                    help="range sigma in depth units "
                         "(default 0.05 x median valid depth)")
-    p.add_argument("--fx", type=float, help="focal length x (PLY output)")
-    p.add_argument("--fy", type=float, help="focal length y (PLY output)")
-    p.add_argument("--cx", type=float, help="principal point x (PLY output)")
-    p.add_argument("--cy", type=float, help="principal point y (PLY output)")
+    p.add_argument("--fx", type=_positive_float,
+                   help="focal length x (PLY output)")
+    p.add_argument("--fy", type=_positive_float,
+                   help="focal length y (PLY output)")
+    p.add_argument("--cx", type=_finite_float,
+                   help="principal point x (PLY output)")
+    p.add_argument("--cy", type=_finite_float,
+                   help="principal point y (PLY output)")
 
     p = _add_command(subs, "eval-traj", _cmd_eval_traj,
                      "ATE / RPE trajectory metrics")
@@ -189,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
                      "point-cloud reconstruction metrics")
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
-    p.add_argument("--k-normals", type=int, dest="k_normals",
+    p.add_argument("--k-normals", type=_int_at_least(1), dest="k_normals",
                    help="neighbors for normal estimation (default 16)")
 
     p = _add_command(subs, "eval-loss", _cmd_eval_loss,

@@ -91,6 +91,10 @@ class NoOverlappingValidity(ToolkitError):
     pass
 
 
+class NonFinitePoints(ToolkitError):
+    pass
+
+
 class TooFewPoints(ToolkitError):
     pass
 

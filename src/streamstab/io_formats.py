@@ -19,6 +19,9 @@ from .geometry import PointSet, Pose, Quaternion, Trajectory, quat_normalize
 from .spatial import DepthMap
 
 _FMT = "%.17g"
+# vertex lines per np.array call: the split fields of a whole cloud would hold
+# about 350 bytes per point, several times the float table they fill
+_PLY_BLOCK_LINES = 4096
 
 
 def _fmt(x: float) -> str:
@@ -216,24 +219,45 @@ def read_ply_ascii(data: bytes) -> PointSet:
     for name in ("x", "y", "z"):
         if name not in properties:
             raise MissingProperty(f"vertex property {name!r} missing")
-    body = [ln for ln in lines[i:] if ln.strip()]
-    if len(body) != n_vertices:
-        raise ParseError(
-            f"expected {n_vertices} vertex lines, got {len(body)}")
-    rows = []
-    for lineno, line in enumerate(body, start=i + 1):
-        fields = line.split()
-        if len(fields) != len(properties):
-            raise ParseError("wrong number of vertex fields", line=lineno)
+    body = lines[i:]
+    n_rows = sum(1 for line in body if line.strip())
+    if n_rows != n_vertices:
+        raise ParseError(f"expected {n_vertices} vertex lines, got {n_rows}")
+    width = len(properties)
+    table = np.empty((n_vertices, width))
+    filled = 0
+    for start in range(0, len(body), _PLY_BLOCK_LINES):
+        rows = [fields for fields in
+                map(str.split, body[start:start + _PLY_BLOCK_LINES]) if fields]
         try:
-            rows.append([float(f) for f in fields])
-        except ValueError:
-            raise ParseError("non-numeric vertex field", line=lineno)
-    table = np.array(rows, dtype=float).reshape(len(body), len(properties))
+            table[filled:filled + len(rows)] = np.array(
+                rows, dtype=float).reshape(len(rows), width)
+        except ValueError:  # a ragged, short or non-numeric row
+            raise _vertex_line_error(lines, i, width)
+        filled += len(rows)
+    if not np.isfinite(table).all():
+        raise _vertex_line_error(lines, i, width)
     cols = {name: table[:, j] for j, name in enumerate(properties)}
     points = np.stack([cols["x"], cols["y"], cols["z"]], axis=1)
     conf = cols.get("confidence")
     return PointSet(points, conf)
+
+
+def _vertex_line_error(lines: list[str], start: int, width: int) -> ParseError:
+    """The error naming the first bad vertex line at or after lines[start]."""
+    for lineno, line in enumerate(lines[start:], start=start + 1):
+        fields = line.split()
+        if not fields:
+            continue
+        if len(fields) != width:
+            return ParseError("wrong number of vertex fields", line=lineno)
+        try:
+            values = [float(f) for f in fields]
+        except ValueError:
+            return ParseError("non-numeric vertex field", line=lineno)
+        if not all(map(math.isfinite, values)):
+            return ParseError("non-finite vertex value", line=lineno)
+    return ParseError("malformed vertex data")
 
 
 def write_ply_ascii(cloud: PointSet) -> bytes:

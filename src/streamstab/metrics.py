@@ -15,12 +15,12 @@ from enum import Enum
 import numpy as np
 
 from .errors import (DegenerateConfiguration, LengthMismatch,
-                     NoOverlappingValidity, ShapeMismatch, TooFewPoints,
-                     TooShort)
+                     NoOverlappingValidity, NonFinitePoints, ShapeMismatch,
+                     TooFewPoints, TooShort)
 from .geometry import PointSet, Trajectory
 from .spatial import DepthMap
 
-_BRUTE_FORCE_LIMIT = 2000
+_NORMALS_BLOCK = 4096  # points per batched SVD in _tree_normals
 
 
 @dataclass(frozen=True)
@@ -158,44 +158,43 @@ def metric_depth(pred: DepthMap, gt: DepthMap,
     return abs_rel, delta
 
 
-def _nearest_neighbors(query: np.ndarray, ref: np.ndarray
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Index and distance of the nearest ref point for each query point.
+def _kdtree(points: np.ndarray):
+    """KD-tree over one cloud; a non-finite coordinate is rejected."""
+    if not np.isfinite(points).all():
+        raise NonFinitePoints("point cloud has a non-finite coordinate")
+    from scipy.spatial import cKDTree  # lazy: importing SciPy costs ~0.5 s
+    return cKDTree(points)
 
-    Brute force below _BRUTE_FORCE_LIMIT points, KD-tree above; both exact.
-    """
-    if max(query.shape[0], ref.shape[0]) <= _BRUTE_FORCE_LIMIT:
-        d2 = np.sum((query[:, None, :] - ref[None, :, :]) ** 2, axis=2)
-        idx = np.argmin(d2, axis=1)
-        dist = np.sqrt(d2[np.arange(query.shape[0]), idx])
-        return idx, dist
-    from scipy.spatial import cKDTree
-    dist, idx = cKDTree(ref).query(query)
-    return np.asarray(idx), np.asarray(dist)
+
+def _tree_normals(tree, k: int) -> np.ndarray:
+    """Normals of the cloud in `tree`, which also serves that cloud's
+    nearest-neighbour queries; one batched SVD per block of points keeps
+    temporaries O(block * k)."""
+    if k < 1:
+        raise ValueError(f"normal estimation needs k >= 1, got {k}")
+    pts = tree.data
+    normals = np.empty_like(pts)
+    for start in range(0, pts.shape[0], _NORMALS_BLOCK):
+        block = pts[start:start + _NORMALS_BLOCK]
+        nb = pts[tree.query(block, k=k + 1)[1]]  # the point itself included
+        nb_c = nb - nb.mean(axis=1, keepdims=True)
+        normal = np.linalg.svd(nb_c, full_matrices=False)[2][:, -1, :]
+        normal[np.einsum("ij,ij->i", normal, block) > 0] *= -1.0  # to origin
+        normals[start:start + _NORMALS_BLOCK] = normal
+    return normals
 
 
 def estimate_normals(points: np.ndarray, k: int = 16) -> np.ndarray:
     """Per-point normals from local PCA over the k nearest neighbors.
 
-    The normal is the smallest-eigenvalue direction of the neighborhood
-    covariance, oriented toward the coordinate origin.
+    The k+1 nearest points (the point itself included) come from a KD-tree;
+    the normal is their smallest-variance direction, the last right-singular
+    vector of the centred neighbourhood, oriented toward the origin.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    n = pts.shape[0]
-    if n < k + 1:
+    if pts.shape[0] < k + 1:
         raise TooFewPoints(f"normal estimation needs at least {k + 1} points")
-    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
-    order = np.argsort(d2, axis=1)
-    normals = np.zeros_like(pts)
-    for i in range(n):
-        nb = pts[order[i, :k + 1]]  # includes the point itself
-        nb_c = nb - nb.mean(axis=0)
-        _, _, vt = np.linalg.svd(nb_c, full_matrices=False)
-        normal = vt[-1]
-        if np.dot(normal, pts[i]) > 0:  # point toward the origin
-            normal = -normal
-        normals[i] = normal
-    return normals
+    return _tree_normals(_kdtree(pts), k)
 
 
 def metric_recon(pred: PointSet, gt: PointSet, k_normals: int = 16
@@ -209,11 +208,11 @@ def metric_recon(pred: PointSet, gt: PointSet, k_normals: int = 16
     p, g = pred.points, gt.points
     if min(p.shape[0], g.shape[0]) < k_normals + 1:
         raise TooFewPoints(f"reconstruction metrics need > {k_normals} points")
-    idx_pg, dist_pg = _nearest_neighbors(p, g)
-    _, dist_gp = _nearest_neighbors(g, p)
+    tree_p, tree_g = _kdtree(p), _kdtree(g)
+    dist_pg, idx_pg = tree_g.query(p)
     acc = float(np.mean(dist_pg))
-    comp = float(np.mean(dist_gp))
-    n_pred = estimate_normals(p, k_normals)
-    n_gt = estimate_normals(g, k_normals)
+    comp = float(np.mean(tree_p.query(g)[0]))
+    n_pred = _tree_normals(tree_p, k_normals)
+    n_gt = _tree_normals(tree_g, k_normals)
     nc = float(np.mean(np.abs(np.sum(n_pred * n_gt[idx_pg], axis=1))))
     return acc, comp, nc

@@ -89,6 +89,8 @@ class Intrinsics:
     cy: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.fx, self.fy, self.cx, self.cy))):
+            raise ValueError("intrinsics must be finite")
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
 

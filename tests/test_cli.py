@@ -142,6 +142,10 @@ class TestRefine:
         ("--window", ["-1", "1.5", "x"]),
         ("--sigma-s", ["0", "-2", "nan", "inf", "x"]),
         ("--sigma-r", ["0", "-1", "nan", "-inf", "x"]),
+        ("--fx", ["0", "-1", "nan", "inf", "x"]),
+        ("--fy", ["0", "-1", "nan", "-inf", "x"]),
+        ("--cx", ["nan", "inf", "-inf", "x"]),
+        ("--cy", ["nan", "inf", "-inf", "x"]),
     ])
     def test_out_of_range_flag_usage_error(self, capsys, tmp_path, flag,
                                            values):
@@ -247,6 +251,33 @@ class TestEval:
         assert out == ""
         assert f"line {line}" in err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("side", ["--pred", "--gt"])
+    def test_eval_recon_non_finite_vertex_parse_error(self, capsys, tmp_path,
+                                                      bad, side):
+        rng = np.random.default_rng(6)
+        good = tmp_path / "good.ply"
+        good.write_bytes(write_ply_ascii(PointSet(rng.standard_normal((30, 3)))))
+        lines = good.read_text().splitlines()
+        lines[7 + 11] = f"0.5 {bad} 1"  # vertex 12, after 7 header lines
+        broken = tmp_path / "broken.ply"
+        broken.write_text("\n".join(lines) + "\n")
+        paths = {"--pred": str(good), "--gt": str(good), side: str(broken)}
+        code, out, err = run(capsys, ["eval-recon", "--pred", paths["--pred"],
+                                      "--gt", paths["--gt"]])
+        assert code == 2
+        assert out == ""
+        assert "line 19" in err and "non-finite" in err
+
+    def test_eval_recon_k_normals_below_one_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "c.ply"
+        path.write_bytes(write_ply_ascii(PointSet(np.eye(3))))
+        with pytest.raises(SystemExit) as exc:
+            main(["eval-recon", "--pred", str(path), "--gt", str(path),
+                  "--k-normals", "0"])
+        assert exc.value.code == 2
+        assert "--k-normals" in capsys.readouterr().err
+
     def test_eval_loss_identical_constant_velocity(self, capsys, tmp_path):
         e = Quaternion.identity()
         traj = Trajectory([Pose(np.array([float(i), 0, 0]), e, float(i))
@@ -340,6 +371,11 @@ class TestConfigFile:
         (["refine", "--in", "d.pfm", "--out", "o.pfm"], "window=-1"),
         (["refine", "--in", "d.pfm", "--out", "o.pfm"], "sigma_s=0"),
         (["refine", "--in", "d.pfm", "--out", "o.pfm"], "sigma_r=-1"),
+        (["refine", "--in", "d.pfm", "--out", "o.ply"], "fx=nan"),
+        (["refine", "--in", "d.pfm", "--out", "o.ply"], "fy=0"),
+        (["refine", "--in", "d.pfm", "--out", "o.ply"], "cx=inf"),
+        (["refine", "--in", "d.pfm", "--out", "o.ply"], "cy=-inf"),
+        (["eval-recon", "--pred", "c.ply", "--gt", "c.ply"], "k_normals=0"),
     ])
     def test_bad_value_parse_error_with_line(self, capsys, tmp_path,
                                              command, line):

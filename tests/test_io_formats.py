@@ -178,6 +178,19 @@ class TestPly:
                              b"property float y\nproperty float z\n"
                              b"end_header\n")
 
+    def test_blocks_and_blank_lines_round_trip(self, monkeypatch):
+        monkeypatch.setattr("streamstab.io_formats._PLY_BLOCK_LINES", 3)
+        rng = np.random.default_rng(5)
+        cloud = PointSet(rng.standard_normal((20, 3)),
+                         rng.uniform(0.1, 2.0, size=20))
+        header, body = write_ply_ascii(cloud).split(b"end_header\n")
+        lines = body.splitlines()
+        spaced = b"\n".join(lines[:4] + [b"", b"  "] + lines[4:11] + [b""]
+                            + lines[11:])
+        back = read_ply_ascii(header + b"end_header\n" + spaced + b"\n\n")
+        assert np.array_equal(back.points, cloud.points)
+        assert np.array_equal(back.confidences, cloud.confidences)
+
     def test_missing_z_rejected(self):
         data = (b"ply\nformat ascii 1.0\nelement vertex 1\n"
                 b"property float x\nproperty float y\nend_header\n1 2\n")
@@ -194,3 +207,25 @@ class TestPly:
     def test_bad_magic(self):
         with pytest.raises(UnsupportedMagic):
             read_ply_ascii(b"not a ply\n")
+
+    @pytest.mark.parametrize("body, message, line", [
+        (b"1 2 3\n4 5 6 7\n8 9\n", "wrong number of vertex fields", 9),
+        (b"1 2 3 0\n4 5 6 0\n7 8 9 0\n", "wrong number of vertex fields", 8),
+        (b"1 2 3\n4 5 6\n7 8 z\n", "non-numeric vertex field", 10),
+        (b"1 2 3\nnan 5 6\n7 8 9\n", "non-finite vertex value", 9),
+        (b"1 2 3\n4 inf 6\n7 8 9\n", "non-finite vertex value", 9),
+        (b"1 2 3\n4 5 6\n7 8 -inf\n", "non-finite vertex value", 10),
+        (b"1 2 1e999\n4 5 6\n7 8 9\n", "non-finite vertex value", 8),
+        (b"1 2 3\n4 nan 6\n7 8\n", "non-finite vertex value", 9),
+        (b"\n1 2 3\n\n4 5 x\n7 8 9\n", "non-numeric vertex field", 11),
+    ], ids=["ragged", "extra-field", "non-numeric", "nan", "inf", "-inf",
+            "overflow", "first-bad-line-wins", "blank-lines-counted"])
+    @pytest.mark.parametrize("block", [4096, 2])
+    def test_bad_vertex_line_named(self, monkeypatch, body, message, line,
+                                   block):
+        monkeypatch.setattr("streamstab.io_formats._PLY_BLOCK_LINES", block)
+        data = (b"ply\nformat ascii 1.0\nelement vertex 3\n"
+                b"property float x\nproperty float y\nproperty float z\n"
+                b"end_header\n" + body)
+        with pytest.raises(ParseError, match=f"line {line}: {message}"):
+            read_ply_ascii(data)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from streamstab import (DepthEvalMode, DepthMap, PointSet, Pose, Quaternion,
                         Trajectory, metric_ate, metric_depth, metric_recon,
                         metric_rpe, umeyama_align)
 from streamstab.errors import (DegenerateConfiguration, NoOverlappingValidity,
-                               ShapeMismatch, TooFewPoints, TooShort)
+                               ShapeMismatch, ToolkitError, TooFewPoints,
+                               TooShort)
 from streamstab.metrics import estimate_normals
 
 from conftest import random_trajectory, random_unit_quat
@@ -18,6 +20,23 @@ def rot_z(deg):
     return np.array([[math.cos(a), -math.sin(a), 0],
                      [math.sin(a), math.cos(a), 0],
                      [0, 0, 1.0]])
+
+
+def normals_loop_oracle(points, k=16):
+    """Dense-argsort, one-SVD-per-point normal estimation (the old kernel)."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
+    order = np.argsort(d2, axis=1)
+    normals = np.zeros_like(pts)
+    for i in range(pts.shape[0]):
+        nb = pts[order[i, :k + 1]]  # includes the point itself
+        nb_c = nb - nb.mean(axis=0)
+        _, _, vt = np.linalg.svd(nb_c, full_matrices=False)
+        normal = vt[-1]
+        if np.dot(normal, pts[i]) > 0:  # point toward the origin
+            normal = -normal
+        normals[i] = normal
+    return normals
 
 
 def brute_force_recon(pred_pts, gt_pts, k_normals=16):
@@ -33,8 +52,8 @@ def brute_force_recon(pred_pts, gt_pts, k_normals=16):
 
     idx_pg, dist_pg = nn(pred_pts, gt_pts)
     _, dist_gp = nn(gt_pts, pred_pts)
-    n_pred = estimate_normals(pred_pts, k_normals)
-    n_gt = estimate_normals(gt_pts, k_normals)
+    n_pred = normals_loop_oracle(pred_pts, k_normals)
+    n_gt = normals_loop_oracle(gt_pts, k_normals)
     nc = float(np.mean(np.abs(np.sum(n_pred * n_gt[idx_pg], axis=1))))
     return float(np.mean(dist_pg)), float(np.mean(dist_gp)), nc
 
@@ -253,3 +272,68 @@ class TestMetricRecon:
         pts = PointSet(np.random.default_rng(17).standard_normal((5, 3)))
         with pytest.raises(TooFewPoints):
             metric_recon(pts, pts, k_normals=16)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", ["pred", "gt"])
+    def test_non_finite_point_rejected(self, bad, side):
+        pts = np.random.default_rng(18).standard_normal((40, 3))
+        broken = pts.copy()
+        broken[7, 1] = bad
+        pair = {"pred": PointSet(pts), "gt": PointSet(pts)}
+        pair[side] = PointSet(broken)
+        with pytest.raises(ToolkitError):
+            metric_recon(pair["pred"], pair["gt"])
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_non_positive_k_rejected(self, k):
+        pts = PointSet(np.random.default_rng(19).standard_normal((40, 3)))
+        with pytest.raises(ValueError, match="k >= 1"):
+            metric_recon(pts, pts, k_normals=k)
+        with pytest.raises(ValueError, match="k >= 1"):
+            estimate_normals(pts.points, k)
+
+    def test_traced_peak_memory_3000_points(self):
+        rng = np.random.default_rng(20)
+        pred = PointSet(rng.standard_normal((3000, 3)))
+        gt = PointSet(rng.standard_normal((3000, 3)))
+        metric_recon(pred, pred)  # the lazy SciPy import is not measured
+        tracemalloc.start()
+        try:
+            metric_recon(pred, gt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+
+
+def _near_planar_cloud(rng, n):
+    """Points on the plane z = 5, turned about z and shifted, 1e-4 thick."""
+    uv = rng.uniform(-1.0, 1.0, size=(n, 2))
+    pts = np.column_stack([uv, 1e-4 * rng.standard_normal(n)])
+    return pts @ rot_z(35.0).T + np.array([0.5, -1.0, 5.0])
+
+
+class TestEstimateNormals:
+    @pytest.mark.parametrize("n", [17, 18, 60, 300, 2500])
+    @pytest.mark.parametrize("k", [3, 16])
+    def test_bit_identical_to_loop(self, n, k):
+        rng = np.random.default_rng(1000 * n + k)
+        pts = rng.standard_normal((n, 3)) + np.array([0.0, 0.0, 2.0])
+        assert np.array_equal(estimate_normals(pts, k), normals_loop_oracle(pts, k))
+
+    @pytest.mark.parametrize("k", [3, 16])
+    def test_near_planar_bit_identical_to_loop(self, k):
+        pts = _near_planar_cloud(np.random.default_rng(21), 600)
+        got = estimate_normals(pts, k)
+        assert np.array_equal(got, normals_loop_oracle(pts, k))
+        # every normal is the plane normal (0, 0, 1) turned toward the origin
+        assert np.all(got[:, 2] < -0.99)
+
+    def test_blocks_bit_identical(self, monkeypatch):
+        monkeypatch.setattr("streamstab.metrics._NORMALS_BLOCK", 7)
+        pts = np.random.default_rng(22).standard_normal((60, 3))
+        assert np.array_equal(estimate_normals(pts, 16), normals_loop_oracle(pts, 16))
+
+    def test_too_few_points(self):
+        with pytest.raises(TooFewPoints):
+            estimate_normals(np.zeros((16, 3)), 16)

@@ -209,6 +209,15 @@ class TestBilateralConfig:
         assert np.array_equal(out.depths, dm.depths)
 
 
+class TestIntrinsics:
+    @pytest.mark.parametrize("field", ["fx", "fy", "cx", "cy"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, field, value):
+        values = {"fx": 10.0, "fy": 10.0, "cx": 2.0, "cy": 2.0, field: value}
+        with pytest.raises(ValueError, match="finite"):
+            Intrinsics(**values)
+
+
 class TestDepthToPoints:
     def test_principal_ray(self):
         dm = DepthMap.from_depths(np.full((5, 5), 2.0))
