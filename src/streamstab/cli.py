@@ -31,7 +31,7 @@ from .stabilization import OneEuroConfig, stabilize_trajectory
 _DEFAULTS = {
     "score": {"w1": 1.0, "w2": 1.0, "radius": None, "epsilon": 1e-8,
               "clip_max": 1.0, "initial_weight": 1.0},
-    "stabilize": {"fmin": 1.0, "beta_gain": 0.007, "default_dt": 1.0 / 30.0},
+    "stabilize": {"fmin": 1.0, "beta_gain": 0.007},
     "refine": {"window": 2, "sigma_s": 2.0, "sigma_r": None,
                "fx": None, "fy": None, "cx": None, "cy": None},
     "eval-traj": {"prefix_frames": None, "align": "se3"},
@@ -86,37 +86,33 @@ def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
-def _int_at_least(low: int):
-    """argparse type: an int no smaller than `low`."""
-    def parse(text: str) -> int:
+def _number(kind: type = float, low: float = -math.inf, above: bool = False):
+    """argparse type: a finite `kind` no smaller than `low`, and greater
+    than `low` if `above`."""
+    def parse(text: str):
         try:
-            value = int(text)
+            value = kind(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-        if value < low:
             raise argparse.ArgumentTypeError(
-                f"must be at least {low}, got {value}")
+                f"invalid {kind.__name__} value: {text!r}")
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+        if value < low or above and value == low:
+            raise argparse.ArgumentTypeError(
+                f"must be {'above' if above else 'at least'} {low}, "
+                f"got {value}")
         return value
     return parse
 
 
-def _finite_float(text: str) -> float:
-    """argparse type: a finite float."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    """argparse type: a finite float greater than 0."""
-    value = _finite_float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
+def _policy(text: str) -> str | float:
+    """argparse type: 'adaptive', or the finite beta of 'constant:<beta>'."""
+    if text == "adaptive":
+        return text
+    if not text.startswith("constant:"):
+        raise argparse.ArgumentTypeError(
+            f"expected 'adaptive' or 'constant:<beta>', got {text!r}")
+    return _number()(text[len("constant:"):])
 
 
 def _add_command(subs, name: str, func, help: str) -> argparse.ArgumentParser:
@@ -132,6 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="streamstab",
         description="Streaming trajectory stabilization and evaluation toolkit")
     subs = parser.add_subparsers(dest="command", required=True)
+    finite, positive = _number(), _number(low=0, above=True)
 
     p = _add_command(subs, "score", _cmd_score,
                      "per-frame adaptive update weights")
@@ -153,38 +150,34 @@ def build_parser() -> argparse.ArgumentParser:
                      "smooth a trajectory online")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
-    p.add_argument("--fmin", type=float,
+    p.add_argument("--fmin", type=positive,
                    help="minimum cutoff frequency in Hz (default 1.0)")
-    p.add_argument("--beta-gain", type=float, dest="beta_gain",
+    p.add_argument("--beta-gain", type=_number(low=0), dest="beta_gain",
                    help="cutoff gain per unit speed (default 0.007)")
-    p.add_argument("--default-dt", type=float, dest="default_dt",
-                   help="fallback frame interval in s (default 1/30)")
 
     p = _add_command(subs, "refine", _cmd_refine, "bilateral depth refinement")
     p.add_argument("--in", dest="infile", required=True, help="input PFM")
     p.add_argument("--out", dest="outfile", required=True,
                    help="output .pfm or .ply")
-    p.add_argument("--window", type=_int_at_least(0),
+    p.add_argument("--window", type=_number(int, 0),
                    help="window half-width (default 2)")
-    p.add_argument("--sigma-s", type=_positive_float, dest="sigma_s",
+    p.add_argument("--sigma-s", type=positive,
                    help="spatial sigma in pixels (default 2.0)")
-    p.add_argument("--sigma-r", type=_positive_float, dest="sigma_r",
+    p.add_argument("--sigma-r", type=positive,
                    help="range sigma in depth units "
                         "(default 0.05 x median valid depth)")
-    p.add_argument("--fx", type=_positive_float,
+    p.add_argument("--fx", type=positive,
                    help="focal length x (PLY output)")
-    p.add_argument("--fy", type=_positive_float,
+    p.add_argument("--fy", type=positive,
                    help="focal length y (PLY output)")
-    p.add_argument("--cx", type=_finite_float,
-                   help="principal point x (PLY output)")
-    p.add_argument("--cy", type=_finite_float,
-                   help="principal point y (PLY output)")
+    p.add_argument("--cx", type=finite, help="principal point x (PLY output)")
+    p.add_argument("--cy", type=finite, help="principal point y (PLY output)")
 
     p = _add_command(subs, "eval-traj", _cmd_eval_traj,
                      "ATE / RPE trajectory metrics")
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
-    p.add_argument("--prefix-frames", type=_int_at_least(1),
+    p.add_argument("--prefix-frames", type=_number(int, 1),
                    dest="prefix_frames",
                    help="evaluate only the first k frames")
     p.add_argument("--align", choices=["se3", "sim3"],
@@ -200,33 +193,31 @@ def build_parser() -> argparse.ArgumentParser:
                      "point-cloud reconstruction metrics")
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
-    p.add_argument("--k-normals", type=_int_at_least(1), dest="k_normals",
+    p.add_argument("--k-normals", type=_number(int, 1), dest="k_normals",
                    help="neighbors for normal estimation (default 16)")
 
     p = _add_command(subs, "eval-loss", _cmd_eval_loss,
                      "trajectory loss components")
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
-    p.add_argument("--wa", type=float, help="ATE term weight (default 1.0)")
-    p.add_argument("--wr", type=float, help="RPE term weight (default 1.0)")
-    p.add_argument("--ws", type=float,
-                   help="acceleration term weight (default 1.0)")
-    p.add_argument("--lambda1", type=float,
-                   help="confidence loss weight (default 1.0)")
-    p.add_argument("--lambda2", type=float, help="RGB loss weight (default 1.0)")
-    p.add_argument("--lambda3", type=float, help="pose loss weight (default 1.0)")
-    p.add_argument("--conf-loss", type=float, dest="conf_loss",
-                   help="precomputed confidence loss value (default 0.0)")
-    p.add_argument("--rgb-loss", type=float, dest="rgb_loss",
-                   help="precomputed RGB loss value (default 0.0)")
+    for flag, what in [("--wa", "ATE term weight"), ("--wr", "RPE term weight"),
+                       ("--ws", "acceleration term weight"),
+                       ("--lambda1", "confidence loss weight"),
+                       ("--lambda2", "RGB loss weight"),
+                       ("--lambda3", "pose loss weight"),
+                       ("--conf-loss", "precomputed confidence loss value"),
+                       ("--rgb-loss", "precomputed RGB loss value")]:
+        default = _DEFAULTS["eval-loss"][flag[2:].replace("-", "_")]
+        p.add_argument(flag, type=finite, help=f"{what} (default {default})")
 
     p = _add_command(subs, "simulate", _cmd_simulate,
                      "synthetic memory-state stream")
-    p.add_argument("--frames", type=int, help="steps to run (default 100)")
-    p.add_argument("--state-dim", type=int, dest="state_dim",
+    p.add_argument("--frames", type=_number(int, 1),
+                   help="steps to run (default 100)")
+    p.add_argument("--state-dim", type=_number(int, 1), dest="state_dim",
                    help="state dimension (default 64)")
     p.add_argument("--seed", type=int, help="RNG seed (default 0)")
-    p.add_argument("--policy",
+    p.add_argument("--policy", type=_policy,
                    help="'adaptive' or 'constant:<beta>' (default adaptive)")
 
     return parser
@@ -255,8 +246,7 @@ def _cmd_score(args) -> None:
 
 def _cmd_stabilize(args) -> None:
     traj = read_trajectory_tum(Path(args.infile).read_text())
-    cfg = OneEuroConfig(f_min=args.fmin, beta_gain=args.beta_gain,
-                        default_dt=args.default_dt)
+    cfg = OneEuroConfig(f_min=args.fmin, beta_gain=args.beta_gain)
     Path(args.outfile).write_text(write_trajectory_tum(stabilize_trajectory(traj, cfg)))
 
 
@@ -284,14 +274,10 @@ def _load_pair(args):
 
 
 def _prefix(traj, k):
-    from .geometry import Trajectory
-    if k is None:
-        return traj
-    if k > len(traj):
+    if k is not None and k > len(traj):
         print(f"warning: --prefix-frames {k} exceeds trajectory length "
               f"{len(traj)}; clamping", file=sys.stderr)
-        k = len(traj)
-    return Trajectory(traj.poses[:k])
+    return traj[:k]
 
 
 def _cmd_eval_traj(args) -> None:
@@ -336,7 +322,9 @@ def _cmd_eval_loss(args) -> None:
 
 
 def _cmd_simulate(args) -> None:
-    rows = simulate_stream(args.frames, args.state_dim, args.seed, args.policy)
+    constant_beta = None if args.policy == "adaptive" else args.policy
+    rows = simulate_stream(args.frames, args.state_dim, args.seed,
+                           constant_beta)
     print("step,beta,recall_first,recall_latest")
     for step, beta, r_first, r_latest in rows:
         print(",".join([str(step)] + [_fmt(v) for v in (beta, r_first, r_latest)]))

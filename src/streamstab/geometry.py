@@ -8,7 +8,8 @@ immutable values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,12 +61,23 @@ class Quaternion:
 
     def to_matrix(self) -> np.ndarray:
         """Rotation matrix of a unit quaternion."""
-        w, x, y, z = self.w, self.x, self.y, self.z
-        return np.array([
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ])
+        return quat_to_matrix(self.as_array())
+
+
+def squared(a) -> np.ndarray:
+    """Elementwise a ** 2 through C pow, as Python's float ** 2 computes it;
+    a * a differs from it in the last bit on about 0.1% of inputs."""
+    return np.float_power(a, 2.0)
+
+
+def quat_to_matrix(q: np.ndarray) -> np.ndarray:
+    """Rotation matrices (..., 3, 3) of scalar-first unit quaternions (..., 4)."""
+    w, x, y, z = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    return np.stack([
+        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+    ], axis=-1).reshape(np.shape(w) + (3, 3))
 
 
 @dataclass(frozen=True)
@@ -78,34 +90,60 @@ class Pose:
         object.__setattr__(self, "t", np.asarray(self.t, dtype=float).reshape(3))
 
 
-@dataclass
 class Trajectory:
-    poses: list[Pose] = field(default_factory=list)
+    """Poses held as three read-only arrays: translations `t` (N, 3),
+    scalar-first quaternions `q` (N, 4) and strictly increasing timestamps
+    `ts` (N,). Indexing and iteration build `Pose` values on demand; a slice
+    is a Trajectory."""
 
-    def __post_init__(self):
-        ts = [p.timestamp for p in self.poses]
-        for a, b in zip(ts, ts[1:]):
-            if not b > a:
-                raise ValueError(
-                    f"timestamps must be strictly increasing ({a} -> {b})")
+    def __init__(self, poses: Iterable[Pose] = ()):
+        poses = list(poses)
+        self._hold([p.t for p in poses], [p.q.as_array() for p in poses],
+                   [p.timestamp for p in poses])
+
+    @classmethod
+    def from_arrays(cls, t, q, ts) -> "Trajectory":
+        traj = cls.__new__(cls)
+        traj._hold(t, q, ts)
+        return traj
+
+    def _hold(self, t, q, ts):
+        self.t = np.array(t, dtype=float).reshape(-1, 3)
+        self.q = np.array(q, dtype=float).reshape(-1, 4)
+        self.ts = np.array(ts, dtype=float).reshape(-1)
+        if not len(self.t) == len(self.q) == len(self.ts):
+            raise ValueError("t, q and ts need one row per pose")
+        bad = np.flatnonzero(~(self.ts[1:] > self.ts[:-1]))
+        if bad.size:
+            a, b = self.ts[bad[0]:bad[0] + 2].tolist()
+            raise ValueError(
+                f"timestamps must be strictly increasing ({a} -> {b})")
+        for a in (self.t, self.q, self.ts):
+            a.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.poses)
-
-    def __iter__(self):
-        return iter(self.poses)
+        return len(self.ts)
 
     def __getitem__(self, i):
-        return self.poses[i]
+        if isinstance(i, slice):
+            return Trajectory.from_arrays(self.t[i], self.q[i], self.ts[i])
+        return Pose(self.t[i], Quaternion.from_array(self.q[i]), float(self.ts[i]))
+
+    def __iter__(self) -> Iterator[Pose]:
+        return map(self.__getitem__, range(len(self)))
+
+    @property
+    def poses(self) -> list[Pose]:
+        return list(self)
 
     def translations(self) -> np.ndarray:
-        return np.array([p.t for p in self.poses]).reshape(-1, 3)
+        return self.t
 
     def quaternions(self) -> np.ndarray:
-        return np.array([p.q.as_array() for p in self.poses]).reshape(-1, 4)
+        return self.q
 
     def timestamps(self) -> np.ndarray:
-        return np.array([p.timestamp for p in self.poses])
+        return self.ts
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import (MissingProperty, NonMonotonicTimestamps, ParseError,
                      UnsupportedMagic)
 from .frame_scoring import GrayImage
-from .geometry import PointSet, Pose, Quaternion, Trajectory, quat_normalize
+from .geometry import PointSet, Trajectory, squared
 from .spatial import DepthMap
 
 _FMT = "%.17g"
@@ -31,37 +31,45 @@ def _fmt(x: float) -> str:
 # -- TUM trajectories ------------------------------------------------------
 
 def read_trajectory_tum(text: str) -> Trajectory:
-    poses = []
-    last_ts = None
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.strip()
+    rows, linenos = [], []
+    for lineno, line in enumerate(map(str.strip, text.splitlines()), start=1):
         if not line or line.startswith("#"):
             continue
         fields = line.split()
         if len(fields) != 8:
             raise ParseError(f"expected 8 fields, got {len(fields)}", line=lineno)
         try:
-            ts, tx, ty, tz, qx, qy, qz, qw = (float(f) for f in fields)
+            row = [float(f) for f in fields]
         except ValueError:
             raise ParseError(f"non-numeric field in {line!r}", line=lineno)
-        if not all(math.isfinite(v) for v in (ts, tx, ty, tz, qx, qy, qz, qw)):
+        if not all(map(math.isfinite, row)):
             raise ParseError("non-finite value", line=lineno)
-        if last_ts is not None and ts <= last_ts:
-            raise NonMonotonicTimestamps(
-                f"timestamp {ts} does not increase past {last_ts}", line=lineno)
-        last_ts = ts
-        q = quat_normalize(Quaternion(qw, qx, qy, qz))
-        poses.append(Pose(np.array([tx, ty, tz]), q, ts))
-    return Trajectory(poses)
+        if rows and row[0] <= rows[-1][0]:
+            raise NonMonotonicTimestamps(f"timestamp {row[0]} does not "
+                                         f"increase past {rows[-1][0]}",
+                                         line=lineno)
+        rows.append(row)
+        linenos.append(lineno)
+    table = np.array(rows).reshape(-1, 8)
+    q = table[:, [7, 4, 5, 6]]
+    # Quaternion.norm's sum in its order, so that q / norm matches
+    # quat_normalize bit for bit; a norm past 1.8e308 is an error below
+    with np.errstate(over="ignore"):
+        norm = np.sqrt(sum(map(squared, q.T)))
+    bad = np.flatnonzero((norm < 1e-12) | (norm == np.inf))
+    if bad.size:
+        i = bad[0]
+        raise ParseError("quaternion norm overflows" if norm[i] == np.inf else
+                         "cannot normalize a zero quaternion", line=linenos[i])
+    return Trajectory.from_arrays(table[:, 1:4], q / norm[:, None], table[:, 0])
 
 
 def write_trajectory_tum(traj: Trajectory) -> str:
-    lines = ["# timestamp tx ty tz qx qy qz qw"]
-    for p in traj:
-        lines.append(" ".join(_fmt(v) for v in (
-            p.timestamp, p.t[0], p.t[1], p.t[2],
-            p.q.x, p.q.y, p.q.z, p.q.w)))
-    return "\n".join(lines) + "\n"
+    table = np.column_stack([traj.timestamps(), traj.translations(),
+                             traj.quaternions()[:, [1, 2, 3, 0]]])
+    row = " ".join([_FMT] * 8) + "\n"
+    body = (row * len(table)) % tuple(table.ravel().tolist())
+    return "# timestamp tx ty tz qx qy qz qw\n" + body
 
 
 # -- PGM grayscale images --------------------------------------------------

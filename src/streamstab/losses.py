@@ -10,7 +10,6 @@ alignment live in metrics.py.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,11 +61,20 @@ def loss_rgb(pred: np.ndarray, gt: np.ndarray) -> float:
 
 
 def hemisphere_align(quats: np.ndarray) -> np.ndarray:
-    """Flip signs along a quaternion sequence so consecutive dots are >= 0."""
+    """Flip signs along a quaternion sequence so consecutive dots are >= 0.
+
+    Quaternion i flips when an odd number of the input dots up to i are
+    negative since the last dot of 0 or NaN, where the sign resets to +1."""
     out = np.array(quats, dtype=float, copy=True)
-    for i in range(1, out.shape[0]):
-        if np.dot(out[i], out[i - 1]) < 0:
-            out[i] = -out[i]
+    if len(out) < 2:
+        return out
+    # a stacked matmul has the bits of np.dot, and so the same sign near 0
+    dots = (out[1:, None, :] @ out[:-1, :, None])[:, 0, 0]
+    negs = np.cumsum(np.r_[False, dots < 0])
+    reset = np.r_[True, ~(dots < 0) & ~(dots > 0)]
+    since = np.maximum.accumulate(np.where(reset, np.arange(len(out)), 0))
+    flip = (negs - negs[since]) % 2 == 1
+    out[flip] = -out[flip]
     return out
 
 
@@ -81,7 +89,8 @@ def loss_ate(pred: Trajectory, gt: Trajectory) -> float:
     tp, tg = pred.translations(), gt.translations()
     sp, sg = scale_normalizer(tp), scale_normalizer(tg)
     trans = np.linalg.norm(tp / sp - tg / sg, axis=1)
-    qdots = np.abs(np.sum(pred.quaternions() * gt.quaternions(), axis=1))
+    qdots = np.minimum(
+        np.abs(np.sum(pred.quaternions() * gt.quaternions(), axis=1)), 1.0)
     return float(np.mean(trans + (1.0 - qdots)))
 
 
@@ -113,12 +122,8 @@ def loss_acc(pred: Trajectory) -> float:
 
 
 def loss_pose(pred: Trajectory, gt: Trajectory, w: LossWeights = LossWeights()) -> float:
-    """Weighted sum of the ATE, RPE, and acceleration terms."""
-    n = len(pred)
-    if w.w_r > 0 and n < 2:
-        raise TooShort("RPE term needs at least 2 poses")
-    if w.w_s > 0 and n < 3:
-        raise TooShort("acceleration term needs at least 3 poses")
+    """Weighted sum of the ATE, RPE, and acceleration terms; a term of
+    weight 0 is skipped, and so is the length it needs."""
     total = w.w_a * loss_ate(pred, gt)
     if w.w_r > 0:
         total += w.w_r * loss_rpe(pred, gt)
@@ -133,12 +138,10 @@ def loss_total(conf: float, rgb: float, pose: float,
     return w.lambda1 * conf + w.lambda2 * rgb + w.lambda3 * pose
 
 
-def _safe_unit(v: np.ndarray) -> np.ndarray:
-    # subgradient 0 at zero-norm residuals
-    n = np.linalg.norm(v)
-    if n == 0.0:
-        return np.zeros_like(v)
-    return v / n
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """Rows of v scaled to unit length; a zero row stays zero (subgradient)."""
+    norm = np.linalg.norm(v, axis=1, keepdims=True)
+    return np.divide(v, norm, out=np.zeros_like(v), where=norm != 0.0)
 
 
 def grad_pose_translations(pred: Trajectory, gt: Trajectory,
@@ -160,24 +163,18 @@ def grad_pose_translations(pred: Trajectory, gt: Trajectory,
 
     if w.w_a > 0:
         sp, sg = scale_normalizer(tp), scale_normalizer(tg)
-        for t in range(n):
-            u = _safe_unit(tp[t] / sp - tg[t] / sg)
-            grad[t] += w.w_a * u / (sp * n)
+        grad += w.w_a * _unit_rows(tp / sp - tg / sg) / (sp * n)
 
     if w.w_r > 0:
-        dtp = np.diff(tp, axis=0)
-        dtg = np.diff(tg, axis=0)
-        for t in range(n - 1):
-            v = _safe_unit(dtp[t] - dtg[t])
-            grad[t + 1] += w.w_r * v / (n - 1)
-            grad[t] -= w.w_r * v / (n - 1)
+        step = np.diff(tp, axis=0) - np.diff(tg, axis=0)
+        v = w.w_r * _unit_rows(step) / (n - 1)
+        grad[1:] += v
+        grad[:-1] -= v
 
     if w.w_s > 0:
-        d2 = np.diff(tp, n=2, axis=0)
-        for t in range(n - 2):
-            u = _safe_unit(d2[t])
-            grad[t + 2] += w.w_s * u / (n - 2)
-            grad[t + 1] -= 2.0 * w.w_s * u / (n - 2)
-            grad[t] += w.w_s * u / (n - 2)
+        u = w.w_s * _unit_rows(np.diff(tp, n=2, axis=0)) / (n - 2)
+        grad[2:] += u
+        grad[1:-1] -= 2.0 * u
+        grad[:-2] += u
 
     return grad

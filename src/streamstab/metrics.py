@@ -17,7 +17,7 @@ import numpy as np
 from .errors import (DegenerateConfiguration, LengthMismatch,
                      NoOverlappingValidity, NonFinitePoints, ShapeMismatch,
                      TooFewPoints, TooShort)
-from .geometry import PointSet, Trajectory
+from .geometry import PointSet, Trajectory, quat_to_matrix, squared
 from .spatial import DepthMap
 
 _NORMALS_BLOCK = 4096  # points per batched SVD in _tree_normals
@@ -87,18 +87,17 @@ def metric_ate(pred: Trajectory, gt: Trajectory, with_scale: bool = False) -> fl
     return float(np.sqrt(np.mean(np.sum(residuals ** 2, axis=1))))
 
 
-def _se3(pose) -> np.ndarray:
-    m = np.eye(4)
-    m[:3, :3] = pose.q.to_matrix()
-    m[:3, 3] = pose.t
+def _se3(r: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """(N, 4, 4) rigid transforms of rotations (N, 3, 3), translations (N, 3)."""
+    m = np.zeros((len(r), 4, 4))
+    m[:, :3, :3], m[:, :3, 3], m[:, 3, 3] = r, t, 1.0
     return m
 
 
-def _se3_inv(m: np.ndarray) -> np.ndarray:
-    out = np.eye(4)
-    out[:3, :3] = m[:3, :3].T
-    out[:3, 3] = -m[:3, :3].T @ m[:3, 3]
-    return out
+def _relative(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """inv(a) @ b for stacks of rigid (N, 4, 4) transforms."""
+    rt = a[:, :3, :3].transpose(0, 2, 1)
+    return _se3(rt, (-rt @ a[:, :3, 3:])[:, :, 0]) @ b
 
 
 def metric_rpe(pred: Trajectory, gt: Trajectory) -> tuple[float, float]:
@@ -111,22 +110,21 @@ def metric_rpe(pred: Trajectory, gt: Trajectory) -> tuple[float, float]:
         raise LengthMismatch("trajectories must have equal length")
     if n < 2:
         raise TooShort("RPE needs at least 2 poses")
-    trans_sq, rot_sq = [], []
-    for i in range(1, n):
-        rel_pred = _se3_inv(_se3(pred[i - 1])) @ _se3(pred[i])
-        rel_gt = _se3_inv(_se3(gt[i - 1])) @ _se3(gt[i])
-        err = _se3_inv(rel_gt) @ rel_pred
-        trans_sq.append(float(np.sum(err[:3, 3] ** 2)))
-        r = err[:3, :3]
-        # atan2 form is well conditioned near the identity, unlike acos
-        sin_angle = 0.5 * math.sqrt((r[2, 1] - r[1, 2]) ** 2
-                                    + (r[0, 2] - r[2, 0]) ** 2
-                                    + (r[1, 0] - r[0, 1]) ** 2)
-        cos_angle = (np.trace(r) - 1.0) / 2.0
-        angle = math.atan2(sin_angle, cos_angle)
-        rot_sq.append(angle ** 2)
+    mp, mg = (_se3(quat_to_matrix(x.quaternions()), x.translations())
+              for x in (pred, gt))
+    err = _relative(_relative(mg[:-1], mg[1:]), _relative(mp[:-1], mp[1:]))
+    trans_sq = np.sum(err[:, :3, 3] ** 2, axis=1)
+    r = err[:, :3, :3]
+    # atan2 form is well conditioned near the identity, unlike acos
+    sin_angle = 0.5 * np.sqrt(squared(r[:, 2, 1] - r[:, 1, 2])
+                              + squared(r[:, 0, 2] - r[:, 2, 0])
+                              + squared(r[:, 1, 0] - r[:, 0, 1]))
+    cos_angle = (np.trace(r, axis1=1, axis2=2) - 1.0) / 2.0
+    # math.atan2, not np.arctan2: the two differ in the last bit on some inputs
+    angle = np.array(list(map(math.atan2, sin_angle.tolist(),
+                              cos_angle.tolist())))
     rpe_trans = math.sqrt(float(np.mean(trans_sq)))
-    rpe_rot = math.degrees(math.sqrt(float(np.mean(rot_sq))))
+    rpe_rot = math.degrees(math.sqrt(float(np.mean(squared(angle)))))
     return rpe_trans, rpe_rot
 
 
@@ -166,16 +164,16 @@ def _kdtree(points: np.ndarray):
     return cKDTree(points)
 
 
-def _tree_normals(tree, k: int) -> np.ndarray:
-    """Normals of the cloud in `tree`, which also serves that cloud's
-    nearest-neighbour queries; one batched SVD per block of points keeps
-    temporaries O(block * k)."""
+def _tree_normals(tree, k: int, at: np.ndarray) -> np.ndarray:
+    """Normals at the points `at` of the cloud in `tree`, which also serves
+    that cloud's nearest-neighbour queries; one batched SVD per block of
+    points keeps temporaries O(block * k)."""
     if k < 1:
         raise ValueError(f"normal estimation needs k >= 1, got {k}")
     pts = tree.data
-    normals = np.empty_like(pts)
-    for start in range(0, pts.shape[0], _NORMALS_BLOCK):
-        block = pts[start:start + _NORMALS_BLOCK]
+    normals = np.empty_like(at)
+    for start in range(0, at.shape[0], _NORMALS_BLOCK):
+        block = at[start:start + _NORMALS_BLOCK]
         nb = pts[tree.query(block, k=k + 1)[1]]  # the point itself included
         nb_c = nb - nb.mean(axis=1, keepdims=True)
         normal = np.linalg.svd(nb_c, full_matrices=False)[2][:, -1, :]
@@ -194,7 +192,7 @@ def estimate_normals(points: np.ndarray, k: int = 16) -> np.ndarray:
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     if pts.shape[0] < k + 1:
         raise TooFewPoints(f"normal estimation needs at least {k + 1} points")
-    return _tree_normals(_kdtree(pts), k)
+    return _tree_normals(_kdtree(pts), k, pts)
 
 
 def metric_recon(pred: PointSet, gt: PointSet, k_normals: int = 16
@@ -212,7 +210,9 @@ def metric_recon(pred: PointSet, gt: PointSet, k_normals: int = 16
     dist_pg, idx_pg = tree_g.query(p)
     acc = float(np.mean(dist_pg))
     comp = float(np.mean(tree_p.query(g)[0]))
-    n_pred = _tree_normals(tree_p, k_normals)
-    n_gt = _tree_normals(tree_g, k_normals)
-    nc = float(np.mean(np.abs(np.sum(n_pred * n_gt[idx_pg], axis=1))))
+    n_pred = _tree_normals(tree_p, k_normals, p)
+    # gt normals are needed only at the gt points some pred point matched
+    matched, pair = np.unique(idx_pg, return_inverse=True)
+    n_gt = _tree_normals(tree_g, k_normals, g[matched])
+    nc = float(np.mean(np.abs(np.sum(n_pred * n_gt[pair], axis=1))))
     return acc, comp, nc

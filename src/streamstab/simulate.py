@@ -16,16 +16,11 @@ from .state_update import (MemoryState, Observation, apply_update,
 
 
 def simulate_stream(frames: int, state_dim: int, seed: int,
-                    policy: str = "adaptive"
+                    constant_beta: float | None = None
                     ) -> list[tuple[int, float, float, float]]:
     """Run a seeded synthetic stream and return per-step rows
-    (step, beta, recall_first, recall_latest)."""
-    constant_beta = None
-    if policy.startswith("constant:"):
-        constant_beta = float(policy.split(":", 1)[1])
-    elif policy != "adaptive":
-        raise ValueError(f"unknown policy {policy!r}")
-
+    (step, beta, recall_first, recall_latest). Every write uses
+    `constant_beta` if given, else the adaptive frame score."""
     rng = np.random.default_rng(seed)
     state = MemoryState.zeros(state_dim, state_dim)
     first_obs = None

@@ -72,8 +72,9 @@ def filter_step(state: FilterState, raw: Pose, cfg: OneEuroConfig
 def stabilize_trajectory(raw: Trajectory, cfg: OneEuroConfig = OneEuroConfig()) -> Trajectory:
     """Streaming fold of filter_step over a whole trajectory."""
     state = FilterState()
-    out = []
+    t, q = [], []
     for pose in raw:
         state, smoothed = filter_step(state, pose, cfg)
-        out.append(smoothed)
-    return Trajectory(out)
+        t.append(smoothed.t)
+        q.append(smoothed.q.as_array())
+    return Trajectory.from_arrays(t, q, raw.timestamps())

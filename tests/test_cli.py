@@ -37,6 +37,19 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+# the command line of each flag that test_out_of_range_flag_usage_error
+# checks outside refine; flag values are checked while argv is parsed, before
+# any file is read
+_FLAG_ARGV = {
+    **dict.fromkeys(["--fmin", "--beta-gain", "--default-dt"],
+                    ["stabilize", "--in", "t.txt", "--out", "o.txt"]),
+    **dict.fromkeys(["--wa", "--wr", "--ws", "--lambda1", "--lambda2",
+                     "--lambda3", "--conf-loss", "--rgb-loss"],
+                    ["eval-loss", "--pred", "t.txt", "--gt", "t.txt"]),
+    **dict.fromkeys(["--frames", "--state-dim", "--policy"], ["simulate"]),
+}
+
+
 class TestScore:
     def test_constant_images(self, capsys, traj_file, frames_dir):
         code, out, _ = run(capsys, ["score", "--traj", str(traj_file),
@@ -96,6 +109,16 @@ class TestStabilize:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("quaternion", ["1e200 1e200 0 0", "0 0 0 0"])
+    def test_bad_quaternion_parse_error_with_line(self, capsys, tmp_path,
+                                                  quaternion):
+        src = tmp_path / "t.txt"
+        src.write_text(f"# header\n0 0 0 0 {quaternion}\n")
+        code, _, err = run(capsys, ["stabilize", "--in", str(src),
+                                    "--out", str(tmp_path / "o.txt")])
+        assert code == 2
+        assert "line 2" in err
+
     def test_bad_flag_usage_error(self, traj_file, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["stabilize", "--in", str(traj_file),
@@ -146,15 +169,31 @@ class TestRefine:
         ("--fy", ["0", "-1", "nan", "-inf", "x"]),
         ("--cx", ["nan", "inf", "-inf", "x"]),
         ("--cy", ["nan", "inf", "-inf", "x"]),
+        ("--fmin", ["0", "-1", "nan", "inf", "x"]),
+        ("--beta-gain", ["-0.1", "nan", "inf", "x"]),
+        ("--default-dt", ["0.1"]),
+        ("--wa", ["nan", "inf", "x"]),
+        ("--wr", ["nan", "-inf"]),
+        ("--ws", ["nan", "inf"]),
+        ("--lambda1", ["nan"]),
+        ("--lambda2", ["inf"]),
+        ("--lambda3", ["-inf"]),
+        ("--conf-loss", ["nan"]),
+        ("--rgb-loss", ["inf"]),
+        ("--frames", ["0", "-3", "1.5", "x"]),
+        ("--state-dim", ["0", "-1", "x"]),
+        ("--policy", ["constant:abc", "constant:nan", "constant:inf",
+                      "constant", "constant:", "bogus", "adaptive:1"]),
     ])
     def test_out_of_range_flag_usage_error(self, capsys, tmp_path, flag,
                                            values):
         src = tmp_path / "in.pfm"
         src.write_bytes(write_pfm(DepthMap.from_depths(np.full((4, 4), 2.0))))
+        argv = _FLAG_ARGV.get(flag, ["refine", "--in", str(src),
+                                     "--out", str(tmp_path / "o.pfm")])
         for value in values:
             with pytest.raises(SystemExit) as exc:
-                main(["refine", "--in", str(src),
-                      "--out", str(tmp_path / "o.pfm"), flag, value])
+                main(argv + [flag, value])
             assert exc.value.code == 2
             assert flag in capsys.readouterr().err
 
@@ -376,6 +415,15 @@ class TestConfigFile:
         (["refine", "--in", "d.pfm", "--out", "o.ply"], "cx=inf"),
         (["refine", "--in", "d.pfm", "--out", "o.ply"], "cy=-inf"),
         (["eval-recon", "--pred", "c.ply", "--gt", "c.ply"], "k_normals=0"),
+        (["stabilize", "--in", "t.txt", "--out", "o.txt"], "fmin=inf"),
+        (["stabilize", "--in", "t.txt", "--out", "o.txt"], "beta_gain=-1"),
+        (["stabilize", "--in", "t.txt", "--out", "o.txt"], "default_dt=0.1"),
+        (["eval-loss", "--pred", "t.txt", "--gt", "t.txt"], "wa=nan"),
+        (["eval-loss", "--pred", "t.txt", "--gt", "t.txt"], "rgb_loss=inf"),
+        (["simulate"], "frames=-3"),
+        (["simulate"], "state_dim=0"),
+        (["simulate"], "policy=constant:abc"),
+        (["simulate"], "policy=constant:nan"),
     ])
     def test_bad_value_parse_error_with_line(self, capsys, tmp_path,
                                              command, line):

@@ -1,14 +1,90 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from streamstab import DepthMap, GrayImage, PointSet, Pose, Quaternion, Trajectory
+from streamstab import (DepthMap, GrayImage, PointSet, Pose, Quaternion,
+                        Trajectory, quat_normalize)
 from streamstab.errors import (MissingProperty, NonMonotonicTimestamps,
                                ParseError, UnsupportedMagic)
 from streamstab.io_formats import (_fmt, read_pfm, read_pgm, read_ply_ascii,
                                    read_trajectory_tum, write_pfm, write_pgm,
                                    write_ply_ascii, write_trajectory_tum)
 
-from conftest import random_trajectory
+from conftest import awkward_trajectory, random_trajectory
+
+# deterministic, and no example database written to disk
+FUZZ = settings(derandomize=True, database=None, deadline=None,
+                max_examples=300)
+
+
+def read_tum_loop_oracle(text):
+    """The TUM reader one line at a time, one Pose per line."""
+    poses = []
+    last_ts = None
+    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+        line = raw_line.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if len(fields) != 8:
+            raise ParseError(f"expected 8 fields, got {len(fields)}", line=lineno)
+        try:
+            ts, tx, ty, tz, qx, qy, qz, qw = (float(f) for f in fields)
+        except ValueError:
+            raise ParseError(f"non-numeric field in {line!r}", line=lineno)
+        if not all(math.isfinite(v) for v in (ts, tx, ty, tz, qx, qy, qz, qw)):
+            raise ParseError("non-finite value", line=lineno)
+        if last_ts is not None and ts <= last_ts:
+            raise NonMonotonicTimestamps(
+                f"timestamp {ts} does not increase past {last_ts}", line=lineno)
+        last_ts = ts
+        q = quat_normalize(Quaternion(qw, qx, qy, qz))
+        poses.append(Pose(np.array([tx, ty, tz]), q, ts))
+    return Trajectory(poses)
+
+
+def write_tum_loop_oracle(traj):
+    """The TUM writer one line at a time."""
+    lines = ["# timestamp tx ty tz qx qy qz qw"]
+    for p in traj:
+        lines.append(" ".join(_fmt(v) for v in (
+            p.timestamp, p.t[0], p.t[1], p.t[2],
+            p.q.x, p.q.y, p.q.z, p.q.w)))
+    return "\n".join(lines) + "\n"
+
+
+def tum_text(rng, n):
+    """TUM text of n poses with unnormalized quaternions, comments, blank
+    lines and uneven whitespace."""
+    traj = awkward_trajectory(rng, n)
+    scale = np.exp(rng.uniform(-5.0, 5.0, size=(n, 1)))
+    table = np.column_stack([traj.timestamps(), traj.translations(),
+                             scale * traj.quaternions()[:, [1, 2, 3, 0]]])
+    lines = ["# comment"]
+    for row in table:
+        lines.append(rng.choice([" ", "\t", "  "]).join(map(repr, row.tolist())))
+        if rng.uniform() < 0.1:
+            lines.append(rng.choice(["", "# note", "   "]))
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(read, text):
+    try:
+        traj = read(text)
+    except ParseError as exc:
+        return type(exc), str(exc)
+    return traj.translations(), traj.quaternions(), traj.timestamps()
+
+
+def _same_outcome(a, b):
+    """Equal errors, or arrays equal bit for bit."""
+    if isinstance(a[0], type):
+        return a == b
+    return not isinstance(b[0], type) and all(
+        x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
 
 class TestTum:
@@ -60,6 +136,84 @@ class TestTum:
     def test_empty_trajectory_header_only(self):
         out = write_trajectory_tum(Trajectory([]))
         assert out == "# timestamp tx ty tz qx qy qz qw\n"
+
+    def test_writer_matches_loop_oracle(self):
+        rng = np.random.default_rng(41)
+        for n in (0, 1, 5, 500):
+            for make in (random_trajectory, awkward_trajectory):
+                traj = make(rng, n)
+                assert write_trajectory_tum(traj) == write_tum_loop_oracle(traj)
+        odd = Trajectory.from_arrays([[-0.0, 5e-324, -1.7976931348623157e308]],
+                                     [[-0.0, 0.5, -0.5, 0.5]], [-1e-300])
+        assert write_trajectory_tum(odd) == write_tum_loop_oracle(odd)
+
+    def test_reader_matches_loop_oracle(self):
+        rng = np.random.default_rng(42)
+        for n in (0, 1, 5, 500):
+            for _ in range(5):
+                text = tum_text(rng, n)
+                assert _same_outcome(_outcome(read_trajectory_tum, text),
+                                     _outcome(read_tum_loop_oracle, text))
+
+    def test_reader_errors_match_loop_oracle(self):
+        rng = np.random.default_rng(43)
+        bad_lines = ["1 2 3", "0 0 0 0 0 0 0 1 9", "x 0 0 0 0 0 0 1",
+                     "0 0 0 nan 0 0 0 1", "0 0 0 0 0 0 0 inf", "-inf 0 0 0 0 0 0 1",
+                     "1e-3 0 0 0 0 0 0 1", "1e9 0 0 0 0 0 0 1",
+                     "1e9 0 0 0 0 nan 0 1"]
+        for _ in range(300):
+            lines = tum_text(rng, 12).splitlines()
+            for _ in range(rng.integers(1, 4)):
+                lines[rng.integers(len(lines))] = rng.choice(bad_lines)
+            text = "\n".join(lines)
+            got = _outcome(read_trajectory_tum, text)
+            assert _same_outcome(got, _outcome(read_tum_loop_oracle, text))
+
+    @pytest.mark.parametrize("bad, message", [
+        ("1 0 0 0 0 0 0 0", "zero quaternion"),
+        ("1 0 0 0 1e-200 0 0 0", "zero quaternion"),
+        ("1 0 0 0 0 0 1e200 1e200", "overflows"),
+        ("1 0 0 0 1e308 1e308 1e308 1e308", "overflows"),
+    ])
+    def test_bad_quaternion_parse_error_with_line(self, bad, message):
+        with pytest.raises(ParseError, match=message) as exc:
+            read_trajectory_tum(f"0 0 0 0 0 0 0 1\n# x\n{bad}\n")
+        assert exc.value.line == 3
+
+    @FUZZ
+    @given(st.one_of(
+        st.text(),
+        st.lists(st.lists(st.sampled_from(
+            ["0", "1", "-1", "0.5", "2", "1e200", "1e-200", "1e308", "nan",
+             "inf", "-inf", "x", "#", "1_0", "0x1", ""]), max_size=9)
+            .map(" ".join), max_size=6).map("\n".join)))
+    def test_any_text_gives_trajectory_or_parse_error(self, text):
+        try:
+            traj = read_trajectory_tum(text)
+        except ParseError:
+            return
+        assert np.isfinite(traj.translations()).all()
+        norms = np.linalg.norm(traj.quaternions(), axis=1)
+        assert np.all(np.abs(norms - 1.0) < 1e-12)
+
+    @FUZZ
+    @given(st.lists(
+        st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                  st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=3, max_size=3),
+                  # unit quaternions whose normalization is exact
+                  st.sampled_from([v for row in np.eye(4) for v in (row, -row)]
+                                  + [np.array(s) - 0.5
+                                     for s in np.ndindex(2, 2, 2, 2)])),
+        unique_by=lambda pose: pose[0], max_size=20))
+    def test_write_read_round_trip_bit_for_bit(self, poses):
+        poses.sort(key=lambda pose: pose[0])
+        traj = Trajectory.from_arrays([p[1] for p in poses],
+                                      [p[2] for p in poses],
+                                      [p[0] for p in poses])
+        back = read_trajectory_tum(write_trajectory_tum(traj))
+        for a, b in ((traj.t, back.t), (traj.q, back.q), (traj.ts, back.ts)):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestPgm:

@@ -11,7 +11,7 @@ from streamstab.errors import (EmptyList, LengthMismatch, MissingConfidence,
                                ShapeMismatch, TooShort)
 from streamstab.losses import hemisphere_align
 
-from conftest import random_trajectory
+from conftest import awkward_trajectory, random_trajectory
 
 
 def straight_line(n, step=1.0, axis=0):
@@ -21,6 +21,61 @@ def straight_line(n, step=1.0, axis=0):
         t[axis] = step * i
         poses.append(Pose(t, Quaternion.identity(), float(i)))
     return Trajectory(poses)
+
+
+def hemisphere_align_loop_oracle(quats):
+    """The per-pair loop: flip each quaternion whose dot with the already
+    aligned previous one is negative."""
+    out = np.array(quats, dtype=float, copy=True)
+    for i in range(1, out.shape[0]):
+        if np.dot(out[i], out[i - 1]) < 0:
+            out[i] = -out[i]
+    return out
+
+
+def _safe_unit(v):
+    n = np.linalg.norm(v)
+    if n == 0.0:
+        return np.zeros_like(v)
+    return v / n
+
+
+def grad_loop_oracle(pred, gt, w):
+    """grad_pose_translations as one loop per loss term, one pose at a time."""
+    tp, tg = pred.translations(), gt.translations()
+    n = len(tp)
+    grad = np.zeros_like(tp)
+    if w.w_a > 0:
+        sp, sg = scale_normalizer(tp), scale_normalizer(tg)
+        for t in range(n):
+            u = _safe_unit(tp[t] / sp - tg[t] / sg)
+            grad[t] += w.w_a * u / (sp * n)
+    if w.w_r > 0:
+        dtp = np.diff(tp, axis=0)
+        dtg = np.diff(tg, axis=0)
+        for t in range(n - 1):
+            v = _safe_unit(dtp[t] - dtg[t])
+            grad[t + 1] += w.w_r * v / (n - 1)
+            grad[t] -= w.w_r * v / (n - 1)
+    if w.w_s > 0:
+        d2 = np.diff(tp, n=2, axis=0)
+        for t in range(n - 2):
+            u = _safe_unit(d2[t])
+            grad[t + 2] += w.w_s * u / (n - 2)
+            grad[t + 1] -= 2.0 * w.w_s * u / (n - 2)
+            grad[t] += w.w_s * u / (n - 2)
+    return grad
+
+
+def oracle_pairs():
+    """(pred, gt) pairs of random and awkward trajectories of several sizes."""
+    rng = np.random.default_rng(31)
+    for n in (3, 4, 10, 100, 1000):
+        for make in (random_trajectory, awkward_trajectory):
+            for _ in range(3 if n < 1000 else 1):
+                pred = make(rng, n)
+                yield pred, make(rng, n)
+                yield pred, pred  # every residual 0
 
 
 def frozen_scale_pose_loss(tp, tg, qp, qg, w, sp, sg):
@@ -119,6 +174,13 @@ class TestLossAte:
         traj = random_trajectory(rng, 5)
         assert loss_ate(traj, traj) == pytest.approx(0.0, abs=1e-12)
 
+    def test_identical_never_negative(self):
+        # |q . q| of a unit quaternion can round to 1 + 2e-16
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            traj = random_trajectory(rng, 6)
+            assert loss_ate(traj, traj) >= 0.0
+
     def test_unit_normalized_offset(self):
         pred = Trajectory([Pose(np.array([0, 1.0, 0]), Quaternion.identity(), 0.0)])
         gt = Trajectory([Pose(np.array([1.0, 0, 0]), Quaternion.identity(), 0.0)])
@@ -142,6 +204,24 @@ class TestLossAte:
             base = loss_ate(pred, gt)
             scaled = Trajectory([Pose(7.3 * p.t, p.q, p.timestamp) for p in pred])
             assert loss_ate(scaled, gt) == pytest.approx(base, abs=1e-9)
+
+
+class TestHemisphereAlign:
+    def test_matches_loop_oracle(self):
+        for pred, gt in oracle_pairs():
+            for q in (pred.quaternions(), gt.quaternions()):
+                got, want = hemisphere_align(q), hemisphere_align_loop_oracle(q)
+                assert got.tobytes() == want.tobytes()  # signed zeros too
+
+    def test_zero_dot_resets_sign(self):
+        e, i = np.eye(4)[0], np.eye(4)[1]
+        out = hemisphere_align(np.array([e, -e, i, -i]))
+        assert np.array_equal(out, [e, e, i, i])
+
+    def test_short_sequences_unchanged(self):
+        for n in (0, 1):
+            q = np.ones((n, 4))
+            assert np.array_equal(hemisphere_align(q), q)
 
 
 class TestLossRpe:
@@ -288,3 +368,13 @@ class TestGradPoseTranslations:
                           ) / (2 * h)
                     scale = max(abs(fd), abs(grad[i, j]), 1e-8)
                     assert abs(grad[i, j] - fd) / scale < 1e-4
+
+    @pytest.mark.parametrize("weights", [(1.0, 1.0, 1.0), (1.0, 0.0, 0.0),
+                                         (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
+                                         (0.3, 2.0, 0.7)])
+    def test_matches_loop_oracle(self, weights):
+        w = LossWeights(*weights)
+        for pred, gt in oracle_pairs():
+            want = grad_loop_oracle(pred, gt, w)
+            got = grad_pose_translations(pred, gt, w)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

@@ -12,7 +12,7 @@ from streamstab.errors import (DegenerateConfiguration, NoOverlappingValidity,
                                TooShort)
 from streamstab.metrics import estimate_normals
 
-from conftest import random_trajectory, random_unit_quat
+from conftest import awkward_trajectory, random_trajectory, random_unit_quat
 
 
 def rot_z(deg):
@@ -37,6 +37,38 @@ def normals_loop_oracle(points, k=16):
             normal = -normal
         normals[i] = normal
     return normals
+
+
+def _se3_loop(pose):
+    m = np.eye(4)
+    m[:3, :3] = pose.q.to_matrix()
+    m[:3, 3] = pose.t
+    return m
+
+
+def _se3_inv_loop(m):
+    out = np.eye(4)
+    out[:3, :3] = m[:3, :3].T
+    out[:3, 3] = -m[:3, :3].T @ m[:3, 3]
+    return out
+
+
+def rpe_loop_oracle(pred, gt):
+    """metric_rpe one step at a time, from one 4x4 matrix per pose."""
+    trans_sq, rot_sq = [], []
+    for i in range(1, len(pred)):
+        rel_pred = _se3_inv_loop(_se3_loop(pred[i - 1])) @ _se3_loop(pred[i])
+        rel_gt = _se3_inv_loop(_se3_loop(gt[i - 1])) @ _se3_loop(gt[i])
+        err = _se3_inv_loop(rel_gt) @ rel_pred
+        trans_sq.append(float(np.sum(err[:3, 3] ** 2)))
+        r = err[:3, :3]
+        sin_angle = 0.5 * math.sqrt((r[2, 1] - r[1, 2]) ** 2
+                                    + (r[0, 2] - r[2, 0]) ** 2
+                                    + (r[1, 0] - r[0, 1]) ** 2)
+        cos_angle = (np.trace(r) - 1.0) / 2.0
+        rot_sq.append(math.atan2(sin_angle, cos_angle) ** 2)
+    return (math.sqrt(float(np.mean(trans_sq))),
+            math.degrees(math.sqrt(float(np.mean(rot_sq)))))
 
 
 def brute_force_recon(pred_pts, gt_pts, k_normals=16):
@@ -169,6 +201,34 @@ class TestMetricRpe:
         traj = Trajectory([Pose(np.zeros(3), Quaternion.identity(), 0.0)])
         with pytest.raises(TooShort):
             metric_rpe(traj, traj)
+
+    def test_matches_loop_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(32)
+        for n in (2, 3, 10, 100, 2000):
+            for make in (random_trajectory, awkward_trajectory):
+                gt = make(rng, n)
+                near = Trajectory.from_arrays(
+                    gt.translations() + 1e-9 * rng.standard_normal((n, 3)),
+                    gt.quaternions(), gt.timestamps())
+                for pred in (make(rng, n), gt, near):
+                    assert metric_rpe(pred, gt) == rpe_loop_oracle(pred, gt)
+
+    def test_one_step_squared_with_pow(self):
+        # rpe_rot of this step changes in its last digit when the squares of
+        # the rotation's skew terms are x * x instead of Python's x ** 2
+        t = [[-0.852, -0.071, -1.244], [-0.998, 0.361, -0.691],
+             [-0.325, -1.922, 1.254], [-0.542, -0.106, 0.765]]
+        q = [[-0.08557405492593166, -0.0965450876087434,
+              -0.028524684975310553, -0.9912328028920416],
+             [-0.028788910599341914, 0.16539511383543493,
+              0.9590658648682728, 0.22805333102223793],
+             [0.30015500537508927, 0.40615380097957887,
+              -0.573023192079716, -0.6454382108590206],
+             [0.18651519681632078, -0.7228911975986594,
+              0.6290543594488335, -0.21663566338293158]]
+        pred = Trajectory.from_arrays(t[:2], q[:2], [0.0, 1.0])
+        gt = Trajectory.from_arrays(t[2:], q[2:], [0.0, 1.0])
+        assert metric_rpe(pred, gt) == rpe_loop_oracle(pred, gt)
 
 
 class TestMetricDepth:
