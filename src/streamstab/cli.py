@@ -128,22 +128,23 @@ def build_parser() -> argparse.ArgumentParser:
         prog="streamstab",
         description="Streaming trajectory stabilization and evaluation toolkit")
     subs = parser.add_subparsers(dest="command", required=True)
-    finite, positive = _number(), _number(low=0, above=True)
+    finite, nonneg = _number(), _number(low=0)
+    positive = _number(low=0, above=True)
 
     p = _add_command(subs, "score", _cmd_score,
                      "per-frame adaptive update weights")
     p.add_argument("--traj", required=True, help="TUM trajectory file")
     p.add_argument("--frames", required=True,
                    help="directory of PGM frames in lexicographic order")
-    p.add_argument("--w1", type=float, help="translation weight (default 1.0)")
-    p.add_argument("--w2", type=float, help="rotation weight (default 1.0)")
-    p.add_argument("--radius", type=float,
+    p.add_argument("--w1", type=nonneg, help="translation weight (default 1.0)")
+    p.add_argument("--w2", type=nonneg, help="rotation weight (default 1.0)")
+    p.add_argument("--radius", type=nonneg,
                    help="high-pass radius in pixels (default min(H,W)//8)")
-    p.add_argument("--epsilon", type=float,
+    p.add_argument("--epsilon", type=positive,
                    help="ratio denominator epsilon (default 1e-8)")
-    p.add_argument("--clip-max", type=float, dest="clip_max",
+    p.add_argument("--clip-max", type=nonneg, dest="clip_max",
                    help="weight clip (default 1.0)")
-    p.add_argument("--initial-weight", type=float, dest="initial_weight",
+    p.add_argument("--initial-weight", type=nonneg, dest="initial_weight",
                    help="weight of the first frame (default 1.0)")
 
     p = _add_command(subs, "stabilize", _cmd_stabilize,
@@ -152,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="outfile", required=True)
     p.add_argument("--fmin", type=positive,
                    help="minimum cutoff frequency in Hz (default 1.0)")
-    p.add_argument("--beta-gain", type=_number(low=0), dest="beta_gain",
+    p.add_argument("--beta-gain", type=nonneg, dest="beta_gain",
                    help="cutoff gain per unit speed (default 0.007)")
 
     p = _add_command(subs, "refine", _cmd_refine, "bilateral depth refinement")
@@ -216,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="steps to run (default 100)")
     p.add_argument("--state-dim", type=_number(int, 1), dest="state_dim",
                    help="state dimension (default 64)")
-    p.add_argument("--seed", type=int, help="RNG seed (default 0)")
+    p.add_argument("--seed", type=_number(int, 0), help="RNG seed (default 0)")
     p.add_argument("--policy", type=_policy,
                    help="'adaptive' or 'constant:<beta>' (default adaptive)")
 

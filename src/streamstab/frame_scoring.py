@@ -122,7 +122,8 @@ def score_terms(prev: Pose | None, cur: Pose, img: GrayImage,
     if prev is None:
         return ScoreTerms(0.0, 0.0, 0.0, ratio, s2, cfg.initial_weight)
     delta_t, delta_q = relative_pose(prev, cur)
-    delta_x = float(np.linalg.norm(delta_t))
+    dx, dy, dz = delta_t.tolist()
+    delta_x = math.sqrt(dx * dx + dy * dy + dz * dz)
     s1 = motion_score(delta_x, delta_q, cfg.w1, cfg.w2)
     return ScoreTerms(delta_x, delta_q, s1, ratio, s2,
                       adaptive_update_weight(s1, s2, cfg.clip_max))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,19 +19,16 @@ from .errors import InvalidGamma, NonUnitQuaternion, ZeroQuaternion
 _UNIT_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class Quaternion:
+class Quaternion(NamedTuple):
+    """A quaternion is its own row of four floats."""
+
     w: float
     x: float
     y: float
     z: float
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.w, self.x, self.y, self.z], dtype=float)
-
-    @staticmethod
-    def from_array(a) -> "Quaternion":
-        return Quaternion(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
+        return np.array(self, dtype=float)
 
     @staticmethod
     def identity() -> "Quaternion":
@@ -61,7 +59,7 @@ class Quaternion:
 
     def to_matrix(self) -> np.ndarray:
         """Rotation matrix of a unit quaternion."""
-        return quat_to_matrix(self.as_array())
+        return quat_to_matrix(self)
 
 
 def squared(a) -> np.ndarray:
@@ -98,7 +96,7 @@ class Trajectory:
 
     def __init__(self, poses: Iterable[Pose] = ()):
         poses = list(poses)
-        self._hold([p.t for p in poses], [p.q.as_array() for p in poses],
+        self._hold([p.t for p in poses], [p.q for p in poses],
                    [p.timestamp for p in poses])
 
     @classmethod
@@ -127,7 +125,7 @@ class Trajectory:
     def __getitem__(self, i):
         if isinstance(i, slice):
             return Trajectory.from_arrays(self.t[i], self.q[i], self.ts[i])
-        return Pose(self.t[i], Quaternion.from_array(self.q[i]), float(self.ts[i]))
+        return Pose(self.t[i], Quaternion(*self.q[i].tolist()), float(self.ts[i]))
 
     def __iter__(self) -> Iterator[Pose]:
         return map(self.__getitem__, range(len(self)))
@@ -196,21 +194,17 @@ def slerp(a: Quaternion, b: Quaternion, gamma: float) -> Quaternion:
     """
     if not 0.0 <= gamma <= 1.0:
         raise InvalidGamma(f"gamma {gamma} outside [0, 1]")
-    av, bv = a.as_array(), b.as_array()
-    dot = float(np.dot(av, bv))
+    dot = a.dot(b)
     if dot < 0.0:
-        bv = -bv
-        dot = -dot
-    dot = min(1.0, dot)
-    theta = math.acos(dot)
+        b, dot = -b, -dot
+    theta = math.acos(min(1.0, dot))
     sin_theta = math.sin(theta)
     if sin_theta < 1e-6:
-        out = (1.0 - gamma) * av + gamma * bv
+        wa, wb, sin_theta = 1.0 - gamma, gamma, 1.0
     else:
-        out = (math.sin((1.0 - gamma) * theta) * av
-               + math.sin(gamma * theta) * bv) / sin_theta
-    out = out / np.linalg.norm(out)
-    return Quaternion.from_array(out)
+        wa, wb = math.sin((1.0 - gamma) * theta), math.sin(gamma * theta)
+    return quat_normalize(Quaternion(
+        *((wa * u + wb * v) / sin_theta for u, v in zip(a, b))))
 
 
 def relative_pose(prev: Pose, cur: Pose) -> tuple[np.ndarray, float]:

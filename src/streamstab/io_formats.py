@@ -125,8 +125,10 @@ def read_pgm(data: bytes) -> GrayImage:
         dtype = ">u2" if bytes_per == 2 else np.uint8
         values = np.frombuffer(payload, dtype=dtype).astype(float)
     else:
-        text = data[offset:].decode("ascii", errors="strict")
-        fields = text.split()
+        try:
+            fields = data[offset:].decode("ascii").split()
+        except UnicodeDecodeError:
+            raise ParseError("non-ASCII byte in P2 payload")
         if len(fields) != width * height:
             raise ParseError(
                 f"expected {width * height} samples, got {len(fields)}")
@@ -136,6 +138,8 @@ def read_pgm(data: bytes) -> GrayImage:
             raise ParseError("non-integer PGM sample")
     if values.max(initial=0) > maxval:
         raise ParseError("sample exceeds maxval")
+    if values.min(initial=0) < 0:
+        raise ParseError("negative PGM sample")
     return GrayImage((values / maxval).reshape(height, width))
 
 

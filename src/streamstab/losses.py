@@ -27,7 +27,6 @@ class LossWeights:
     lambda1: float = 1.0  # confidence regression loss
     lambda2: float = 1.0  # RGB loss
     lambda3: float = 1.0  # pose loss
-    alpha_conf: float = 0.2
 
 
 def scale_normalizer(vectors) -> float:

@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NonPositiveDt
 from .geometry import Pose, Quaternion, Trajectory, quat_normalize, slerp
 
@@ -25,7 +23,7 @@ class OneEuroConfig:
 
 @dataclass(frozen=True)
 class FilterState:
-    last_t: np.ndarray | None = None
+    last_t: tuple[float, float, float] | None = None
     last_q: Quaternion | None = None
     last_timestamp: float = 0.0
 
@@ -47,34 +45,35 @@ def cutoff_freq(cfg: OneEuroConfig, speed: float) -> float:
     return cfg.f_min + cfg.beta_gain * abs(speed)
 
 
+def _step(state: FilterState, t, q: Quaternion, ts: float,
+          cfg: OneEuroConfig) -> FilterState:
+    """One filter step on floats: translation t as three floats, rotation q,
+    timestamp ts. The new state holds the smoothed pose."""
+    q = quat_normalize(q)
+    if not state.initialized:
+        return FilterState(tuple(t), q, ts)
+    dt = ts - state.last_timestamp
+    if dt <= 0:
+        dt = cfg.default_dt
+    dx, dy, dz = (u - v for u, v in zip(t, state.last_t))
+    speed = math.sqrt(dx * dx + dy * dy + dz * dz) / dt
+    alpha = smoothing_alpha(cutoff_freq(cfg, speed), dt)
+    t = tuple(alpha * u + (1.0 - alpha) * v for u, v in zip(t, state.last_t))
+    return FilterState(t, slerp(state.last_q, q, alpha), ts)
+
+
 def filter_step(state: FilterState, raw: Pose, cfg: OneEuroConfig
                 ) -> tuple[FilterState, Pose]:
     """Advance the filter by one frame."""
-    q_raw = quat_normalize(raw.q)
-    if not state.initialized:
-        out = Pose(raw.t, q_raw, raw.timestamp)
-        new_state = FilterState(np.array(raw.t, copy=True), q_raw, raw.timestamp)
-        return new_state, out
-
-    dt = raw.timestamp - state.last_timestamp
-    if dt <= 0:
-        dt = cfg.default_dt
-    speed = float(np.linalg.norm(raw.t - state.last_t)) / dt
-    alpha = smoothing_alpha(cutoff_freq(cfg, speed), dt)
-
-    t_smooth = alpha * raw.t + (1.0 - alpha) * state.last_t
-    q_smooth = slerp(state.last_q, q_raw, alpha)
-    out = Pose(t_smooth, q_smooth, raw.timestamp)
-    new_state = FilterState(np.array(t_smooth, copy=True), q_smooth, raw.timestamp)
-    return new_state, out
+    state = _step(state, raw.t.tolist(), raw.q, raw.timestamp, cfg)
+    return state, Pose(state.last_t, state.last_q, raw.timestamp)
 
 
 def stabilize_trajectory(raw: Trajectory, cfg: OneEuroConfig = OneEuroConfig()) -> Trajectory:
-    """Streaming fold of filter_step over a whole trajectory."""
-    state = FilterState()
-    t, q = [], []
-    for pose in raw:
-        state, smoothed = filter_step(state, pose, cfg)
-        t.append(smoothed.t)
-        q.append(smoothed.q.as_array())
-    return Trajectory.from_arrays(t, q, raw.timestamps())
+    """Streaming fold of the filter step over a whole trajectory."""
+    state, t, q = FilterState(), [], []
+    for row_t, row_q, ts in zip(raw.t.tolist(), raw.q.tolist(), raw.ts.tolist()):
+        state = _step(state, row_t, Quaternion(*row_q), ts, cfg)
+        t.append(state.last_t)
+        q.append(state.last_q)
+    return Trajectory.from_arrays(t, q, raw.ts)

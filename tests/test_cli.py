@@ -46,7 +46,11 @@ _FLAG_ARGV = {
     **dict.fromkeys(["--wa", "--wr", "--ws", "--lambda1", "--lambda2",
                      "--lambda3", "--conf-loss", "--rgb-loss"],
                     ["eval-loss", "--pred", "t.txt", "--gt", "t.txt"]),
-    **dict.fromkeys(["--frames", "--state-dim", "--policy"], ["simulate"]),
+    **dict.fromkeys(["--frames", "--state-dim", "--seed", "--policy"],
+                    ["simulate"]),
+    **dict.fromkeys(["--w1", "--w2", "--radius", "--epsilon", "--clip-max",
+                     "--initial-weight"],
+                    ["score", "--traj", "t.txt", "--frames", "f"]),
 }
 
 
@@ -88,6 +92,37 @@ class TestScore:
         code, _, _ = run(capsys, ["score", "--traj", str(bad),
                                   "--frames", str(frames_dir)])
         assert code == 2
+
+    def test_bound_flag_values_accepted(self, capsys, traj_file, frames_dir):
+        code, out, _ = run(capsys, [
+            "score", "--traj", str(traj_file), "--frames", str(frames_dir),
+            "--w1", "0", "--w2", "0", "--radius", "0", "--clip-max", "0",
+            "--initial-weight", "0", "--epsilon", "1e-300"])
+        assert code == 0
+        assert [row.split(",")[6] for row in out.splitlines()[1:]] == ["0"] * 4
+
+    def test_all_black_frames(self, capsys, traj_file, tmp_path):
+        d = tmp_path / "black"
+        d.mkdir()
+        for i in range(4):
+            (d / f"{i}.pgm").write_bytes(write_pgm(GrayImage(np.zeros((8, 8)))))
+        code, out, _ = run(capsys, ["score", "--traj", str(traj_file),
+                                    "--frames", str(d)])
+        assert code == 0
+        assert all(row.split(",")[4] == "0" for row in out.splitlines()[1:])
+
+    @pytest.mark.parametrize("payload, message", [
+        (b"P2\n2 2\n255\n1 2\n3 \xff\n", "non-ASCII"),
+        (b"P2\n2 2\n255\n1 2\n3 -3\n", "negative PGM sample"),
+    ], ids=["non-ascii", "negative"])
+    def test_bad_p2_frame_parse_error(self, capsys, traj_file, frames_dir,
+                                      payload, message):
+        (frames_dir / "frame_002.pgm").write_bytes(payload)
+        code, out, err = run(capsys, ["score", "--traj", str(traj_file),
+                                      "--frames", str(frames_dir)])
+        assert code == 2
+        assert message in err
+        assert len(out.splitlines()) == 3  # the header and frames 0 and 1
 
 
 class TestStabilize:
@@ -184,6 +219,13 @@ class TestRefine:
         ("--state-dim", ["0", "-1", "x"]),
         ("--policy", ["constant:abc", "constant:nan", "constant:inf",
                       "constant", "constant:", "bogus", "adaptive:1"]),
+        ("--seed", ["-1", "1.5", "nan", "x"]),
+        ("--w1", ["-1", "nan", "inf", "x"]),
+        ("--w2", ["-0.5", "nan", "-inf"]),
+        ("--radius", ["-1", "nan", "inf"]),
+        ("--epsilon", ["0", "-0.0", "-1e-8", "nan", "inf", "x"]),
+        ("--clip-max", ["-1", "nan", "inf"]),
+        ("--initial-weight", ["-1", "nan", "inf"]),
     ])
     def test_out_of_range_flag_usage_error(self, capsys, tmp_path, flag,
                                            values):
@@ -424,6 +466,13 @@ class TestConfigFile:
         (["simulate"], "state_dim=0"),
         (["simulate"], "policy=constant:abc"),
         (["simulate"], "policy=constant:nan"),
+        (["simulate"], "seed=-1"),
+        (["score", "--traj", "t.txt", "--frames", "f"], "w1=nan"),
+        (["score", "--traj", "t.txt", "--frames", "f"], "w2=-1"),
+        (["score", "--traj", "t.txt", "--frames", "f"], "radius=-inf"),
+        (["score", "--traj", "t.txt", "--frames", "f"], "epsilon=0"),
+        (["score", "--traj", "t.txt", "--frames", "f"], "clip_max=-1"),
+        (["score", "--traj", "t.txt", "--frames", "f"], "initial_weight=inf"),
     ])
     def test_bad_value_parse_error_with_line(self, capsys, tmp_path,
                                              command, line):

@@ -248,6 +248,21 @@ class TestPgm:
         with pytest.raises(ParseError):
             read_pgm(b"P5\n1 1\n255\n" + bytes([0, 99]))
 
+    @pytest.mark.parametrize("payload", [b"1 \xff", b"\xc3\xa9 1", b"1 2\x80"],
+                             ids=["ff", "utf-8", "80"])
+    def test_p2_non_ascii_payload(self, payload):
+        with pytest.raises(ParseError, match="non-ASCII"):
+            read_pgm(b"P2\n2 1\n255\n" + payload)
+
+    @pytest.mark.parametrize("payload", [b"-3 4", b"4 -1", b"-255 -255"],
+                             ids=["first", "last", "both"])
+    def test_p2_negative_sample(self, payload):
+        with pytest.raises(ParseError, match="negative PGM sample"):
+            read_pgm(b"P2\n2 1\n255\n" + payload)
+
+    def test_p2_minus_zero_is_zero(self):
+        assert read_pgm(b"P2\n2 1\n255\n-0 255\n").pixels.tolist() == [[0.0, 1.0]]
+
     def test_round_trip(self):
         rng = np.random.default_rng(1)
         img = GrayImage(rng.integers(0, 256, size=(5, 7)) / 255.0)

@@ -3,12 +3,75 @@ import math
 import numpy as np
 import pytest
 
-from streamstab import (FilterState, OneEuroConfig, Pose, Quaternion,
-                        Trajectory, cutoff_freq, filter_step, loss_acc,
-                        quat_normalize, smoothing_alpha, stabilize_trajectory)
-from streamstab.errors import NonPositiveDt
+from streamstab import (FilterState, GrayImage, OneEuroConfig, Pose,
+                        Quaternion, Trajectory, cutoff_freq, filter_step,
+                        loss_acc, quat_normalize, score_terms, slerp,
+                        smoothing_alpha, stabilize_trajectory)
+from streamstab.errors import InvalidGamma, NonPositiveDt
 
-from conftest import random_unit_quat
+from conftest import awkward_trajectory, random_unit_quat
+
+
+# -- oracle: the filter as it was before its step moved to Python floats ------
+# (its slerp and filter_step, verbatim except that `Quaternion.from_array(out)`
+# is spelled out and the names end in `_oracle`)
+
+def slerp_oracle(a: Quaternion, b: Quaternion, gamma: float) -> Quaternion:
+    if not 0.0 <= gamma <= 1.0:
+        raise InvalidGamma(f"gamma {gamma} outside [0, 1]")
+    av, bv = a.as_array(), b.as_array()
+    dot = float(np.dot(av, bv))
+    if dot < 0.0:
+        bv = -bv
+        dot = -dot
+    dot = min(1.0, dot)
+    theta = math.acos(dot)
+    sin_theta = math.sin(theta)
+    if sin_theta < 1e-6:
+        out = (1.0 - gamma) * av + gamma * bv
+    else:
+        out = (math.sin((1.0 - gamma) * theta) * av
+               + math.sin(gamma * theta) * bv) / sin_theta
+    out = out / np.linalg.norm(out)
+    return Quaternion(float(out[0]), float(out[1]), float(out[2]), float(out[3]))
+
+
+def filter_step_oracle(state: FilterState, raw: Pose, cfg: OneEuroConfig
+                       ) -> tuple[FilterState, Pose]:
+    q_raw = quat_normalize(raw.q)
+    if not state.initialized:
+        out = Pose(raw.t, q_raw, raw.timestamp)
+        new_state = FilterState(np.array(raw.t, copy=True), q_raw, raw.timestamp)
+        return new_state, out
+
+    dt = raw.timestamp - state.last_timestamp
+    if dt <= 0:
+        dt = cfg.default_dt
+    speed = float(np.linalg.norm(raw.t - state.last_t)) / dt
+    alpha = smoothing_alpha(cutoff_freq(cfg, speed), dt)
+
+    t_smooth = alpha * raw.t + (1.0 - alpha) * state.last_t
+    q_smooth = slerp_oracle(state.last_q, q_raw, alpha)
+    out = Pose(t_smooth, q_smooth, raw.timestamp)
+    new_state = FilterState(np.array(t_smooth, copy=True), q_smooth, raw.timestamp)
+    return new_state, out
+
+
+def filter_loop_oracle(poses, cfg: OneEuroConfig = OneEuroConfig()):
+    """The old filter folded over `poses`: (N, 3) translations, (N, 4)
+    quaternions."""
+    state, t, q = FilterState(), [], []
+    for pose in poses:
+        state, smoothed = filter_step_oracle(state, pose, cfg)
+        t.append(smoothed.t)
+        q.append(smoothed.q.as_array())
+    return np.array(t).reshape(-1, 3), np.array(q).reshape(-1, 4)
+
+
+def assert_rows_close(got, want, rtol=1e-12):
+    """Every entry within rtol of the largest magnitude in its row."""
+    scale = np.abs(want).max(axis=1, keepdims=True)
+    assert np.all(np.abs(got - want) <= rtol * scale)
 
 
 def noisy_circle(rng, n=200, fps=30.0, radius=2.0, sigma=0.05):
@@ -161,3 +224,114 @@ class TestStabilizeTrajectory:
             if loss_acc(smoothed) < loss_acc(noisy):
                 wins += 1
         assert wins >= 95
+
+
+def rotation_walk(rng, n, step):
+    """Translations and unit quaternions of a random walk whose rotation
+    turns by about `step` radians per pose."""
+    t = np.cumsum(rng.normal(0.0, 0.05, size=(n, 3)), axis=0)
+    q = [random_unit_quat(rng)]
+    for _ in range(n - 1):
+        axis = rng.standard_normal(3)
+        axis *= math.sin(step / 2) / math.sqrt(axis @ axis)
+        q.append(quat_normalize(q[-1].multiply(
+            Quaternion(math.cos(step / 2), *axis.tolist()))))
+    return t, np.array([x.as_array() for x in q])
+
+
+class TestMatchesOracle:
+    def check_fold(self, traj, cfg=OneEuroConfig()):
+        out = stabilize_trajectory(traj, cfg)
+        want_t, want_q = filter_loop_oracle(traj, cfg)
+        assert_rows_close(out.t, want_t)
+        assert_rows_close(out.q, want_q)
+        assert np.array_equal(out.ts, traj.ts)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_awkward_trajectory(self, seed, monkeypatch):
+        # Where a quaternion is exactly orthogonal to the filter state (the
+        # rotations are pi apart), slerp may turn towards either sign. The
+        # oracle decided by the sign of its BLAS dot, which here rounds the
+        # exact 0 to about -5e-18 (seeds 0 and 5, second pose), so the
+        # oracle runs with its dot taken in order, as Quaternion.dot does.
+        monkeypatch.setattr(np, "dot",
+                            lambda a, b: Quaternion(*a).dot(Quaternion(*b)))
+        traj = awkward_trajectory(np.random.default_rng(seed), 300)
+        self.check_fold(traj)
+        self.check_fold(traj, OneEuroConfig(f_min=0.1, beta_gain=2.0))
+
+    def test_exact_tie_takes_no_flip(self):
+        # the in-order dot of q and its orthogonal [-x, w, -z, y] is exactly
+        # 0, so slerp keeps b's sign: the exact-arithmetic answer
+        rng = np.random.default_rng(15)
+        for _ in range(100):
+            a = random_unit_quat(rng)
+            b = Quaternion(-a.x, a.w, -a.z, a.y)
+            assert a.dot(b) == 0.0
+            for gamma in (0.25, 0.5, 0.75):
+                want = (math.sin((1 - gamma) * math.pi / 2) * a.as_array()
+                        + math.sin(gamma * math.pi / 2) * b.as_array())
+                got = slerp(a, b, gamma).as_array()
+                assert np.allclose(got, want / np.linalg.norm(want),
+                                   rtol=0, atol=1e-15)
+
+    def test_nlerp_branch(self):
+        # turns of 1e-8 rad keep sin(theta) below 1e-6 at every step
+        t, q = rotation_walk(np.random.default_rng(11), 200, 1e-8)
+        traj = Trajectory.from_arrays(t, q, np.arange(200) / 30.0)
+        state = FilterState()
+        for raw in traj:
+            if state.initialized:
+                dot = abs(state.last_q.dot(quat_normalize(raw.q)))
+                assert math.sin(math.acos(min(1.0, dot))) < 1e-6
+            state, _ = filter_step(state, raw, OneEuroConfig())
+        self.check_fold(traj)
+
+    def test_hemisphere_flips(self):
+        t, q = rotation_walk(np.random.default_rng(12), 200, 0.05)
+        q[1::2] *= -1.0  # every other pose: the same rotation, other sign
+        traj = Trajectory.from_arrays(t, q, np.arange(200) / 30.0)
+        self.check_fold(traj)
+        assert np.all(np.sum(stabilize_trajectory(traj).q[1:] * q[1:], axis=1)
+                      * np.where(np.arange(1, 200) % 2, -1, 1) > 0)
+
+    def test_equal_timestamps_use_default_dt(self):
+        # a live stream may repeat a timestamp; the step then uses default_dt
+        rng = np.random.default_rng(13)
+        t, q = rotation_walk(rng, 120, 0.05)
+        ts = np.repeat(np.arange(40) / 10.0, 3)
+        poses = [Pose(t[i], Quaternion(*q[i].tolist()), float(ts[i]))
+                 for i in range(120)]
+        for cfg in (OneEuroConfig(), OneEuroConfig(default_dt=0.5)):
+            state, got_t, got_q = FilterState(), [], []
+            for raw in poses:
+                state, out = filter_step(state, raw, cfg)
+                got_t.append(out.t)
+                got_q.append(out.q.as_array())
+            want_t, want_q = filter_loop_oracle(poses, cfg)
+            assert_rows_close(np.array(got_t), want_t)
+            assert_rows_close(np.array(got_q), want_q)
+
+
+def test_printed_values_make_no_blas_call(monkeypatch):
+    """stabilize's poses and score's motion terms are plain float arithmetic:
+    they run with numpy.dot and numpy.linalg.norm unavailable."""
+    rng = np.random.default_rng(14)
+    traj = awkward_trajectory(rng, 50)
+    poses = traj.poses
+    img = GrayImage(rng.uniform(size=(16, 16)))
+    a, b = random_unit_quat(rng), random_unit_quat(rng)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("BLAS call on a printed value")
+    monkeypatch.setattr(np, "dot", forbidden)
+    monkeypatch.setattr(np.linalg, "norm", forbidden)
+
+    stabilize_trajectory(traj)
+    state = FilterState()
+    for raw in poses:
+        state, _ = filter_step(state, raw, OneEuroConfig())
+    for gamma in (0.0, 0.3, 1.0):
+        slerp(a, b, gamma)
+        slerp(a, a, gamma)
+    score_terms(poses[0], poses[1], img)
