@@ -26,64 +26,39 @@ from .simulate import simulate_stream
 from .spatial import BilateralConfig, Intrinsics, bilateral_depth, depth_to_points
 from .stabilization import OneEuroConfig, stabilize_trajectory
 
-# real defaults live here; parser defaults are None so that config-file
-# values can slot in underneath explicitly given flags
-_DEFAULTS = {
-    "score": {"w1": 1.0, "w2": 1.0, "radius": None, "epsilon": 1e-8,
-              "clip_max": 1.0, "initial_weight": 1.0},
-    "stabilize": {"fmin": 1.0, "beta_gain": 0.007},
-    "refine": {"window": 2, "sigma_s": 2.0, "sigma_r": None,
-               "fx": None, "fy": None, "cx": None, "cy": None},
-    "eval-traj": {"prefix_frames": None, "align": "se3"},
-    "eval-depth": {"mode": "original"},
-    "eval-recon": {"k_normals": 16},
-    "eval-loss": {"wa": 1.0, "wr": 1.0, "ws": 1.0, "lambda1": 1.0,
-                  "lambda2": 1.0, "lambda3": 1.0, "conf_loss": 0.0,
-                  "rgb_loss": 0.0},
-    "simulate": {"frames": 100, "state_dim": 64, "seed": 0,
-                 "policy": "adaptive"},
-}
 
-
-def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset options from the config file, then from defaults.
-
-    A config value is converted and checked with the type and choices of the
-    flag that has the same dest; a bad value is a ParseError with its line.
-    """
-    defaults = dict(_DEFAULTS[args.command])
-    flags = {action.dest: action for action in args.parser._actions}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        for lineno, line in enumerate(
-                Path(config_path).read_text().splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParseError("config line is not key=value", line=lineno)
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in defaults:
-                raise ParseError(
-                    f"unknown config key {key!r} for {args.command}",
-                    line=lineno)
-            flag = flags[key]
-            value = value.strip()
-            try:
-                value = flag.type(value) if flag.type else value
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise ParseError(f"invalid value for {key}: {exc}",
-                                 line=lineno)
-            if flag.choices is not None and value not in flag.choices:
-                raise ParseError(
-                    f"invalid value for {key}: {value!r} is not one of "
-                    f"{', '.join(flag.choices)}", line=lineno)
-            defaults[key] = value
-    for key, value in defaults.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
-    return args
+def _read_config(args: argparse.Namespace) -> dict:
+    """The values of the config file, keyed by the subcommand's optional
+    flags and checked with each flag's type and choices; a bad line is a
+    ParseError with its line number."""
+    flags = {action.dest: action for action in args.parser._actions
+             if action.option_strings and not action.required
+             and action.dest not in ("help", "config")}
+    values = {}
+    for lineno, line in enumerate(
+            Path(args.config).read_text().splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ParseError("config line is not key=value", line=lineno)
+        key, _, value = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if key not in flags:
+            raise ParseError(
+                f"unknown config key {key!r} for {args.command}", line=lineno)
+        flag = flags[key]
+        value = value.strip()
+        try:
+            value = flag.type(value) if flag.type else value
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ParseError(f"invalid value for {key}: {exc}", line=lineno)
+        if flag.choices is not None and value not in flag.choices:
+            raise ParseError(
+                f"invalid value for {key}: {value!r} is not one of "
+                f"{', '.join(flag.choices)}", line=lineno)
+        values[key] = value
+    return values
 
 
 def _number(kind: type = float, low: float = -math.inf, above: bool = False):
@@ -136,35 +111,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--traj", required=True, help="TUM trajectory file")
     p.add_argument("--frames", required=True,
                    help="directory of PGM frames in lexicographic order")
-    p.add_argument("--w1", type=nonneg, help="translation weight (default 1.0)")
-    p.add_argument("--w2", type=nonneg, help="rotation weight (default 1.0)")
-    p.add_argument("--radius", type=nonneg,
+    p.add_argument("--w1", type=nonneg, default=ScoreConfig.w1,
+                   help="translation weight (default %(default)s)")
+    p.add_argument("--w2", type=nonneg, default=ScoreConfig.w2,
+                   help="rotation weight (default %(default)s)")
+    p.add_argument("--radius", type=nonneg, default=ScoreConfig.radius,
                    help="high-pass radius in pixels (default min(H,W)//8)")
-    p.add_argument("--epsilon", type=positive,
-                   help="ratio denominator epsilon (default 1e-8)")
+    p.add_argument("--epsilon", type=positive, default=ScoreConfig.epsilon,
+                   help="ratio denominator epsilon (default %(default)s)")
     p.add_argument("--clip-max", type=nonneg, dest="clip_max",
-                   help="weight clip (default 1.0)")
+                   default=ScoreConfig.clip_max,
+                   help="weight clip (default %(default)s)")
     p.add_argument("--initial-weight", type=nonneg, dest="initial_weight",
-                   help="weight of the first frame (default 1.0)")
+                   default=ScoreConfig.initial_weight,
+                   help="weight of the first frame (default %(default)s)")
 
     p = _add_command(subs, "stabilize", _cmd_stabilize,
                      "smooth a trajectory online")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
-    p.add_argument("--fmin", type=positive,
-                   help="minimum cutoff frequency in Hz (default 1.0)")
+    p.add_argument("--fmin", type=positive, default=OneEuroConfig.f_min,
+                   help="minimum cutoff frequency in Hz (default %(default)s)")
     p.add_argument("--beta-gain", type=nonneg, dest="beta_gain",
-                   help="cutoff gain per unit speed (default 0.007)")
+                   default=OneEuroConfig.beta_gain,
+                   help="cutoff gain per unit speed (default %(default)s)")
 
     p = _add_command(subs, "refine", _cmd_refine, "bilateral depth refinement")
     p.add_argument("--in", dest="infile", required=True, help="input PFM")
     p.add_argument("--out", dest="outfile", required=True,
                    help="output .pfm or .ply")
     p.add_argument("--window", type=_number(int, 0),
-                   help="window half-width (default 2)")
-    p.add_argument("--sigma-s", type=positive,
-                   help="spatial sigma in pixels (default 2.0)")
-    p.add_argument("--sigma-r", type=positive,
+                   default=BilateralConfig.window,
+                   help="window half-width (default %(default)s)")
+    p.add_argument("--sigma-s", type=positive, default=BilateralConfig.sigma_s,
+                   help="spatial sigma in pixels (default %(default)s)")
+    p.add_argument("--sigma-r", type=positive, default=BilateralConfig.sigma_r,
                    help="range sigma in depth units "
                         "(default 0.05 x median valid depth)")
     p.add_argument("--fx", type=positive,
@@ -181,45 +162,51 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prefix-frames", type=_number(int, 1),
                    dest="prefix_frames",
                    help="evaluate only the first k frames")
-    p.add_argument("--align", choices=["se3", "sim3"],
-                   help="ATE alignment class (default se3)")
+    p.add_argument("--align", choices=["se3", "sim3"], default="se3",
+                   help="ATE alignment class (default %(default)s)")
 
     p = _add_command(subs, "eval-depth", _cmd_eval_depth, "depth metrics")
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--mode", choices=["original", "scale", "scale_and_shift"],
-                   help="alignment mode (default original)")
+                   default="original",
+                   help="alignment mode (default %(default)s)")
 
     p = _add_command(subs, "eval-recon", _cmd_eval_recon,
                      "point-cloud reconstruction metrics")
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--k-normals", type=_number(int, 1), dest="k_normals",
-                   help="neighbors for normal estimation (default 16)")
+                   default=16,
+                   help="neighbors for normal estimation (default %(default)s)")
 
     p = _add_command(subs, "eval-loss", _cmd_eval_loss,
                      "trajectory loss components")
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
-    for flag, what in [("--wa", "ATE term weight"), ("--wr", "RPE term weight"),
-                       ("--ws", "acceleration term weight"),
-                       ("--lambda1", "confidence loss weight"),
-                       ("--lambda2", "RGB loss weight"),
-                       ("--lambda3", "pose loss weight"),
-                       ("--conf-loss", "precomputed confidence loss value"),
-                       ("--rgb-loss", "precomputed RGB loss value")]:
-        default = _DEFAULTS["eval-loss"][flag[2:].replace("-", "_")]
-        p.add_argument(flag, type=finite, help=f"{what} (default {default})")
+    for flag, default, what in [
+            ("--wa", LossWeights.w_a, "ATE term weight"),
+            ("--wr", LossWeights.w_r, "RPE term weight"),
+            ("--ws", LossWeights.w_s, "acceleration term weight"),
+            ("--lambda1", LossWeights.lambda1, "confidence loss weight"),
+            ("--lambda2", LossWeights.lambda2, "RGB loss weight"),
+            ("--lambda3", LossWeights.lambda3, "pose loss weight"),
+            ("--conf-loss", 0.0, "precomputed confidence loss value"),
+            ("--rgb-loss", 0.0, "precomputed RGB loss value")]:
+        p.add_argument(flag, type=finite, default=default,
+                       help=f"{what} (default %(default)s)")
 
     p = _add_command(subs, "simulate", _cmd_simulate,
                      "synthetic memory-state stream")
-    p.add_argument("--frames", type=_number(int, 1),
-                   help="steps to run (default 100)")
+    p.add_argument("--frames", type=_number(int, 1), default=100,
+                   help="steps to run (default %(default)s)")
     p.add_argument("--state-dim", type=_number(int, 1), dest="state_dim",
-                   help="state dimension (default 64)")
-    p.add_argument("--seed", type=_number(int, 0), help="RNG seed (default 0)")
-    p.add_argument("--policy", type=_policy,
-                   help="'adaptive' or 'constant:<beta>' (default adaptive)")
+                   default=64, help="state dimension (default %(default)s)")
+    p.add_argument("--seed", type=_number(int, 0), default=0,
+                   help="RNG seed (default %(default)s)")
+    p.add_argument("--policy", type=_policy, default="adaptive",
+                   help="'adaptive' or 'constant:<beta>' "
+                        "(default %(default)s)")
 
     return parser
 
@@ -332,19 +319,21 @@ def _cmd_simulate(args) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        args = _apply_config(args)
+        if args.config:
+            # config values become the subcommand's defaults, so that the
+            # flags given on the command line still win
+            args.parser.set_defaults(**_read_config(args))
+            args = parser.parse_args(argv)
         args.func(args)
-    except (ParseError, CountMismatch) as exc:
+    except (ParseError, CountMismatch, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ToolkitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     return 0
 
 

@@ -42,8 +42,6 @@ class ScoreConfig:
     w1: float = 1.0
     w2: float = 1.0
     radius: float | None = None  # None -> floor(min(H, W) / 8) at use time
-    sigmoid_gain: float = 20.0
-    sigmoid_midpoint: float = 0.1
     epsilon: float = 1e-8
     clip_max: float = 1.0
     initial_weight: float = 1.0  # weight for the first frame of a stream
@@ -118,7 +116,7 @@ def score_terms(prev: Pose | None, cur: Pose, img: GrayImage,
     ratio = highfreq_ratio(dft2_magnitude_centered(img),
                            cfg.effective_radius(img.height, img.width),
                            cfg.epsilon)
-    s2 = quality_score(ratio, cfg.sigmoid_gain, cfg.sigmoid_midpoint)
+    s2 = quality_score(ratio)
     if prev is None:
         return ScoreTerms(0.0, 0.0, 0.0, ratio, s2, cfg.initial_weight)
     delta_t, delta_q = relative_pose(prev, cur)

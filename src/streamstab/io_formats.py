@@ -9,6 +9,7 @@ All readers reject trailing garbage and fail fast on truncated payloads.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
@@ -74,30 +75,30 @@ def write_trajectory_tum(traj: Trajectory) -> str:
 
 # -- PGM grayscale images --------------------------------------------------
 
-def _pnm_header_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
-    """Read `count` whitespace/comment-separated header tokens; return them
-    and the offset one byte past the final token's trailing whitespace."""
-    tokens = []
-    i = 0
-    while len(tokens) < count:
-        if i >= len(data):
-            raise ParseError("truncated header")
-        c = data[i:i + 1]
-        if c.isspace():
-            i += 1
-        elif c == b"#":
-            while i < len(data) and data[i:i + 1] not in (b"\n", b"\r"):
-                i += 1
-        else:
-            j = i
-            while j < len(data) and not data[j:j + 1].isspace():
-                j += 1
-            tokens.append(data[i:j])
-            i = j
-    # single whitespace byte after the last header token
-    if i < len(data) and data[i:i + 1].isspace():
-        i += 1
-    return tokens, i
+# the two magic bytes, then three header tokens, each after any whitespace
+# and `#` comments (to the end of the line), then one optional whitespace
+# byte; the lookaheads stop a match from ending a comment or token early
+_PNM_HEADER = re.compile(
+    rb".." + rb"(?:\s|#[^\r\n]*(?![^\r\n]))*([^\s#]\S*)(?!\S)" * 3 + rb"\s?",
+    re.DOTALL)
+_P2_SAMPLE = re.compile(r"-?[0-9]+")
+
+
+def _pnm_header(data: bytes) -> tuple[tuple[bytes, ...], int]:
+    """The three header tokens after the magic and the payload offset."""
+    match = _PNM_HEADER.match(data)
+    if match is None:
+        raise ParseError("truncated header")
+    return match.groups(), match.end()
+
+
+def _payload(data: bytes, offset: int, need: int, kind: str) -> bytes:
+    """The `need` bytes at `offset`, which must end `data`."""
+    if len(data) < offset + need:
+        raise ParseError(f"truncated {kind} payload")
+    if len(data) > offset + need:
+        raise ParseError(f"trailing garbage after {kind} payload")
+    return data[offset:]
 
 
 def read_pgm(data: bytes) -> GrayImage:
@@ -106,22 +107,15 @@ def read_pgm(data: bytes) -> GrayImage:
     magic = data[:2]
     if magic not in (b"P2", b"P5"):
         raise UnsupportedMagic(f"unsupported magic {magic!r}")
-    tokens, offset = _pnm_header_tokens(data[2:], 3)
-    try:
-        width, height, maxval = (int(t) for t in tokens)
-    except ValueError:
+    tokens, offset = _pnm_header(data)
+    if not all(map(bytes.isdigit, tokens)):
         raise ParseError("non-integer PGM header field")
+    width, height, maxval = map(int, tokens)
     if width <= 0 or height <= 0 or not 0 < maxval <= 65535:
         raise ParseError("invalid PGM dimensions or maxval")
-    offset += 2
     if magic == b"P5":
         bytes_per = 2 if maxval > 255 else 1
-        need = width * height * bytes_per
-        payload = data[offset:offset + need]
-        if len(payload) < need:
-            raise ParseError("truncated PGM payload")
-        if len(data) > offset + need:
-            raise ParseError("trailing garbage after PGM payload")
+        payload = _payload(data, offset, width * height * bytes_per, "PGM")
         dtype = ">u2" if bytes_per == 2 else np.uint8
         values = np.frombuffer(payload, dtype=dtype).astype(float)
     else:
@@ -132,10 +126,9 @@ def read_pgm(data: bytes) -> GrayImage:
         if len(fields) != width * height:
             raise ParseError(
                 f"expected {width * height} samples, got {len(fields)}")
-        try:
-            values = np.array([int(f) for f in fields], dtype=float)
-        except ValueError:
+        if not all(map(_P2_SAMPLE.fullmatch, fields)):
             raise ParseError("non-integer PGM sample")
+        values = np.array([int(f) for f in fields], dtype=float)
     if values.max(initial=0) > maxval:
         raise ParseError("sample exceeds maxval")
     if values.min(initial=0) < 0:
@@ -154,25 +147,21 @@ def write_pgm(img: GrayImage, maxval: int = 255) -> bytes:
 # -- PFM depth maps --------------------------------------------------------
 
 def read_pfm(data: bytes) -> DepthMap:
-    tokens, offset = _pnm_header_tokens(data[2:], 3) if data[:2] == b"Pf" else (None, 0)
     if data[:2] == b"PF":
         raise UnsupportedMagic("color PFM ('PF') is not supported")
-    if tokens is None:
+    if data[:2] != b"Pf":
         raise UnsupportedMagic(f"unsupported magic {data[:2]!r}")
+    tokens, offset = _pnm_header(data)
+    if not (tokens[0].isdigit() and tokens[1].isdigit()):
+        raise ParseError("invalid PFM header field")
+    width, height = int(tokens[0]), int(tokens[1])
     try:
-        width, height = int(tokens[0]), int(tokens[1])
         scale = float(tokens[2])
     except ValueError:
         raise ParseError("invalid PFM header field")
-    if width <= 0 or height <= 0 or scale == 0:
+    if width <= 0 or height <= 0 or scale == 0 or not math.isfinite(scale):
         raise ParseError("invalid PFM dimensions or scale")
-    offset += 2
-    need = width * height * 4
-    payload = data[offset:offset + need]
-    if len(payload) < need:
-        raise ParseError("truncated PFM payload")
-    if len(data) > offset + need:
-        raise ParseError("trailing garbage after PFM payload")
+    payload = _payload(data, offset, width * height * 4, "PFM")
     endian = "<" if scale < 0 else ">"
     depths = np.frombuffer(payload, dtype=endian + "f4").astype(float)
     depths = depths.reshape(height, width)[::-1]  # PFM rows are bottom-up

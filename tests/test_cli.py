@@ -1,14 +1,17 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from streamstab import DepthMap, GrayImage, PointSet, Pose, Quaternion, Trajectory
-from streamstab.cli import main
+from streamstab.cli import build_parser, main
 from streamstab.io_formats import (read_trajectory_tum, write_pfm, write_pgm,
                                    write_ply_ascii, write_trajectory_tum)
 
 from conftest import random_trajectory
+from test_acceptance import _write_fixtures
 
 
 @pytest.fixture
@@ -114,7 +117,8 @@ class TestScore:
     @pytest.mark.parametrize("payload, message", [
         (b"P2\n2 2\n255\n1 2\n3 \xff\n", "non-ASCII"),
         (b"P2\n2 2\n255\n1 2\n3 -3\n", "negative PGM sample"),
-    ], ids=["non-ascii", "negative"])
+        (b"P2\n2 2\n255\n1 2\n3 1_0\n", "non-integer PGM sample"),
+    ], ids=["non-ascii", "negative", "python-int"])
     def test_bad_p2_frame_parse_error(self, capsys, traj_file, frames_dir,
                                       payload, message):
         (frames_dir / "frame_002.pgm").write_bytes(payload)
@@ -481,3 +485,151 @@ class TestConfigFile:
         code, _, err = run(capsys, command + ["--config", str(cfg)])
         assert code == 2
         assert "line 2" in err
+
+    @pytest.mark.parametrize("command, line", [
+        (["score", "--traj", "t.txt", "--frames", "f"], "traj=t.txt"),
+        (["stabilize", "--in", "t.txt", "--out", "o.txt"], "infile=t.txt"),
+        (["stabilize", "--in", "t.txt", "--out", "o.txt"], "config=c.txt"),
+        (["eval-traj", "--pred", "t.txt", "--gt", "t.txt"], "gt=t.txt"),
+        (["simulate"], "help=1"),
+    ])
+    def test_only_optional_flags_are_keys(self, capsys, tmp_path, command,
+                                          line):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"{line}\n")
+        code, _, err = run(capsys, command + ["--config", str(cfg)])
+        assert code == 2
+        assert "unknown config key" in err
+
+
+# each subcommand with only its required flags
+_MINIMAL_ARGV = {
+    "score": ["score", "--traj", "t.txt", "--frames", "f"],
+    "stabilize": ["stabilize", "--in", "t.txt", "--out", "o.txt"],
+    "refine": ["refine", "--in", "d.pfm", "--out", "o.pfm"],
+    "eval-traj": ["eval-traj", "--pred", "t.txt", "--gt", "t.txt"],
+    "eval-depth": ["eval-depth", "--pred", "d.pfm", "--gt", "d.pfm"],
+    "eval-recon": ["eval-recon", "--pred", "c.ply", "--gt", "c.ply"],
+    "eval-loss": ["eval-loss", "--pred", "t.txt", "--gt", "t.txt"],
+    "simulate": ["simulate"],
+}
+
+
+def _optional_flags(command):
+    """The parsed defaults of `command` and its optional flags but --help
+    and --config: the keys a config file may set."""
+    args = build_parser().parse_args(_MINIMAL_ARGV[command])
+    return args, [action for action in args.parser._actions
+                  if action.option_strings and not action.required
+                  and action.dest not in ("help", "config")]
+
+
+@pytest.fixture(scope="module")
+def fixture_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fixtures")
+    _write_fixtures(root)
+    return root
+
+
+_SCORE = ["score", "--traj", "noisy.txt", "--frames", "frames"]
+_STABILIZE = ["stabilize", "--in", "noisy.txt", "--out", "{}.txt"]
+_REFINE = ["refine", "--in", "pred.pfm", "--out", "{}.pfm"]
+_REFINE_PLY = ["refine", "--in", "pred.pfm", "--out", "{}.ply"]
+_EVAL_TRAJ = ["eval-traj", "--pred", "noisy.txt", "--gt", "clean.txt"]
+_EVAL_LOSS = ["eval-loss", "--pred", "noisy.txt", "--gt", "clean.txt"]
+
+# (argv, key, value): every optional key of every subcommand, with a value
+# that changes the output; "{}" names the file the command writes
+_KEY_CASES = [
+    *[(_SCORE, key, value) for key, value in [
+        ("w1", "2.5"), ("w2", "3"), ("radius", "5"), ("epsilon", "0.5"),
+        ("clip_max", "0.01"), ("initial_weight", "0.25")]],
+    (_STABILIZE, "fmin", "0.5"),
+    (_STABILIZE, "beta_gain", "0.5"),
+    (_REFINE, "window", "1"),
+    (_REFINE, "sigma_s", "0.5"),
+    (_REFINE, "sigma_r", "0.01"),
+    (_REFINE_PLY + ["--fy", "50", "--cx", "8", "--cy", "8"], "fx", "40"),
+    (_REFINE_PLY + ["--fx", "50", "--cx", "8", "--cy", "8"], "fy", "40"),
+    (_REFINE_PLY + ["--fx", "50", "--fy", "50", "--cy", "8"], "cx", "6"),
+    (_REFINE_PLY + ["--fx", "50", "--fy", "50", "--cx", "8"], "cy", "6"),
+    (_EVAL_TRAJ, "prefix_frames", "5"),
+    (_EVAL_TRAJ, "align", "sim3"),
+    (["eval-depth", "--pred", "pred.pfm", "--gt", "gt.pfm"], "mode", "scale"),
+    (["eval-recon", "--pred", "pred.ply", "--gt", "gt.ply"], "k_normals", "5"),
+    *[(_EVAL_LOSS, key, "3") for key in ("wa", "wr", "ws", "lambda3",
+                                         "conf_loss", "rgb_loss")],
+    (_EVAL_LOSS + ["--conf-loss", "0.5"], "lambda1", "3"),
+    (_EVAL_LOSS + ["--rgb-loss", "0.5"], "lambda2", "3"),
+    *[(["simulate", "--frames", "10"], key, value) for key, value in [
+        ("state_dim", "8"), ("seed", "3"), ("policy", "constant:0.5")]],
+    (["simulate"], "frames", "5"),
+]
+
+
+def _outputs(capsys, argv, tag):
+    """stdout and the bytes of the written file of `argv` run in the cwd."""
+    code, out, err = run(capsys, [arg.format(tag) for arg in argv])
+    assert code == 0, err
+    return out, [Path(arg.format(tag)).read_bytes()
+                 for arg in argv if "{}" in arg]
+
+
+class TestConfigMatchesFlag:
+    @pytest.mark.parametrize("argv, key, value", _KEY_CASES,
+                             ids=[f"{a[0]}-{k}" for a, k, _ in _KEY_CASES])
+    def test_config_key_equals_flag(self, capsys, monkeypatch, fixture_dir,
+                                    argv, key, value):
+        monkeypatch.chdir(fixture_dir)
+        cfg = Path(f"{key}.cfg")
+        cfg.write_text(f"# one key\n{key}={value}\n")
+        flag = "--" + key.replace("_", "-")
+        by_flag = _outputs(capsys, argv + [flag, value], "flag")
+        assert _outputs(capsys, argv + ["--config", str(cfg)],
+                        "config") == by_flag
+        # PLY output needs all four intrinsics: compare with another value
+        baseline = argv + ([flag, "7"] if key in ("fx", "fy", "cx", "cy") else [])
+        assert _outputs(capsys, baseline, "default") != by_flag
+
+    @pytest.mark.parametrize("command", _MINIMAL_ARGV)
+    def test_every_key_has_a_case(self, command):
+        _, flags = _optional_flags(command)
+        assert ({action.dest for action in flags}
+                == {key for argv, key, _ in _KEY_CASES if argv[0] == command})
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", _MINIMAL_ARGV)
+    def test_help_shows_each_default(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        options = text[text.index("options:"):]
+        helps = {chunk.split()[0]: chunk
+                 for chunk in re.split(r" (?=--[a-z])", options)[1:]}
+        args, flags = _optional_flags(command)
+        for action in flags:
+            default = getattr(args, action.dest)
+            chunk = helps[action.option_strings[0]]
+            if default is None:
+                assert "None" not in chunk
+            else:
+                assert f"(default {default})" in chunk
+
+
+class TestNonUtf8Text:
+    @pytest.mark.parametrize("argv", [
+        ["stabilize", "--in", "{bad}", "--out", "{out}"],
+        ["eval-traj", "--pred", "{bad}", "--gt", "{traj}"],
+        ["stabilize", "--in", "{traj}", "--out", "{out}", "--config", "{bad}"],
+    ], ids=["stabilize-in", "eval-traj-pred", "config"])
+    def test_parse_error(self, capsys, traj_file, tmp_path, argv):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"# \xff\xfe\n")
+        code, out, err = run(capsys, [
+            arg.format(bad=bad, out=tmp_path / "o.txt", traj=traj_file)
+            for arg in argv])
+        assert code == 2
+        assert out == ""
+        assert "decode" in err

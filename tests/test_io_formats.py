@@ -1,4 +1,5 @@
 import math
+import string
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ from streamstab import (DepthMap, GrayImage, PointSet, Pose, Quaternion,
                         Trajectory, quat_normalize)
 from streamstab.errors import (MissingProperty, NonMonotonicTimestamps,
                                ParseError, UnsupportedMagic)
-from streamstab.io_formats import (_fmt, read_pfm, read_pgm, read_ply_ascii,
-                                   read_trajectory_tum, write_pfm, write_pgm,
-                                   write_ply_ascii, write_trajectory_tum)
+from streamstab.io_formats import (_fmt, _pnm_header, read_pfm, read_pgm,
+                                   read_ply_ascii, read_trajectory_tum,
+                                   write_pfm, write_pgm, write_ply_ascii,
+                                   write_trajectory_tum)
 
 from conftest import awkward_trajectory, random_trajectory
 
@@ -216,6 +218,72 @@ class TestTum:
             assert a.tobytes() == b.tobytes()
 
 
+def pnm_header_tokens_oracle(data: bytes, count: int) -> tuple[list[bytes], int]:
+    """Read `count` whitespace/comment-separated header tokens; return them
+    and the offset one byte past the final token's trailing whitespace."""
+    tokens = []
+    i = 0
+    while len(tokens) < count:
+        if i >= len(data):
+            raise ParseError("truncated header")
+        c = data[i:i + 1]
+        if c.isspace():
+            i += 1
+        elif c == b"#":
+            while i < len(data) and data[i:i + 1] not in (b"\n", b"\r"):
+                i += 1
+        else:
+            j = i
+            while j < len(data) and not data[j:j + 1].isspace():
+                j += 1
+            tokens.append(data[i:j])
+            i = j
+    # single whitespace byte after the last header token
+    if i < len(data) and data[i:i + 1].isspace():
+        i += 1
+    return tokens, i
+
+
+def _header_outcome(read, data):
+    """read(data) as (tokens, offset), or the parse error text."""
+    try:
+        tokens, offset = read(data)
+    except ParseError as exc:
+        return str(exc)
+    return list(tokens), offset
+
+
+def _same_header(body):
+    """The pattern and the loop oracle agree on a P5 header `body`; the
+    oracle reads the bytes after the magic, so its offset is 2 short."""
+    got = _header_outcome(_pnm_header, b"P5" + body)
+    want = _header_outcome(lambda d: pnm_header_tokens_oracle(d, 3), body)
+    if isinstance(want, tuple):
+        want = want[0], want[1] + 2
+    return got == want
+
+
+_HEADER_BYTES = st.one_of(
+    st.sampled_from([bytes([c]) for c in b" \t\n\r\x0b\x0c"]),
+    st.just(b"#"),
+    st.sampled_from([c.encode() for c in string.digits]),
+    st.sampled_from([c.encode() for c in string.ascii_letters]),
+    st.sampled_from([b"-", b"\x00", b"\x1c", b"\xff"]))
+
+
+class TestPnmHeader:
+    @settings(FUZZ, max_examples=500)
+    @given(st.lists(_HEADER_BYTES, max_size=16).map(b"".join))
+    def test_pattern_matches_loop_oracle(self, body):
+        assert _same_header(body)
+
+    @pytest.mark.parametrize("body", [
+        b"# #-\x0c1", b"#\n1 2 3", b"#x\r1 2 3", b"1#2 3\r#x\n4\n\n", b"1 2 3",
+        b"1 2", b"1 2 #3", b"\x1c1 2 3 x", b"1\x0b2\x0c3\r\n"])
+    def test_edge_cases_match_loop_oracle(self, body):
+        assert _same_header(body)
+
+
 class TestPgm:
     def test_p2_single_pixel(self):
         img = read_pgm(b"P2\n1 1\n255\n255\n")
@@ -259,6 +327,23 @@ class TestPgm:
     def test_p2_negative_sample(self, payload):
         with pytest.raises(ParseError, match="negative PGM sample"):
             read_pgm(b"P2\n2 1\n255\n" + payload)
+
+    @pytest.mark.parametrize("header", [
+        b"+2 1\n255", b"2 +1\n255", b"2 1\n+255", b"1_0 1\n255",
+        b"2 1\n2_55", b"-2 1\n255", b"2 1\n0x1f", b"2 1\n\xd9\xa3"],
+        ids=["plus-width", "plus-height", "plus-maxval", "underscore-width",
+             "underscore-maxval", "minus-width", "hex-maxval", "arabic-digit"])
+    @pytest.mark.parametrize("magic", [b"P2", b"P5"])
+    def test_header_fields_are_decimal_digits(self, magic, header):
+        with pytest.raises(ParseError, match="non-integer PGM header field"):
+            read_pgm(magic + b"\n" + header + b"\n" + b"1 2\n")
+
+    @pytest.mark.parametrize("payload", [
+        b"1_0 3", b"+3 4", b"4 +0", b"-1_0 3", b"3 --3", b"3 -+3", b"3 3-",
+        b"3 -", b"0x1 2"])
+    def test_p2_samples_are_decimal_digits(self, payload):
+        with pytest.raises(ParseError, match="non-integer PGM sample"):
+            read_pgm(b"P2\n2 1\n255\n" + payload + b"\n")
 
     def test_p2_minus_zero_is_zero(self):
         assert read_pgm(b"P2\n2 1\n255\n-0 255\n").pixels.tolist() == [[0.0, 1.0]]
@@ -311,6 +396,27 @@ class TestPfm:
     def test_truncated(self):
         with pytest.raises(ParseError):
             read_pfm(b"Pf\n4 4\n-1.0\n" + b"\0" * 8)
+
+    @pytest.mark.parametrize("magic", [b"PF", b"P5", b"pf", b"P", b""])
+    def test_magic_checked_before_header(self, magic):
+        with pytest.raises(UnsupportedMagic):
+            read_pfm(magic + b"\n1")
+
+    @pytest.mark.parametrize("size", [b"+1 1", b"1 +1", b"1_0 1", b"1 0x1",
+                                      b"-1 1", b"1.0 1"],
+                             ids=["plus-width", "plus-height", "underscore",
+                                  "hex", "minus", "float"])
+    def test_size_fields_are_decimal_digits(self, size):
+        payload = np.array([[2.5]], dtype="<f4").tobytes()
+        with pytest.raises(ParseError, match="invalid PFM header field"):
+            read_pfm(b"Pf\n" + size + b"\n-1.0\n" + payload)
+
+    @pytest.mark.parametrize("scale", [b"nan", b"-nan", b"inf", b"-inf",
+                                       b"1e999", b"0"])
+    def test_non_finite_or_zero_scale_rejected(self, scale):
+        payload = np.array([[2.5]], dtype="<f4").tobytes()
+        with pytest.raises(ParseError, match="invalid PFM dimensions or scale"):
+            read_pfm(b"Pf\n1 1\n" + scale + b"\n" + payload)
 
 
 class TestPly:
