@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .errors import CountMismatch, ParseError, ToolkitError
 from .frame_scoring import ScoreConfig, score_terms
-from .io_formats import (_fmt, read_pfm, read_pgm, read_ply_ascii,
+from .io_formats import (format_rows, read_pfm, read_pgm, read_ply_ascii,
                          read_trajectory_tum, write_pfm, write_ply_ascii,
                          write_trajectory_tum)
 from .losses import (LossWeights, loss_acc, loss_ate, loss_pose, loss_rpe,
@@ -211,6 +211,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_row(*values) -> None:
+    print(format_rows([values], sep=","), end="")
+
+
 def _cmd_score(args) -> None:
     traj = read_trajectory_tum(Path(args.traj).read_text())
     frame_files = sorted(Path(args.frames).glob("*.pgm"))
@@ -228,7 +232,7 @@ def _cmd_score(args) -> None:
         except FileNotFoundError:
             raise ParseError(f"missing frame file {path}")
         terms = score_terms(prev, pose, img, cfg)
-        print(",".join([str(i)] + [_fmt(v) for v in terms]))
+        _print_row(i, *terms)
         prev = pose
 
 
@@ -275,7 +279,7 @@ def _cmd_eval_traj(args) -> None:
     ate = metric_ate(pred, gt, with_scale=args.align == "sim3")
     rpe_trans, rpe_rot = metric_rpe(pred, gt)
     print("frames,ate,rpe_trans,rpe_rot")
-    print(",".join([str(len(pred))] + [_fmt(v) for v in (ate, rpe_trans, rpe_rot)]))
+    _print_row(len(pred), ate, rpe_trans, rpe_rot)
 
 
 def _cmd_eval_depth(args) -> None:
@@ -283,7 +287,7 @@ def _cmd_eval_depth(args) -> None:
     gt = read_pfm(Path(args.gt).read_bytes())
     abs_rel, delta = metric_depth(pred, gt, DepthEvalMode(args.mode))
     print("abs_rel,delta_125")
-    print(",".join(_fmt(v) for v in (abs_rel, delta)))
+    _print_row(abs_rel, delta)
 
 
 def _cmd_eval_recon(args) -> None:
@@ -291,7 +295,7 @@ def _cmd_eval_recon(args) -> None:
     gt = read_ply_ascii(Path(args.gt).read_bytes())
     acc, comp, nc = metric_recon(pred, gt, k_normals=args.k_normals)
     print("acc,comp,nc")
-    print(",".join(_fmt(v) for v in (acc, comp, nc)))
+    _print_row(acc, comp, nc)
 
 
 def _cmd_eval_loss(args) -> None:
@@ -305,8 +309,7 @@ def _cmd_eval_loss(args) -> None:
     pose = loss_pose(pred, gt, w)
     total = loss_total(args.conf_loss, args.rgb_loss, pose, w)
     print("ate,rpe,acc,pose,conf,rgb,total")
-    print(",".join(_fmt(v) for v in (ate, rpe, acc, pose,
-                                     args.conf_loss, args.rgb_loss, total)))
+    _print_row(ate, rpe, acc, pose, args.conf_loss, args.rgb_loss, total)
 
 
 def _cmd_simulate(args) -> None:
@@ -315,7 +318,7 @@ def _cmd_simulate(args) -> None:
                            constant_beta)
     print("step,beta,recall_first,recall_latest")
     for step, beta, r_first, r_latest in rows:
-        print(",".join([str(step)] + [_fmt(v) for v in (beta, r_first, r_latest)]))
+        _print_row(step, beta, r_first, r_latest)
 
 
 def main(argv=None) -> int:

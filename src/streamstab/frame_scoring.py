@@ -28,14 +28,6 @@ class GrayImage:
             raise EmptyImage("grayscale image must be a nonempty 2D raster")
         object.__setattr__(self, "pixels", px)
 
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
 
 @dataclass(frozen=True)
 class ScoreConfig:
@@ -67,7 +59,8 @@ def dft2_magnitude_centered(img: GrayImage) -> np.ndarray:
     return np.abs(np.fft.fftshift(np.fft.fft2(img.pixels)))
 
 
-def highfreq_ratio(mags: np.ndarray, radius: float, epsilon: float = 1e-8) -> float:
+def highfreq_ratio(mags: np.ndarray, radius: float,
+                   epsilon: float = ScoreConfig.epsilon) -> float:
     """Fraction of centered spectral magnitude outside the disk of `radius`."""
     h, w = mags.shape
     v = np.arange(h)[:, None] - h // 2
@@ -77,9 +70,10 @@ def highfreq_ratio(mags: np.ndarray, radius: float, epsilon: float = 1e-8) -> fl
     return float(mags[mask].sum()) / (total + epsilon)
 
 
-def quality_score(ratio: float, gain: float = 20.0, midpoint: float = 0.1) -> float:
-    """Sigmoid image-quality score of the high-frequency ratio."""
-    return 1.0 / (1.0 + math.exp(-gain * (ratio - midpoint)))
+def quality_score(ratio: float) -> float:
+    """Sigmoid image-quality score of the high-frequency ratio: gain 20,
+    midpoint 0.1."""
+    return 1.0 / (1.0 + math.exp(-20.0 * (ratio - 0.1)))
 
 
 def motion_score(delta_x: float, delta_q: float, w1: float, w2: float) -> float:
@@ -89,7 +83,8 @@ def motion_score(delta_x: float, delta_q: float, w1: float, w2: float) -> float:
     return w1 * delta_x + w2 * delta_q
 
 
-def adaptive_update_weight(s1: float, s2: float, clip_max: float = 1.0) -> float:
+def adaptive_update_weight(s1: float, s2: float,
+                           clip_max: float = ScoreConfig.clip_max) -> float:
     """Clipped product of motion and quality scores; the learning-rate weight."""
     return min(s1 * s2, clip_max)
 
@@ -114,8 +109,7 @@ def score_terms(prev: Pose | None, cur: Pose, img: GrayImage,
     state; its ratio and s2 are still computed.
     """
     ratio = highfreq_ratio(dft2_magnitude_centered(img),
-                           cfg.effective_radius(img.height, img.width),
-                           cfg.epsilon)
+                           cfg.effective_radius(*img.pixels.shape), cfg.epsilon)
     s2 = quality_score(ratio)
     if prev is None:
         return ScoreTerms(0.0, 0.0, 0.0, ratio, s2, cfg.initial_weight)

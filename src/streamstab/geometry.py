@@ -27,9 +27,6 @@ class Quaternion(NamedTuple):
     y: float
     z: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self, dtype=float)
-
     @staticmethod
     def identity() -> "Quaternion":
         return Quaternion(1.0, 0.0, 0.0, 0.0)
@@ -56,10 +53,6 @@ class Quaternion(NamedTuple):
             w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
             w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
         )
-
-    def to_matrix(self) -> np.ndarray:
-        """Rotation matrix of a unit quaternion."""
-        return quat_to_matrix(self)
 
 
 def squared(a) -> np.ndarray:
@@ -129,19 +122,6 @@ class Trajectory:
 
     def __iter__(self) -> Iterator[Pose]:
         return map(self.__getitem__, range(len(self)))
-
-    @property
-    def poses(self) -> list[Pose]:
-        return list(self)
-
-    def translations(self) -> np.ndarray:
-        return self.t
-
-    def quaternions(self) -> np.ndarray:
-        return self.q
-
-    def timestamps(self) -> np.ndarray:
-        return self.ts
 
 
 @dataclass(frozen=True)

@@ -19,14 +19,25 @@ from .frame_scoring import GrayImage
 from .geometry import PointSet, Trajectory, squared
 from .spatial import DepthMap
 
-_FMT = "%.17g"
 # vertex lines per np.array call: the split fields of a whole cloud would hold
 # about 350 bytes per point, several times the float table they fill
 _PLY_BLOCK_LINES = 4096
 
 
-def _fmt(x: float) -> str:
-    return _FMT % x
+def format_rows(table, sep: str = " ") -> str:
+    """One line per row of a 2D table, its fields as `%.17g` joined by `sep`."""
+    table = np.asarray(table, dtype=float)
+    row = sep.join(["%.17g"] * table.shape[1]) + "\n"
+    return (row * len(table)) % tuple(table.ravel().tolist())
+
+
+def _decimals(line: str) -> list[float]:
+    """The fields of a text line as floats. Python's float also reads `_`
+    between digits and non-ASCII digits, which no writer emits: a line that
+    holds either is a ValueError."""
+    if "_" in line or not line.isascii():
+        raise ValueError(f"not a decimal number in {line!r}")
+    return [float(f) for f in line.split()]
 
 
 # -- TUM trajectories ------------------------------------------------------
@@ -40,7 +51,7 @@ def read_trajectory_tum(text: str) -> Trajectory:
         if len(fields) != 8:
             raise ParseError(f"expected 8 fields, got {len(fields)}", line=lineno)
         try:
-            row = [float(f) for f in fields]
+            row = _decimals(line)
         except ValueError:
             raise ParseError(f"non-numeric field in {line!r}", line=lineno)
         if not all(map(math.isfinite, row)):
@@ -66,11 +77,8 @@ def read_trajectory_tum(text: str) -> Trajectory:
 
 
 def write_trajectory_tum(traj: Trajectory) -> str:
-    table = np.column_stack([traj.timestamps(), traj.translations(),
-                             traj.quaternions()[:, [1, 2, 3, 0]]])
-    row = " ".join([_FMT] * 8) + "\n"
-    body = (row * len(table)) % tuple(table.ravel().tolist())
-    return "# timestamp tx ty tz qx qy qz qw\n" + body
+    table = np.column_stack([traj.ts, traj.t, traj.q[:, [1, 2, 3, 0]]])
+    return "# timestamp tx ty tz qx qy qz qw\n" + format_rows(table)
 
 
 # -- PGM grayscale images --------------------------------------------------
@@ -81,7 +89,7 @@ def write_trajectory_tum(traj: Trajectory) -> str:
 _PNM_HEADER = re.compile(
     rb".." + rb"(?:\s|#[^\r\n]*(?![^\r\n]))*([^\s#]\S*)(?!\S)" * 3 + rb"\s?",
     re.DOTALL)
-_P2_SAMPLE = re.compile(r"-?[0-9]+")
+_P2_SAMPLE = re.compile(rb"-?[0-9]+")
 
 
 def _pnm_header(data: bytes) -> tuple[tuple[bytes, ...], int]:
@@ -119,10 +127,10 @@ def read_pgm(data: bytes) -> GrayImage:
         dtype = ">u2" if bytes_per == 2 else np.uint8
         values = np.frombuffer(payload, dtype=dtype).astype(float)
     else:
-        try:
-            fields = data[offset:].decode("ascii").split()
-        except UnicodeDecodeError:
+        payload = data[offset:]
+        if not payload.isascii():
             raise ParseError("non-ASCII byte in P2 payload")
+        fields = payload.split()  # on ASCII whitespace only, as the header
         if len(fields) != width * height:
             raise ParseError(
                 f"expected {width * height} samples, got {len(fields)}")
@@ -140,7 +148,7 @@ def write_pgm(img: GrayImage, maxval: int = 255) -> bytes:
     """P5 writer used by fixtures and tests."""
     dtype = ">u2" if maxval > 255 else np.uint8
     values = np.clip(np.rint(img.pixels * maxval), 0, maxval).astype(dtype)
-    header = f"P5\n{img.width} {img.height}\n{maxval}\n".encode("ascii")
+    header = b"P5\n%d %d\n%d\n" % (*img.pixels.shape[::-1], maxval)
     return header + values.tobytes()
 
 
@@ -156,8 +164,10 @@ def read_pfm(data: bytes) -> DepthMap:
         raise ParseError("invalid PFM header field")
     width, height = int(tokens[0]), int(tokens[1])
     try:
-        scale = float(tokens[2])
+        scale = float(tokens[2])  # from bytes: ASCII only, but 1_0 reads 10
     except ValueError:
+        raise ParseError("invalid PFM header field")
+    if b"_" in tokens[2]:
         raise ParseError("invalid PFM header field")
     if width <= 0 or height <= 0 or scale == 0 or not math.isfinite(scale):
         raise ParseError("invalid PFM dimensions or scale")
@@ -171,7 +181,7 @@ def read_pfm(data: bytes) -> DepthMap:
 
 
 def write_pfm(depth_map: DepthMap) -> bytes:
-    header = f"Pf\n{depth_map.width} {depth_map.height}\n-1.0\n".encode("ascii")
+    header = b"Pf\n%d %d\n-1.0\n" % depth_map.depths.shape[::-1]
     depths = np.where(depth_map.valid, depth_map.depths, 0.0)
     payload = depths[::-1].astype("<f4").tobytes()
     return header + payload
@@ -225,6 +235,10 @@ def read_ply_ascii(data: bytes) -> PointSet:
     if n_rows != n_vertices:
         raise ParseError(f"expected {n_vertices} vertex lines, got {n_rows}")
     width = len(properties)
+    # `_` belongs in no vertex field; one count over the text finds it in the
+    # body without a copy of it
+    if text.count("_") > sum(line.count("_") for line in lines[:i]):
+        raise _vertex_line_error(lines, i, width)
     table = np.empty((n_vertices, width))
     filled = 0
     for start in range(0, len(body), _PLY_BLOCK_LINES):
@@ -253,7 +267,7 @@ def _vertex_line_error(lines: list[str], start: int, width: int) -> ParseError:
         if len(fields) != width:
             return ParseError("wrong number of vertex fields", line=lineno)
         try:
-            values = [float(f) for f in fields]
+            values = _decimals(line)
         except ValueError:
             return ParseError("non-numeric vertex field", line=lineno)
         if not all(map(math.isfinite, values)):
@@ -272,6 +286,4 @@ def write_ply_ascii(cloud: PointSet) -> bytes:
     table = cloud.points
     if has_conf:
         table = np.column_stack([table, cloud.confidences])
-    row = " ".join([_FMT] * table.shape[1])
-    body = "".join([row + "\n"] * len(table)) % tuple(table.ravel().tolist())
-    return ("\n".join(header) + "\n" + body).encode("ascii")
+    return ("\n".join(header) + "\n" + format_rows(table)).encode("ascii")

@@ -85,11 +85,10 @@ def loss_ate(pred: Trajectory, gt: Trajectory) -> float:
         raise LengthMismatch("trajectories must have equal length")
     if n == 0:
         raise EmptyTrajectory("loss_ate needs at least one pose")
-    tp, tg = pred.translations(), gt.translations()
+    tp, tg = pred.t, gt.t
     sp, sg = scale_normalizer(tp), scale_normalizer(tg)
     trans = np.linalg.norm(tp / sp - tg / sg, axis=1)
-    qdots = np.minimum(
-        np.abs(np.sum(pred.quaternions() * gt.quaternions(), axis=1)), 1.0)
+    qdots = np.minimum(np.abs(np.sum(pred.q * gt.q, axis=1)), 1.0)
     return float(np.mean(trans + (1.0 - qdots)))
 
 
@@ -100,10 +99,10 @@ def loss_rpe(pred: Trajectory, gt: Trajectory) -> float:
         raise LengthMismatch("trajectories must have equal length")
     if n < 2:
         raise TooShort("loss_rpe needs at least 2 poses")
-    dtp = np.diff(pred.translations(), axis=0)
-    dtg = np.diff(gt.translations(), axis=0)
-    dqp = np.diff(hemisphere_align(pred.quaternions()), axis=0)
-    dqg = np.diff(hemisphere_align(gt.quaternions()), axis=0)
+    dtp = np.diff(pred.t, axis=0)
+    dtg = np.diff(gt.t, axis=0)
+    dqp = np.diff(hemisphere_align(pred.q), axis=0)
+    dqg = np.diff(hemisphere_align(gt.q), axis=0)
     terms = (np.linalg.norm(dtp - dtg, axis=1)
              + np.linalg.norm(dqp - dqg, axis=1))
     return float(np.mean(terms))
@@ -114,8 +113,8 @@ def loss_acc(pred: Trajectory) -> float:
     n = len(pred)
     if n < 3:
         raise TooShort("loss_acc needs at least 3 poses")
-    d2t = np.diff(pred.translations(), n=2, axis=0)
-    d2q = np.diff(hemisphere_align(pred.quaternions()), n=2, axis=0)
+    d2t = np.diff(pred.t, n=2, axis=0)
+    d2q = np.diff(hemisphere_align(pred.q), n=2, axis=0)
     terms = np.linalg.norm(d2t, axis=1) + np.linalg.norm(d2q, axis=1)
     return float(np.mean(terms))
 
@@ -157,7 +156,7 @@ def grad_pose_translations(pred: Trajectory, gt: Trajectory,
         raise TooShort("RPE term needs at least 2 poses")
     if w.w_s > 0 and n < 3:
         raise TooShort("acceleration term needs at least 3 poses")
-    tp, tg = pred.translations(), gt.translations()
+    tp, tg = pred.t, gt.t
     grad = np.zeros_like(tp)
 
     if w.w_a > 0:

@@ -81,7 +81,7 @@ def metric_ate(pred: Trajectory, gt: Trajectory, with_scale: bool = False) -> fl
     """RMSE of translation residuals after aligning pred onto gt."""
     if len(pred) != len(gt):
         raise LengthMismatch("trajectories must have equal length")
-    tp, tg = pred.translations(), gt.translations()
+    tp, tg = pred.t, gt.t
     transform = umeyama_align(tp, tg, with_scale=with_scale)
     residuals = transform.apply(tp) - tg
     return float(np.sqrt(np.mean(np.sum(residuals ** 2, axis=1))))
@@ -110,8 +110,7 @@ def metric_rpe(pred: Trajectory, gt: Trajectory) -> tuple[float, float]:
         raise LengthMismatch("trajectories must have equal length")
     if n < 2:
         raise TooShort("RPE needs at least 2 poses")
-    mp, mg = (_se3(quat_to_matrix(x.quaternions()), x.translations())
-              for x in (pred, gt))
+    mp, mg = (_se3(quat_to_matrix(x.q), x.t) for x in (pred, gt))
     err = _relative(_relative(mg[:-1], mg[1:]), _relative(mp[:-1], mp[1:]))
     trans_sq = np.sum(err[:, :3, 3] ** 2, axis=1)
     r = err[:, :3, :3]

@@ -44,14 +44,6 @@ class DepthMap:
         object.__setattr__(self, "depths", d)
         object.__setattr__(self, "valid", v)
 
-    @property
-    def height(self) -> int:
-        return self.depths.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.depths.shape[1]
-
     @staticmethod
     def from_depths(depths) -> "DepthMap":
         d = np.asarray(depths, dtype=float)

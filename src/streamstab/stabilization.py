@@ -13,12 +13,13 @@ from dataclasses import dataclass
 from .errors import NonPositiveDt
 from .geometry import Pose, Quaternion, Trajectory, quat_normalize, slerp
 
+_DEFAULT_DT = 1.0 / 30.0  # frame interval, seconds, when ts does not increase
+
 
 @dataclass(frozen=True)
 class OneEuroConfig:
     f_min: float = 1.0        # minimum cutoff frequency, Hz
     beta_gain: float = 0.007  # cutoff gain per unit speed
-    default_dt: float = 1.0 / 30.0  # fallback frame interval, seconds
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,7 @@ def _step(state: FilterState, t, q: Quaternion, ts: float,
         return FilterState(tuple(t), q, ts)
     dt = ts - state.last_timestamp
     if dt <= 0:
-        dt = cfg.default_dt
+        dt = _DEFAULT_DT
     dx, dy, dz = (u - v for u, v in zip(t, state.last_t))
     speed = math.sqrt(dx * dx + dy * dy + dz * dz) / dt
     alpha = smoothing_alpha(cutoff_freq(cfg, speed), dt)

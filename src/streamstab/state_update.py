@@ -25,14 +25,6 @@ class MemoryState:
             raise DimensionMismatch("state must be a 2D matrix")
         object.__setattr__(self, "values", v)
 
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def c(self) -> int:
-        return self.values.shape[1]
-
     @staticmethod
     def zeros(n: int, c: int) -> "MemoryState":
         return MemoryState(np.zeros((n, c)))
@@ -50,10 +42,11 @@ class Observation:
 
 def associative_gradient(state: MemoryState, obs: Observation) -> np.ndarray:
     """Gradient of 0.5 * ||S k - v||^2 with respect to S (delta rule)."""
-    if obs.key.shape[0] != state.c or obs.value.shape[0] != state.n:
+    n, c = state.values.shape
+    if obs.key.shape[0] != c or obs.value.shape[0] != n:
         raise DimensionMismatch(
             f"observation ({obs.value.shape[0]}, {obs.key.shape[0]}) does not "
-            f"match state ({state.n}, {state.c})")
+            f"match state ({n}, {c})")
     residual = state.values @ obs.key - obs.value
     return np.outer(residual, obs.key)
 

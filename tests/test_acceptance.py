@@ -24,6 +24,7 @@ from streamstab import (BilateralConfig, DepthEvalMode, DepthMap, GrayImage,
                         stabilize_trajectory, umeyama_align)
 from streamstab.io_formats import (write_pfm, write_pgm, write_ply_ascii,
                                    write_trajectory_tum)
+from streamstab.geometry import quat_to_matrix
 from streamstab.losses import scale_normalizer
 
 from conftest import quat_power, random_trajectory, random_unit_quat
@@ -116,8 +117,8 @@ def test_criterion_06_loss_gradients():
     for _ in range(20):
         pred = random_trajectory(rng, 10)
         gt = random_trajectory(rng, 10)
-        tp, tg = pred.translations(), gt.translations()
-        qp, qg = pred.quaternions(), gt.quaternions()
+        tp, tg = pred.t, gt.t
+        qp, qg = pred.q, gt.q
         sp, sg = scale_normalizer(tp), scale_normalizer(tg)
         grad = grad_pose_translations(pred, gt, w)
         for i in range(10):
@@ -226,7 +227,7 @@ def test_criterion_11_metric_oracles():
     assert np.max(np.abs(sim.translation - [0.5, -1.0, 2.0])) < 1e-9
 
     gt = random_trajectory(rng, 12)
-    rigid_rot = random_unit_quat(rng).to_matrix()
+    rigid_rot = quat_to_matrix(random_unit_quat(rng))
     offset = rng.standard_normal(3)
     moved = Trajectory([Pose(rigid_rot @ p.t + offset, p.q, p.timestamp)
                         for p in gt])
@@ -252,11 +253,11 @@ def test_criterion_12_slerp_oracle():
         a = random_unit_quat(rng)
         b = random_unit_quat(rng)
         for gamma in (0.0, 0.25, 0.5, 0.75, 1.0):
-            got = slerp(a, b, gamma).as_array()
+            got = np.array(slerp(a, b, gamma), dtype=float)
             rel = a.conjugate().multiply(b)
             if rel.w < 0:  # same hemisphere convention as slerp
                 rel = -rel
-            oracle = a.multiply(quat_power(rel, gamma)).as_array()
+            oracle = np.array(a.multiply(quat_power(rel, gamma)), dtype=float)
             err = min(np.max(np.abs(got - oracle)),
                       np.max(np.abs(got + oracle)))
             assert err < 1e-9

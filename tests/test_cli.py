@@ -363,6 +363,40 @@ class TestEval:
         assert exc.value.code == 2
         assert "--k-normals" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["1_0", "1.5_0", "\u0661"],
+                             ids=["underscore", "underscore-fraction",
+                                  "arabic-digit"])
+    def test_eval_traj_non_decimal_number_parse_error(self, capsys, tmp_path,
+                                                      bad):
+        rng = np.random.default_rng(7)
+        lines = write_trajectory_tum(random_trajectory(rng, 5)).splitlines()
+        fields = lines[3].split()
+        lines[3] = " ".join(fields[:1] + [bad] + fields[2:])  # pose 3's tx
+        path = tmp_path / "t.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run(capsys, ["eval-traj", "--pred", str(path),
+                                      "--gt", str(path)])
+        assert code == 2
+        assert out == ""
+        assert "line 4" in err and "non-numeric field" in err
+
+    @pytest.mark.parametrize("side", ["--pred", "--gt"])
+    def test_eval_recon_underscore_vertex_parse_error(self, capsys, tmp_path,
+                                                      side):
+        rng = np.random.default_rng(8)
+        good = tmp_path / "good.ply"
+        good.write_bytes(write_ply_ascii(PointSet(rng.standard_normal((30, 3)))))
+        lines = good.read_text().splitlines()
+        lines[7 + 11] = "0.5 1_0 1"  # vertex 12, after 7 header lines
+        broken = tmp_path / "broken.ply"
+        broken.write_text("\n".join(lines) + "\n")
+        paths = {"--pred": str(good), "--gt": str(good), side: str(broken)}
+        code, out, err = run(capsys, ["eval-recon", "--pred", paths["--pred"],
+                                      "--gt", paths["--gt"]])
+        assert code == 2
+        assert out == ""
+        assert "line 19" in err and "non-numeric vertex field" in err
+
     def test_eval_loss_identical_constant_velocity(self, capsys, tmp_path):
         e = Quaternion.identity()
         traj = Trajectory([Pose(np.array([float(i), 0, 0]), e, float(i))

@@ -8,6 +8,7 @@ from streamstab import (GrayImage, Pose, Quaternion, ScoreConfig,
                         highfreq_ratio, motion_score, quality_score,
                         score_frame, score_terms, to_grayscale)
 from streamstab.errors import EmptyImage, NegativeMagnitude
+from streamstab.geometry import quat_to_matrix
 
 from conftest import random_unit_quat
 
@@ -212,7 +213,7 @@ class TestScoreFrame:
         base = score_frame(a, b, img)
         offset = rng.standard_normal(3)
         rot = random_unit_quat(rng)
-        rm = rot.to_matrix()
+        rm = quat_to_matrix(rot)
         a2 = Pose(rm @ a.t + offset, rot.multiply(a.q), 0.0)
         b2 = Pose(rm @ b.t + offset, rot.multiply(b.q), 1.0)
         assert score_frame(a2, b2, img) == pytest.approx(base, abs=1e-9)

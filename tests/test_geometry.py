@@ -98,8 +98,9 @@ class TestSlerp:
             for gamma in (0.0, 0.25, 0.5, 0.75, 1.0):
                 expected = a.multiply(quat_power(rel, gamma))
                 got = slerp(a, b, gamma)
-                assert np.allclose(got.as_array(), expected.as_array(), atol=1e-9) \
-                    or np.allclose(got.as_array(), -expected.as_array(), atol=1e-9)
+                got, expected = (np.array(x, dtype=float) for x in (got, expected))
+                assert np.allclose(got, expected, atol=1e-9) \
+                    or np.allclose(got, -expected, atol=1e-9)
 
     def test_unit_norm_and_constant_angular_velocity(self):
         rng = np.random.default_rng(6)
@@ -116,8 +117,8 @@ class TestSlerp:
         rng = np.random.default_rng(7)
         a, b = random_unit_quat(rng), random_unit_quat(rng)
         for gamma in (0.0, 0.3, 0.7, 1.0):
-            p = slerp(a, b, gamma).as_array()
-            q = slerp(a, -b, gamma).as_array()
+            p = np.array(slerp(a, b, gamma), dtype=float)
+            q = np.array(slerp(a, -b, gamma), dtype=float)
             assert np.allclose(p, q, atol=1e-12) or np.allclose(p, -q, atol=1e-12)
 
 

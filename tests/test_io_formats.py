@@ -10,7 +10,7 @@ from streamstab import (DepthMap, GrayImage, PointSet, Pose, Quaternion,
                         Trajectory, quat_normalize)
 from streamstab.errors import (MissingProperty, NonMonotonicTimestamps,
                                ParseError, UnsupportedMagic)
-from streamstab.io_formats import (_fmt, _pnm_header, read_pfm, read_pgm,
+from streamstab.io_formats import (_pnm_header, read_pfm, read_pgm,
                                    read_ply_ascii, read_trajectory_tum,
                                    write_pfm, write_pgm, write_ply_ascii,
                                    write_trajectory_tum)
@@ -52,7 +52,7 @@ def write_tum_loop_oracle(traj):
     """The TUM writer one line at a time."""
     lines = ["# timestamp tx ty tz qx qy qz qw"]
     for p in traj:
-        lines.append(" ".join(_fmt(v) for v in (
+        lines.append(" ".join("%.17g" % v for v in (
             p.timestamp, p.t[0], p.t[1], p.t[2],
             p.q.x, p.q.y, p.q.z, p.q.w)))
     return "\n".join(lines) + "\n"
@@ -63,8 +63,8 @@ def tum_text(rng, n):
     lines and uneven whitespace."""
     traj = awkward_trajectory(rng, n)
     scale = np.exp(rng.uniform(-5.0, 5.0, size=(n, 1)))
-    table = np.column_stack([traj.timestamps(), traj.translations(),
-                             scale * traj.quaternions()[:, [1, 2, 3, 0]]])
+    table = np.column_stack([traj.ts, traj.t,
+                             scale * traj.q[:, [1, 2, 3, 0]]])
     lines = ["# comment"]
     for row in table:
         lines.append(rng.choice([" ", "\t", "  "]).join(map(repr, row.tolist())))
@@ -78,7 +78,7 @@ def _outcome(read, text):
         traj = read(text)
     except ParseError as exc:
         return type(exc), str(exc)
-    return traj.translations(), traj.quaternions(), traj.timestamps()
+    return traj.t, traj.q, traj.ts
 
 
 def _same_outcome(a, b):
@@ -182,6 +182,17 @@ class TestTum:
             read_trajectory_tum(f"0 0 0 0 0 0 0 1\n# x\n{bad}\n")
         assert exc.value.line == 3
 
+    @pytest.mark.parametrize("bad", [
+        "1_0 0 0 0 0 0 0 1", "1 0 0 0 0 0 0 1_0", "1 0 0 0 0 0 0 1.0_0",
+        "\u0661 0 0 0 0 0 0 1", "1 0 0 0 0 0 0 \uff11", "1 0 0\u00a00 0 0 0 1"],
+        ids=["underscore-ts", "underscore-qw", "underscore-fraction",
+             "arabic-digit", "fullwidth-digit", "nbsp"])
+    def test_only_decimal_numbers(self, bad):
+        # Python's float reads `1_0` as 10 and non-ASCII digits as digits
+        with pytest.raises(ParseError, match="non-numeric field") as exc:
+            read_trajectory_tum(f"# a_b \u00e9\n0 0 0 0 0 0 0 1\n{bad}\n")
+        assert exc.value.line == 3
+
     @FUZZ
     @given(st.one_of(
         st.text(),
@@ -194,8 +205,8 @@ class TestTum:
             traj = read_trajectory_tum(text)
         except ParseError:
             return
-        assert np.isfinite(traj.translations()).all()
-        norms = np.linalg.norm(traj.quaternions(), axis=1)
+        assert np.isfinite(traj.t).all()
+        norms = np.linalg.norm(traj.q, axis=1)
         assert np.all(np.abs(norms - 1.0) < 1e-12)
 
     @FUZZ
@@ -345,6 +356,15 @@ class TestPgm:
         with pytest.raises(ParseError, match="non-integer PGM sample"):
             read_pgm(b"P2\n2 1\n255\n" + payload + b"\n")
 
+    @pytest.mark.parametrize("sep", [b"\x1c", b"\x1d", b"\x1e", b"\x1f"])
+    def test_p2_samples_split_on_ascii_whitespace_only(self, sep):
+        # str.split would split on these bytes; the header treats them as
+        # part of a token, and so does the payload
+        with pytest.raises(ParseError, match="expected 2 samples, got 1"):
+            read_pgm(b"P2\n2 1\n255\n1" + sep + b"2")
+        with pytest.raises(ParseError, match="non-integer PGM sample"):
+            read_pgm(b"P2\n1 1\n255\n1" + sep + b"2\n")
+
     def test_p2_minus_zero_is_zero(self):
         assert read_pgm(b"P2\n2 1\n255\n-0 255\n").pixels.tolist() == [[0.0, 1.0]]
 
@@ -411,6 +431,12 @@ class TestPfm:
         with pytest.raises(ParseError, match="invalid PFM header field"):
             read_pfm(b"Pf\n" + size + b"\n-1.0\n" + payload)
 
+    @pytest.mark.parametrize("scale", [b"-1_0", b"1_0", b"-1.0_0", b"-1e0_0"])
+    def test_underscore_scale_rejected(self, scale):
+        payload = np.array([[2.5]], dtype="<f4").tobytes()
+        with pytest.raises(ParseError, match="invalid PFM header field"):
+            read_pfm(b"Pf\n1 1\n" + scale + b"\n" + payload)
+
     @pytest.mark.parametrize("scale", [b"nan", b"-nan", b"inf", b"-inf",
                                        b"1e999", b"0"])
     def test_non_finite_or_zero_scale_rejected(self, scale):
@@ -442,7 +468,7 @@ class TestPly:
         lines = ["ply", "format ascii 1.0", "element vertex 50",
                  "property float x", "property float y", "property float z",
                  "property float confidence", "end_header"]
-        lines += [" ".join(_fmt(v) for v in (*p, c))
+        lines += [" ".join("%.17g" % v for v in (*p, c))
                   for p, c in zip(points, conf)]
         expected = ("\n".join(lines) + "\n").encode("ascii")
         assert write_ply_ascii(PointSet(points, conf)) == expected
@@ -504,3 +530,21 @@ class TestPly:
                 b"end_header\n" + body)
         with pytest.raises(ParseError, match=f"line {line}: {message}"):
             read_ply_ascii(data)
+
+    @pytest.mark.parametrize("body, line", [
+        (b"1 2 3\n1_0 5 6\n7 8 9\n", 10),
+        (b"1 2 3\n4 5 6\n7 8 9.0_1\n", 11),
+        (b"1_0 2 3\n4 5 6 7\n7 8 9\n", 9),
+    ], ids=["middle", "last", "first-bad-line-wins"])
+    @pytest.mark.parametrize("block", [4096, 2])
+    def test_underscore_is_non_numeric(self, monkeypatch, body, line, block):
+        # np.array(rows, dtype=float) reads `1_0` as 10, as Python's float
+        # does; a `_` in the header is no vertex field
+        monkeypatch.setattr("streamstab.io_formats._PLY_BLOCK_LINES", block)
+        header = (b"ply\nformat ascii 1.0\ncomment a_b\nelement vertex 3\n"
+                  b"property float x\nproperty float y\nproperty float z\n"
+                  b"end_header\n")
+        assert len(read_ply_ascii(header + b"1 2 3\n4 5 6\n7 8 9\n")) == 3
+        with pytest.raises(ParseError,
+                           match=f"line {line}: non-numeric vertex field"):
+            read_ply_ascii(header + body)

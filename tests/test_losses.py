@@ -42,7 +42,7 @@ def _safe_unit(v):
 
 def grad_loop_oracle(pred, gt, w):
     """grad_pose_translations as one loop per loss term, one pose at a time."""
-    tp, tg = pred.translations(), gt.translations()
+    tp, tg = pred.t, gt.t
     n = len(tp)
     grad = np.zeros_like(tp)
     if w.w_a > 0:
@@ -209,7 +209,7 @@ class TestLossAte:
 class TestHemisphereAlign:
     def test_matches_loop_oracle(self):
         for pred, gt in oracle_pairs():
-            for q in (pred.quaternions(), gt.quaternions()):
+            for q in (pred.q, gt.q):
                 got, want = hemisphere_align(q), hemisphere_align_loop_oracle(q)
                 assert got.tobytes() == want.tobytes()  # signed zeros too
 
@@ -337,7 +337,7 @@ class TestGradPoseTranslations:
         expected = np.array([[1.0, 0, 0], [-2.0, 0, 0], [1.0, 0, 0]])
         assert np.allclose(grad, expected)
         # sanity check against a one-sided finite difference on the first frame
-        tp = traj.translations()
+        tp = traj.t
         h = 1e-6
         bumped = tp.copy()
         bumped[0, 0] += h
@@ -352,8 +352,8 @@ class TestGradPoseTranslations:
         for _ in range(20):
             pred = random_trajectory(rng, 10)
             gt = random_trajectory(rng, 10)
-            tp, tg = pred.translations(), gt.translations()
-            qp, qg = pred.quaternions(), gt.quaternions()
+            tp, tg = pred.t, gt.t
+            qp, qg = pred.q, gt.q
             sp = scale_normalizer(tp)
             sg = scale_normalizer(tg)
             grad = grad_pose_translations(pred, gt, w)

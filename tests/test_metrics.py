@@ -10,6 +10,7 @@ from streamstab import (DepthEvalMode, DepthMap, PointSet, Pose, Quaternion,
 from streamstab.errors import (DegenerateConfiguration, NoOverlappingValidity,
                                ShapeMismatch, ToolkitError, TooFewPoints,
                                TooShort)
+from streamstab.geometry import quat_to_matrix
 from streamstab.metrics import estimate_normals
 
 from conftest import awkward_trajectory, random_trajectory, random_unit_quat
@@ -41,7 +42,7 @@ def normals_loop_oracle(points, k=16):
 
 def _se3_loop(pose):
     m = np.eye(4)
-    m[:3, :3] = pose.q.to_matrix()
+    m[:3, :3] = quat_to_matrix(pose.q)
     m[:3, 3] = pose.t
     return m
 
@@ -139,7 +140,7 @@ class TestMetricAte:
     def test_rigid_transform_invariance(self):
         rng = np.random.default_rng(4)
         gt = random_trajectory(rng, 12)
-        rot = random_unit_quat(rng).to_matrix()
+        rot = quat_to_matrix(random_unit_quat(rng))
         offset = rng.standard_normal(3)
         pred = Trajectory([Pose(rot @ p.t + offset, p.q, p.timestamp) for p in gt])
         assert metric_ate(pred, gt, with_scale=False) == pytest.approx(0.0, abs=1e-9)
@@ -147,21 +148,21 @@ class TestMetricAte:
     def test_similarity_transform_invariance(self):
         rng = np.random.default_rng(5)
         gt = random_trajectory(rng, 12)
-        rot = random_unit_quat(rng).to_matrix()
+        rot = quat_to_matrix(random_unit_quat(rng))
         pred = Trajectory([Pose(3.0 * rot @ p.t + 1.0, p.q, p.timestamp) for p in gt])
         assert metric_ate(pred, gt, with_scale=True) == pytest.approx(0.0, abs=1e-9)
 
     def test_single_offset_direct_oracle(self):
         rng = np.random.default_rng(6)
         gt = random_trajectory(rng, 10)
-        translations = gt.translations().copy()
+        translations = gt.t.copy()
         translations[4] += np.array([1.0, 0, 0])
         pred = Trajectory([Pose(t, p.q, p.timestamp)
                            for t, p in zip(translations, gt)])
         got = metric_ate(pred, gt)
-        sim = umeyama_align(pred.translations(), gt.translations(), with_scale=False)
+        sim = umeyama_align(pred.t, gt.t, with_scale=False)
         residuals = [np.sum((sim.apply(t[None, :])[0] - g) ** 2)
-                     for t, g in zip(pred.translations(), gt.translations())]
+                     for t, g in zip(pred.t, gt.t)]
         assert got == pytest.approx(math.sqrt(sum(residuals) / 10), abs=1e-12)
 
 
@@ -177,7 +178,7 @@ class TestMetricRpe:
         rng = np.random.default_rng(8)
         gt = random_trajectory(rng, 8)
         rot_q = random_unit_quat(rng)
-        rot = rot_q.to_matrix()
+        rot = quat_to_matrix(rot_q)
         offset = rng.standard_normal(3)
         pred = Trajectory([Pose(rot @ p.t + offset, rot_q.multiply(p.q), p.timestamp)
                            for p in gt])
@@ -189,7 +190,7 @@ class TestMetricRpe:
         e = Quaternion.identity()
         gt = Trajectory([Pose(np.array([float(i), 0, 0]), e, float(i))
                          for i in range(11)])
-        translations = gt.translations().copy()
+        translations = gt.t.copy()
         translations[5:] += np.array([0.2, 0, 0])  # one step is 0.2 too long
         pred = Trajectory([Pose(t, e, p.timestamp)
                            for t, p in zip(translations, gt)])
@@ -208,8 +209,8 @@ class TestMetricRpe:
             for make in (random_trajectory, awkward_trajectory):
                 gt = make(rng, n)
                 near = Trajectory.from_arrays(
-                    gt.translations() + 1e-9 * rng.standard_normal((n, 3)),
-                    gt.quaternions(), gt.timestamps())
+                    gt.t + 1e-9 * rng.standard_normal((n, 3)),
+                    gt.q, gt.ts)
                 for pred in (make(rng, n), gt, near):
                     assert metric_rpe(pred, gt) == rpe_loop_oracle(pred, gt)
 

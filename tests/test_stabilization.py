@@ -13,13 +13,14 @@ from conftest import awkward_trajectory, random_unit_quat
 
 
 # -- oracle: the filter as it was before its step moved to Python floats ------
-# (its slerp and filter_step, verbatim except that `Quaternion.from_array(out)`
-# is spelled out and the names end in `_oracle`)
+# (its slerp and filter_step, verbatim except that `Quaternion.from_array(out)`,
+# `as_array()` and `cfg.default_dt` are spelled out and the names end in
+# `_oracle`)
 
 def slerp_oracle(a: Quaternion, b: Quaternion, gamma: float) -> Quaternion:
     if not 0.0 <= gamma <= 1.0:
         raise InvalidGamma(f"gamma {gamma} outside [0, 1]")
-    av, bv = a.as_array(), b.as_array()
+    av, bv = np.array(a, dtype=float), np.array(b, dtype=float)
     dot = float(np.dot(av, bv))
     if dot < 0.0:
         bv = -bv
@@ -46,7 +47,7 @@ def filter_step_oracle(state: FilterState, raw: Pose, cfg: OneEuroConfig
 
     dt = raw.timestamp - state.last_timestamp
     if dt <= 0:
-        dt = cfg.default_dt
+        dt = 1.0 / 30.0
     speed = float(np.linalg.norm(raw.t - state.last_t)) / dt
     alpha = smoothing_alpha(cutoff_freq(cfg, speed), dt)
 
@@ -64,7 +65,7 @@ def filter_loop_oracle(poses, cfg: OneEuroConfig = OneEuroConfig()):
     for pose in poses:
         state, smoothed = filter_step_oracle(state, pose, cfg)
         t.append(smoothed.t)
-        q.append(smoothed.q.as_array())
+        q.append(np.array(smoothed.q, dtype=float))
     return np.array(t).reshape(-1, 3), np.array(q).reshape(-1, 4)
 
 
@@ -184,15 +185,15 @@ class TestStabilizeTrajectory:
         rng = np.random.default_rng(4)
         traj, _ = noisy_circle(rng, n=20)
         out = stabilize_trajectory(traj)
-        assert np.array_equal(out.timestamps(), traj.timestamps())
+        assert np.array_equal(out.ts, traj.ts)
 
     def test_causality_prefix_identity(self):
         rng = np.random.default_rng(5)
         traj, _ = noisy_circle(rng, n=30)
         full = stabilize_trajectory(traj)
         for k in (1, 7, 15, 30):
-            prefix = stabilize_trajectory(Trajectory(traj.poses[:k]))
-            for a, b in zip(prefix, full.poses[:k]):
+            prefix = stabilize_trajectory(traj[:k])
+            for a, b in zip(prefix, full[:k]):
                 assert np.array_equal(a.t, b.t)
                 assert a.q == b.q
 
@@ -236,7 +237,7 @@ def rotation_walk(rng, n, step):
         axis *= math.sin(step / 2) / math.sqrt(axis @ axis)
         q.append(quat_normalize(q[-1].multiply(
             Quaternion(math.cos(step / 2), *axis.tolist()))))
-    return t, np.array([x.as_array() for x in q])
+    return t, np.array(q, dtype=float)
 
 
 class TestMatchesOracle:
@@ -269,9 +270,10 @@ class TestMatchesOracle:
             b = Quaternion(-a.x, a.w, -a.z, a.y)
             assert a.dot(b) == 0.0
             for gamma in (0.25, 0.5, 0.75):
-                want = (math.sin((1 - gamma) * math.pi / 2) * a.as_array()
-                        + math.sin(gamma * math.pi / 2) * b.as_array())
-                got = slerp(a, b, gamma).as_array()
+                av, bv = np.array(a, dtype=float), np.array(b, dtype=float)
+                want = (math.sin((1 - gamma) * math.pi / 2) * av
+                        + math.sin(gamma * math.pi / 2) * bv)
+                got = np.array(slerp(a, b, gamma), dtype=float)
                 assert np.allclose(got, want / np.linalg.norm(want),
                                    rtol=0, atol=1e-15)
 
@@ -296,21 +298,20 @@ class TestMatchesOracle:
                       * np.where(np.arange(1, 200) % 2, -1, 1) > 0)
 
     def test_equal_timestamps_use_default_dt(self):
-        # a live stream may repeat a timestamp; the step then uses default_dt
+        # a live stream may repeat a timestamp; the step then uses 1/30 s
         rng = np.random.default_rng(13)
         t, q = rotation_walk(rng, 120, 0.05)
         ts = np.repeat(np.arange(40) / 10.0, 3)
         poses = [Pose(t[i], Quaternion(*q[i].tolist()), float(ts[i]))
                  for i in range(120)]
-        for cfg in (OneEuroConfig(), OneEuroConfig(default_dt=0.5)):
-            state, got_t, got_q = FilterState(), [], []
-            for raw in poses:
-                state, out = filter_step(state, raw, cfg)
-                got_t.append(out.t)
-                got_q.append(out.q.as_array())
-            want_t, want_q = filter_loop_oracle(poses, cfg)
-            assert_rows_close(np.array(got_t), want_t)
-            assert_rows_close(np.array(got_q), want_q)
+        state, got_t, got_q = FilterState(), [], []
+        for raw in poses:
+            state, out = filter_step(state, raw, OneEuroConfig())
+            got_t.append(out.t)
+            got_q.append(np.array(out.q, dtype=float))
+        want_t, want_q = filter_loop_oracle(poses)
+        assert_rows_close(np.array(got_t), want_t)
+        assert_rows_close(np.array(got_q), want_q)
 
 
 def test_printed_values_make_no_blas_call(monkeypatch):
@@ -318,7 +319,7 @@ def test_printed_values_make_no_blas_call(monkeypatch):
     they run with numpy.dot and numpy.linalg.norm unavailable."""
     rng = np.random.default_rng(14)
     traj = awkward_trajectory(rng, 50)
-    poses = traj.poses
+    poses = list(traj)
     img = GrayImage(rng.uniform(size=(16, 16)))
     a, b = random_unit_quat(rng), random_unit_quat(rng)
 
