@@ -6,6 +6,7 @@ frequency-domain image quality score into a clipped learning-rate weight.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -55,17 +56,41 @@ def to_grayscale(rgb: np.ndarray) -> GrayImage:
 
 def dft2_magnitude_centered(img: GrayImage) -> np.ndarray:
     """Magnitude of the 2D DFT, zero frequency shifted to the center
-    (DC sits at (H//2, W//2))."""
-    return np.abs(np.fft.fftshift(np.fft.fft2(img.pixels)))
+    (DC sits at (H//2, W//2)).
+
+    Built from the half spectrum of `rfft2`: the columns left of centre are
+    mirrored from it by Hermitian symmetry, |X[r, -k]| = |X[-r, k]|.
+    """
+    h, w = img.pixels.shape
+    half = np.abs(np.fft.rfft2(img.pixels))  # columns k = 0 .. w // 2
+    r0, c = h // 2, w // 2  # centred row and column of DC
+    full = np.empty((h, w))
+    # k >= 0: rows rolled by r0, as fftshift does
+    full[r0:, c:] = half[:h - r0, :w - c]
+    full[:r0, c:] = half[h - r0:, :w - c]
+    # k = -1 .. -c, read right to left from the centre: row i holds
+    # frequency i - r0, so its mirror is row -(i - r0) of the half spectrum
+    left = full[:, :c][:, ::-1]
+    left[:r0 + 1] = half[r0::-1, 1:c + 1]
+    left[r0 + 1:] = half[:r0:-1, 1:c + 1]
+    return full
+
+
+@functools.lru_cache(maxsize=8)
+def _outside_disk(h: int, w: int, radius: float) -> np.ndarray:
+    """Read-only mask of the centred (h, w) bins farther than `radius` from
+    DC, built once per shape and radius."""
+    v = np.arange(h)[:, None] - h // 2
+    u = np.arange(w)[None, :] - w // 2
+    mask = (u * u + v * v) > radius * radius
+    mask.flags.writeable = False
+    return mask
 
 
 def highfreq_ratio(mags: np.ndarray, radius: float,
                    epsilon: float = ScoreConfig.epsilon) -> float:
     """Fraction of centered spectral magnitude outside the disk of `radius`."""
-    h, w = mags.shape
-    v = np.arange(h)[:, None] - h // 2
-    u = np.arange(w)[None, :] - w // 2
-    mask = (u * u + v * v) > radius * radius
+    mask = _outside_disk(*mags.shape, radius)
     total = float(mags.sum())
     return float(mags[mask].sum()) / (total + epsilon)
 

@@ -31,11 +31,18 @@ def format_rows(table, sep: str = " ") -> str:
     return (row * len(table)) % tuple(table.ravel().tolist())
 
 
-def _decimals(line: str) -> list[float]:
-    """The fields of a text line as floats. Python's float also reads `_`
-    between digits and non-ASCII digits, which no writer emits: a line that
-    holds either is a ValueError."""
-    if "_" in line or not line.isascii():
+def _lines(data: bytes) -> list[bytes]:
+    """The lines of a text payload, each ended by `\n`, `\r\n` or `\r` only
+    (str.splitlines also ends lines at `\x0b`, `\x0c` and `\x1c`-`\x1e`)."""
+    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
+
+
+def _decimals(line: bytes) -> list[float]:
+    """The fields of a text line as floats, split on ASCII whitespace by
+    bytes.split (str.split also splits on `\x1c`-`\x1f`). Python's float
+    also reads `_` between digits, which no writer emits: a line that holds
+    it is a ValueError, as is a field with any non-ASCII byte."""
+    if b"_" in line:
         raise ValueError(f"not a decimal number in {line!r}")
     return [float(f) for f in line.split()]
 
@@ -44,16 +51,17 @@ def _decimals(line: str) -> list[float]:
 
 def read_trajectory_tum(text: str) -> Trajectory:
     rows, linenos = [], []
-    for lineno, line in enumerate(map(str.strip, text.splitlines()), start=1):
-        if not line or line.startswith("#"):
+    data = text.encode("utf-8", "surrogatepass")
+    for lineno, line in enumerate(map(bytes.strip, _lines(data)), start=1):
+        if not line or line.startswith(b"#"):
             continue
-        fields = line.split()
-        if len(fields) != 8:
-            raise ParseError(f"expected 8 fields, got {len(fields)}", line=lineno)
         try:
             row = _decimals(line)
         except ValueError:
+            line = line.decode("utf-8", "surrogatepass")
             raise ParseError(f"non-numeric field in {line!r}", line=lineno)
+        if len(row) != 8:
+            raise ParseError(f"expected 8 fields, got {len(row)}", line=lineno)
         if not all(map(math.isfinite, row)):
             raise ParseError("non-finite value", line=lineno)
         if rows and row[0] <= rows[-1][0]:
@@ -190,12 +198,10 @@ def write_pfm(depth_map: DepthMap) -> bytes:
 # -- ASCII PLY point clouds ------------------------------------------------
 
 def read_ply_ascii(data: bytes) -> PointSet:
-    try:
-        text = data.decode("ascii")
-    except UnicodeDecodeError:
+    if not data.isascii():
         raise ParseError("PLY payload is not ASCII")
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "ply":
+    lines = _lines(data)
+    if lines[0].strip() != b"ply":
         raise UnsupportedMagic("missing 'ply' magic")
     n_vertices = None
     properties = []
@@ -204,24 +210,24 @@ def read_ply_ascii(data: bytes) -> PointSet:
     while i < len(lines):
         fields = lines[i].split()
         i += 1
-        if not fields or fields[0] == "comment":
+        if not fields or fields[0] == b"comment":
             continue
-        if fields[0] == "format":
+        if fields[0] == b"format":
             if len(fields) < 2:
                 raise ParseError("format line names no format", line=i)
-            if fields[1] != "ascii":
+            if fields[1] != b"ascii":
                 raise UnsupportedMagic("only ascii PLY is supported")
-        elif fields[0] == "element":
-            in_vertex_element = fields[1:2] == ["vertex"]
+        elif fields[0] == b"element":
+            in_vertex_element = fields[1:2] == [b"vertex"]
             if in_vertex_element:
                 try:
                     n_vertices = int(fields[2])
                 except (IndexError, ValueError):
                     raise ParseError("element vertex needs an integer count",
                                      line=i)
-        elif fields[0] == "property" and in_vertex_element:
-            properties.append(fields[-1])
-        elif fields[0] == "end_header":
+        elif fields[0] == b"property" and in_vertex_element:
+            properties.append(fields[-1].decode())
+        elif fields[0] == b"end_header":
             break
     else:
         raise ParseError("missing end_header")
@@ -235,15 +241,15 @@ def read_ply_ascii(data: bytes) -> PointSet:
     if n_rows != n_vertices:
         raise ParseError(f"expected {n_vertices} vertex lines, got {n_rows}")
     width = len(properties)
-    # `_` belongs in no vertex field; one count over the text finds it in the
+    # `_` belongs in no vertex field; one count over the data finds it in the
     # body without a copy of it
-    if text.count("_") > sum(line.count("_") for line in lines[:i]):
+    if data.count(b"_") > sum(line.count(b"_") for line in lines[:i]):
         raise _vertex_line_error(lines, i, width)
     table = np.empty((n_vertices, width))
     filled = 0
     for start in range(0, len(body), _PLY_BLOCK_LINES):
         rows = [fields for fields in
-                map(str.split, body[start:start + _PLY_BLOCK_LINES]) if fields]
+                map(bytes.split, body[start:start + _PLY_BLOCK_LINES]) if fields]
         try:
             table[filled:filled + len(rows)] = np.array(
                 rows, dtype=float).reshape(len(rows), width)
@@ -258,7 +264,7 @@ def read_ply_ascii(data: bytes) -> PointSet:
     return PointSet(points, conf)
 
 
-def _vertex_line_error(lines: list[str], start: int, width: int) -> ParseError:
+def _vertex_line_error(lines: list[bytes], start: int, width: int) -> ParseError:
     """The error naming the first bad vertex line at or after lines[start]."""
     for lineno, line in enumerate(lines[start:], start=start + 1):
         fields = line.split()

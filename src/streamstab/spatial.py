@@ -70,7 +70,19 @@ class BilateralConfig:
     def effective_sigma_r(self, depth_map: DepthMap) -> float:
         if self.sigma_r is not None:
             return self.sigma_r
-        return 0.05 * float(np.median(depth_map.depths[depth_map.valid]))
+        # np.median by selection on the copy the mask index makes: the lower
+        # middle, and for an even count its mean with the least value above
+        # it, as np.median computes it. min propagates a NaN, which partition
+        # sorts above every number, so a NaN depth still gives NaN
+        x = depth_map.depths[depth_map.valid]
+        if not x.size:
+            raise NoValidPixels("depth map has no valid pixels")
+        k = (x.size - 1) // 2
+        x.partition(k)
+        lo = x[k]
+        hi = x[k + 1:].min(initial=math.inf)
+        median = lo if x.size % 2 else (lo + hi) / 2.0
+        return 0.05 * float(hi if math.isnan(hi) else median)
 
 
 @dataclass(frozen=True)
@@ -142,6 +154,13 @@ def bilateral_depth(depth_map: DepthMap, cfg: BilateralConfig = BilateralConfig(
         ws.fill(0.0)
         vs.fill(0.0)
         for k, (dy, dx) in enumerate(offsets):
+            if k == centre:
+                # weight exp(0) * 1.0 = 1.0 at a valid pixel, so its term is
+                # its value; sums at a missing pixel are never read, and its
+                # value is 0.0
+                ws += 1.0
+                vs += values[start:start + n]
+                continue
             shift = dy * pw + dx
             if last - k < n_stored:
                 wgt = weights[last - k, shift:shift + n]
@@ -174,14 +193,19 @@ def depth_to_points(depth_map: DepthMap, intrinsics: Intrinsics) -> PointSet:
     valid = depth_map.valid
     h, w = valid.shape
     points = np.empty((np.count_nonzero(valid), 3))
-    x, y, z = points.T  # filled in place: (u - cx) * z / fx, (v - cy) * z / fy
-    z[:] = depth_map.depths[valid]
-    x[:] = np.broadcast_to(np.arange(w) - intrinsics.cx, (h, w))[valid]
+    # (u - cx) * z / fx and (v - cy) * z / fy: each product on its contiguous
+    # gathered copy, each quotient straight into its strided column; x goes
+    # before y is gathered, so the two copies can share one block
+    z = depth_map.depths[valid]
+    points[:, 2] = z
+    x = np.broadcast_to(np.arange(w, dtype=float) - intrinsics.cx, (h, w))[valid]
     x *= z
-    x /= intrinsics.fx
-    y[:] = np.broadcast_to((np.arange(h) - intrinsics.cy)[:, None], (h, w))[valid]
+    np.divide(x, intrinsics.fx, out=points[:, 0])
+    del x
+    y = np.broadcast_to((np.arange(h, dtype=float) - intrinsics.cy)[:, None],
+                        (h, w))[valid]
     y *= z
-    y /= intrinsics.fy
+    np.divide(y, intrinsics.fy, out=points[:, 1])
     return PointSet(points)
 
 

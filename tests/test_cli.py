@@ -380,6 +380,24 @@ class TestEval:
         assert out == ""
         assert "line 4" in err and "non-numeric field" in err
 
+    def test_eval_traj_ascii_separator_in_line_parse_error(self, capsys,
+                                                          tmp_path):
+        # str.split would split pose 3's tx and ty at \x1f, and
+        # str.splitlines would end line 2 at \x1c
+        rng = np.random.default_rng(9)
+        lines = write_trajectory_tum(random_trajectory(rng, 5)).splitlines()
+        lines[0] += "\x1c# more"
+        fields = lines[3].split()
+        lines[3] = " ".join(fields[:1] + ["\x1f".join(fields[1:3])]
+                            + fields[3:])
+        path = tmp_path / "t.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run(capsys, ["eval-traj", "--pred", str(path),
+                                      "--gt", str(path)])
+        assert code == 2
+        assert out == ""
+        assert "line 4" in err and "non-numeric field" in err
+
     @pytest.mark.parametrize("side", ["--pred", "--gt"])
     def test_eval_recon_underscore_vertex_parse_error(self, capsys, tmp_path,
                                                       side):

@@ -8,6 +8,7 @@ from streamstab import (GrayImage, Pose, Quaternion, ScoreConfig,
                         highfreq_ratio, motion_score, quality_score,
                         score_frame, score_terms, to_grayscale)
 from streamstab.errors import EmptyImage, NegativeMagnitude
+from streamstab.frame_scoring import _outside_disk
 from streamstab.geometry import quat_to_matrix
 
 from conftest import random_unit_quat
@@ -25,6 +26,18 @@ def naive_dft2_magnitude_centered(pixels: np.ndarray) -> np.ndarray:
             out[u, v] = np.sum(pixels * phase)
     mags = np.abs(out)
     return np.roll(np.roll(mags, h // 2, axis=0), w // 2, axis=1)
+
+
+def fft2_magnitude_oracle(pixels: np.ndarray) -> np.ndarray:
+    """The full-spectrum magnitude, centred by fftshift; the spectrum was
+    computed this way before it was mirrored from rfft2."""
+    return np.abs(np.fft.fftshift(np.fft.fft2(pixels)))
+
+
+def outside_disk_oracle(h: int, w: int, radius: float) -> np.ndarray:
+    v = np.arange(h)[:, None] - h // 2
+    u = np.arange(w)[None, :] - w // 2
+    return (u * u + v * v) > radius * radius
 
 
 def checkerboard(n: int) -> np.ndarray:
@@ -90,6 +103,50 @@ class TestDft:
             lhs = np.sum(px ** 2) * px.size
             rhs = np.sum(spec ** 2)
             assert abs(lhs - rhs) / rhs < 1e-9
+
+
+class TestHalfSpectrumMirror:
+    SHAPES = [(1, 1), (1, 7), (7, 1), (2, 1), (1, 2), (3, 5), (6, 10),
+              (385, 511), (384, 512)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_full_spectrum_oracle(self, shape):
+        px = np.random.default_rng(17).uniform(size=shape)
+        oracle = fft2_magnitude_oracle(px)
+        spec = dft2_magnitude_centered(GrayImage(px))
+        assert spec.shape == shape
+        assert np.max(np.abs(spec - oracle)) <= 1e-12 * np.max(oracle)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_ratio_matches_on_either_spectrum(self, shape):
+        px = np.random.default_rng(18).uniform(size=shape)
+        spec = dft2_magnitude_centered(GrayImage(px))
+        oracle = fft2_magnitude_oracle(px)
+        for radius in (0.0, 0.5, 1.0, min(shape) // 8, max(shape) / 3):
+            assert abs(highfreq_ratio(spec, radius)
+                       - highfreq_ratio(oracle, radius)) <= 1e-12
+
+
+class TestOutsideDiskCache:
+    def test_cached_mask_is_read_only(self):
+        mask = _outside_disk(8, 8, 2.0)
+        with pytest.raises(ValueError):
+            mask[0, 0] = False
+        assert np.array_equal(_outside_disk(8, 8, 2.0),
+                              outside_disk_oracle(8, 8, 2.0))
+
+    def test_interleaved_keys_match_fresh_masks(self):
+        # more keys than the cache holds, revisited out of order
+        rng = np.random.default_rng(19)
+        keys = [(h, w, r) for h, w in [(1, 1), (7, 3), (16, 16), (384, 512)]
+                for r in (0.0, 1.0, 2.5, 48.0)]
+        for i in rng.integers(len(keys), size=60):
+            h, w, r = keys[i]
+            mags = rng.uniform(size=(h, w))
+            mask = outside_disk_oracle(h, w, r)
+            expected = float(mags[mask].sum()) / (float(mags.sum()) + 1e-8)
+            assert highfreq_ratio(mags, r) == expected
+            assert np.array_equal(_outside_disk(h, w, r), mask)
 
 
 class TestHighfreqRatio:

@@ -193,6 +193,33 @@ class TestTum:
             read_trajectory_tum(f"# a_b \u00e9\n0 0 0 0 0 0 0 1\n{bad}\n")
         assert exc.value.line == 3
 
+    @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+    def test_lines_end_only_at_newline_or_return(self, sep):
+        # str.splitlines also ends a line at each of these
+        text = f"0 0 0 0 0 0 0 1{sep}1 0 0 0 0 0 0 1{sep}2 0 0 0 0 0 0 1"
+        with pytest.raises(ParseError) as exc:
+            read_trajectory_tum(text)
+        assert exc.value.line == 1
+        with pytest.raises(ParseError, match="non-numeric field") as exc:
+            read_trajectory_tum(f"# a{sep}# b\nx 0 0 0 0 0 0 1\n")
+        assert exc.value.line == 2
+
+    def test_newline_return_and_crlf_end_lines(self):
+        text = "0 0 0 0 0 0 0 1\r1 0 0 0 0 0 0 1\r\n2 0 0 0 0 0 0 1\n"
+        assert list(read_trajectory_tum(text).ts) == [0.0, 1.0, 2.0]
+        with pytest.raises(ParseError) as exc:
+            read_trajectory_tum(text + "\r\nx\n")
+        assert exc.value.line == 5
+
+    @pytest.mark.parametrize("sep", ["\x1c", "\x1d", "\x1e", "\x1f"])
+    def test_fields_split_on_ascii_whitespace_only(self, sep):
+        # str.split also splits on these; bytes.split does not
+        with pytest.raises(ParseError, match="non-numeric field") as exc:
+            read_trajectory_tum(f"# c\n0 0 0{sep}0 0 0 0 1\n")
+        assert exc.value.line == 2
+        traj = read_trajectory_tum("0\x0b0\x0c0 0 0 0 0\t1\n")
+        assert list(traj.ts) == [0.0]
+
     @FUZZ
     @given(st.one_of(
         st.text(),
@@ -530,6 +557,38 @@ class TestPly:
                 b"end_header\n" + body)
         with pytest.raises(ParseError, match=f"line {line}: {message}"):
             read_ply_ascii(data)
+
+    @pytest.mark.parametrize("count, body, message", [
+        (2, b"1 2 3\x0b4 5 6\n", "expected 2 vertex lines, got 1"),
+        (1, b"1 2 3\x0b4 5 6\n", "line 8: wrong number of vertex fields"),
+        (2, b"1 2 3\x0c4 5 6\n", "expected 2 vertex lines, got 1"),
+        (2, b"1 2 3\x1e4 5 6\n", "expected 2 vertex lines, got 1"),
+        (1, b"1 2\x1c3\n", "line 8: wrong number of vertex fields"),
+        (1, b"1 2 3\x1f\n", "line 8: non-numeric vertex field"),
+        (2, b"1 2 3\n4\x1d5 6 7\n", "line 9: non-numeric vertex field"),
+    ], ids=["vt-two-rows", "vt-one-row", "ff-two-rows", "rs-two-rows",
+            "fs-in-field", "us-trailing", "gs-in-field"])
+    @pytest.mark.parametrize("block", [4096, 2])
+    def test_lines_and_fields_split_as_bytes(self, monkeypatch, count, body,
+                                             message, block):
+        # str.splitlines ends lines at \x0b, \x0c and \x1c-\x1e, and str.split
+        # splits fields at \x1c-\x1f; each body here once read without error
+        monkeypatch.setattr("streamstab.io_formats._PLY_BLOCK_LINES", block)
+        data = (b"ply\nformat ascii 1.0\nelement vertex %d\n" % count
+                + b"property float x\nproperty float y\nproperty float z\n"
+                b"end_header\n" + body)
+        with pytest.raises(ParseError, match=message):
+            read_ply_ascii(data)
+
+    @pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"])
+    def test_newline_return_and_crlf_end_lines(self, eol):
+        cloud = PointSet(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
+        data = write_ply_ascii(cloud).replace(b"\n", eol)
+        assert np.array_equal(read_ply_ascii(data).points, cloud.points)
+        bad = data.replace(b"4 5 6", b"4 5 x")
+        with pytest.raises(ParseError,
+                           match="line 9: non-numeric vertex field"):
+            read_ply_ascii(bad)
 
     @pytest.mark.parametrize("body, line", [
         (b"1 2 3\n1_0 5 6\n7 8 9\n", 10),

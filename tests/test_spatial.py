@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,32 @@ class TestBilateralMatchesLoop:
         assert np.array_equal(dirty.depths[invalid], dirty_depths[invalid],
                               equal_nan=True)
 
+    @pytest.mark.parametrize("parity", [1, 0], ids=["odd", "even"])
+    def test_adaptive_sigma_r_count_parity_bit_identical(self, parity):
+        dm = self.bordered_map((41, 36), seed=12)
+        valid = dm.valid.copy()
+        if np.count_nonzero(valid) % 2 != parity:
+            valid[20, 18] = not valid[20, 18]
+        dm = DepthMap(np.where(valid, 2.0 + dm.depths, 0.0), valid)
+        assert np.count_nonzero(dm.valid) % 2 == parity
+        cfg = BilateralConfig(window=2, sigma_s=1.5, sigma_r=None)
+        assert np.array_equal(bilateral_depth(dm, cfg).depths,
+                              bilateral_loop_oracle(dm, cfg))
+
+    @pytest.mark.parametrize("sigma_r", [None, 0.05])
+    def test_isolated_valid_pixel_bit_identical(self, sigma_r):
+        # no valid neighbour: the centre term alone gives the weight sum
+        depths = np.zeros((9, 11))
+        depths[4, 5] = 2.7182818284590451
+        depths[0, 0] = 1.5
+        depths[8, 10] = 3.25
+        depths[2:4, 8:10] = 1.125
+        dm = DepthMap.from_depths(depths)
+        cfg = BilateralConfig(window=2, sigma_r=sigma_r)
+        out = bilateral_depth(dm, cfg)
+        assert np.array_equal(out.depths, bilateral_loop_oracle(dm, cfg))
+        assert out.depths[4, 5] == depths[4, 5]
+
     def test_nan_hole_from_depths(self):
         dm = DepthMap.from_depths([[1, np.nan, 1], [1, 1, 1], [1, 1, 1]])
         out = bilateral_depth(dm, BilateralConfig(sigma_r=0.1))
@@ -207,6 +235,51 @@ class TestBilateralConfig:
         dm = DepthMap.from_depths(rng.uniform(1.0, 5.0, size=(5, 6)))
         out = bilateral_depth(dm, BilateralConfig(window=0, sigma_r=0.1))
         assert np.array_equal(out.depths, dm.depths)
+
+
+class TestAdaptiveSigmaR:
+    @staticmethod
+    def median_oracle(depth_map):
+        return 0.05 * float(np.median(depth_map.depths[depth_map.valid]))
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 100, 101])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_equals_np_median_bit_for_bit(self, count, ties):
+        rng = np.random.default_rng(count)
+        for _ in range(50):
+            values = 10.0 ** rng.uniform(-3.0, 3.0, size=count)
+            if ties:
+                values = rng.choice(values[:3], size=count)
+            depths = np.zeros(count + 7)
+            valid = np.zeros(count + 7, dtype=bool)
+            slots = rng.permutation(count + 7)[:count]
+            depths[slots] = values
+            valid[slots] = True
+            dm = DepthMap(depths.reshape(1, -1), valid.reshape(1, -1))
+            before = dm.depths.copy()
+            got = BilateralConfig().effective_sigma_r(dm)
+            assert got == self.median_oracle(dm)
+            assert np.array_equal(dm.depths, before)
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 100, 101])
+    def test_nan_depth_gives_nan(self, count):
+        rng = np.random.default_rng(count)
+        for i in range(count):
+            depths = rng.uniform(0.1, 10.0, size=(1, count))
+            depths[0, i] = np.nan
+            dm = DepthMap(depths, np.ones_like(depths, dtype=bool))
+            assert math.isnan(BilateralConfig().effective_sigma_r(dm))
+            assert math.isnan(self.median_oracle(dm))
+
+    def test_no_valid_pixels(self):
+        # np.median gave NaN and a RuntimeWarning here
+        dm = DepthMap(np.ones((3, 3)), np.zeros((3, 3), dtype=bool))
+        with pytest.raises(NoValidPixels):
+            BilateralConfig().effective_sigma_r(dm)
+
+    def test_set_sigma_r_is_returned(self):
+        dm = DepthMap.from_depths(np.ones((2, 2)))
+        assert BilateralConfig(sigma_r=0.3).effective_sigma_r(dm) == 0.3
 
 
 class TestIntrinsics:
