@@ -19,8 +19,10 @@ from .frame_scoring import GrayImage
 from .geometry import PointSet, Trajectory, squared
 from .spatial import DepthMap
 
-# vertex lines per np.array call: the split fields of a whole cloud would hold
-# about 350 bytes per point, several times the float table they fill
+# vertex lines per np.array call when reading and per format_rows call when
+# writing: the split fields of a whole cloud would hold about 350 bytes per
+# point, and its formatted fields a Python float each, several times the
+# float table they come from or fill
 _PLY_BLOCK_LINES = 4096
 
 
@@ -220,11 +222,12 @@ def read_ply_ascii(data: bytes) -> PointSet:
         elif fields[0] == b"element":
             in_vertex_element = fields[1:2] == [b"vertex"]
             if in_vertex_element:
-                try:
-                    n_vertices = int(fields[2])
-                except (IndexError, ValueError):
+                # decimal digits only, as the PNM header integers: Python's
+                # int also reads `1_0` as 10 and `+3` as 3
+                if len(fields) < 3 or not fields[2].isdigit():
                     raise ParseError("element vertex needs an integer count",
                                      line=i)
+                n_vertices = int(fields[2])
         elif fields[0] == b"property" and in_vertex_element:
             properties.append(fields[-1].decode())
         elif fields[0] == b"end_header":
@@ -292,4 +295,7 @@ def write_ply_ascii(cloud: PointSet) -> bytes:
     table = cloud.points
     if has_conf:
         table = np.column_stack([table, cloud.confidences])
-    return ("\n".join(header) + "\n" + format_rows(table)).encode("ascii")
+    parts = [("\n".join(header) + "\n").encode("ascii")]
+    parts += [format_rows(table[start:start + _PLY_BLOCK_LINES]).encode("ascii")
+              for start in range(0, len(table), _PLY_BLOCK_LINES)]
+    return b"".join(parts)

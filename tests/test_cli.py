@@ -243,6 +243,23 @@ class TestRefine:
             assert exc.value.code == 2
             assert flag in capsys.readouterr().err
 
+    def test_window_past_map_same_bytes(self, capsys, tmp_path):
+        # the window is clamped to max(H, W) - 1 = 4; before, the padded copy
+        # for 99999999 ended in a MemoryError traceback
+        rng = np.random.default_rng(6)
+        dm = DepthMap.from_depths(rng.uniform(1.0, 5.0, size=(4, 5)))
+        src = tmp_path / "in.pfm"
+        src.write_bytes(write_pfm(dm))
+        outputs = []
+        for window in ("4", "99999999"):
+            dst = tmp_path / f"out{window}.pfm"
+            code, out, err = run(capsys, ["refine", "--in", str(src),
+                                          "--out", str(dst), "--window", window])
+            assert (code, err) == (0, "")
+            outputs.append((out, dst.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][1] != src.read_bytes()
+
     def test_window_zero_returns_input(self, capsys, tmp_path):
         rng = np.random.default_rng(4)
         dm = DepthMap.from_depths(rng.uniform(1.0, 5.0, size=(5, 7)))

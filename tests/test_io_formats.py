@@ -500,6 +500,29 @@ class TestPly:
         expected = ("\n".join(lines) + "\n").encode("ascii")
         assert write_ply_ascii(PointSet(points, conf)) == expected
 
+    def test_writer_blocks_match_one_block(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        cloud = PointSet(rng.standard_normal((23, 3)),
+                         rng.uniform(0.1, 2.0, size=23))
+        whole = write_ply_ascii(cloud)
+        for block in (1, 5, 23):
+            monkeypatch.setattr("streamstab.io_formats._PLY_BLOCK_LINES", block)
+            assert write_ply_ascii(cloud) == whole
+
+    @pytest.mark.parametrize("count", [b"1_0", b"+10", b"0x0a", b"10.0",
+                                       b"-10", b""])
+    def test_vertex_count_is_decimal_digits(self, count):
+        # Python's int reads `1_0` and `+10` as 10; the count is ASCII
+        # digits, as the PNM header integers are
+        data = (b"ply\nformat ascii 1.0\nelement vertex " + count
+                + b"\nproperty float x\nproperty float y\nproperty float z\n"
+                b"end_header\n" + b"1 2 3\n" * 10)
+        with pytest.raises(ParseError,
+                           match="line 3: element vertex needs an integer count"):
+            read_ply_ascii(data)
+        good = data.replace(b"vertex " + count + b"\n", b"vertex 10\n")
+        assert len(read_ply_ascii(good)) == 10
+
     def test_empty_cloud_header_only(self):
         data = write_ply_ascii(PointSet(np.zeros((0, 3))))
         assert data.endswith(b"element vertex 0\nproperty float x\n"

@@ -1,11 +1,16 @@
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from streamstab import (BilateralConfig, DepthMap, Intrinsics,
-                        bilateral_depth, depth_to_points, refine_cloud)
+                        bilateral_depth, depth_to_points, refine_cloud, spatial)
 from streamstab.errors import NoValidPixels
+
+STRIP = spatial._STRIP_ROWS
 
 
 def bilateral_loop_oracle(depth_map, cfg):
@@ -158,9 +163,10 @@ class TestBilateralMatchesLoop:
         assert np.array_equal(out.depths, bilateral_loop_oracle(dm, cfg))
         assert np.array_equal(out.valid, dm.valid)
 
-    @pytest.mark.parametrize("reuse_bytes", [0, 20_000])
+    @pytest.mark.parametrize("reuse_bytes", [0, 20_000, 150_000])
     def test_capped_weight_reuse_bit_identical(self, monkeypatch, reuse_bytes):
-        # no kept weights, and only the first few offsets kept
+        # no kept weights (0 and 20,000 bytes), and only the first dy row
+        # kept (150,000 bytes hold its 7 x 1,537 weights, not two rows')
         monkeypatch.setattr("streamstab.spatial._REUSE_BYTES", reuse_bytes)
         dm = self.bordered_map((45, 38), seed=3)
         cfg = BilateralConfig(window=3, sigma_s=1.2)
@@ -218,6 +224,172 @@ class TestBilateralMatchesLoop:
         assert np.array_equal(out.depths, dm.depths, equal_nan=True)
 
 
+class TestBilateralBands:
+    """The strips in one band or two (one on a worker thread) against the
+    per-offset loop, bit for bit."""
+
+    @staticmethod
+    def force_bands(monkeypatch, bands):
+        # count the calls that run a band on the worker thread
+        calls = []
+        in_parallel = spatial._in_parallel
+
+        def counted(upper, lower):
+            calls.append(1)
+            in_parallel(upper, lower)
+
+        monkeypatch.setattr("streamstab.spatial._MAX_BANDS", bands)
+        monkeypatch.setattr("streamstab.spatial._in_parallel", counted)
+        return calls
+
+    @pytest.mark.parametrize("bands", [1, 2])
+    @pytest.mark.parametrize("height", [1, STRIP - 1, STRIP, STRIP + 1,
+                                        2 * STRIP + 1, 384])
+    @pytest.mark.parametrize("window", [0, 1, 2, 5])
+    def test_bit_identical(self, monkeypatch, bands, height, window):
+        calls = self.force_bands(monkeypatch, bands)
+        dm = TestBilateralMatchesLoop.bordered_map((height, 37), seed=height)
+        cfg = BilateralConfig(window=window, sigma_s=1.7)
+        out = bilateral_depth(dm, cfg)
+        assert np.array_equal(out.depths, bilateral_loop_oracle(dm, cfg))
+        assert len(calls) == (bands == 2 and height > STRIP)
+
+    @pytest.mark.parametrize("bands", [1, 2])
+    def test_stream_size_bit_identical(self, monkeypatch, bands):
+        calls = self.force_bands(monkeypatch, bands)
+        dm = TestBilateralMatchesLoop.bordered_map((384, 512), seed=13)
+        cfg = BilateralConfig()
+        out = bilateral_depth(dm, cfg)
+        assert np.array_equal(out.depths, bilateral_loop_oracle(dm, cfg))
+        assert len(calls) == bands - 1
+
+    @pytest.mark.parametrize("reuse_bytes", [0, 150_000])
+    def test_capped_weight_reuse_two_bands(self, monkeypatch, reuse_bytes):
+        calls = self.force_bands(monkeypatch, 2)
+        monkeypatch.setattr("streamstab.spatial._REUSE_BYTES", reuse_bytes)
+        dm = TestBilateralMatchesLoop.bordered_map((2 * STRIP + 5, 38), seed=3)
+        cfg = BilateralConfig(window=3, sigma_s=1.2)
+        assert np.array_equal(bilateral_depth(dm, cfg).depths,
+                              bilateral_loop_oracle(dm, cfg))
+        assert len(calls) == 1
+
+    @staticmethod
+    def lower_band_overflow_map():
+        # 1e200 next to 1.0 overflows the squared difference; the pixel is in
+        # the lower band, beyond the rows the upper band reads
+        depths = np.ones((2 * STRIP, 9))
+        depths[STRIP + STRIP // 2, 4] = 1e200
+        return DepthMap.from_depths(depths)
+
+    def test_worker_fault_reaches_caller(self, monkeypatch):
+        calls = self.force_bands(monkeypatch, 2)
+        dm = self.lower_band_overflow_map()
+        cfg = BilateralConfig(window=1, sigma_r=0.1)
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                bilateral_depth(dm, cfg)
+        assert len(calls) == 1
+        top = DepthMap(dm.depths[:STRIP], dm.valid[:STRIP])
+        with np.errstate(over="raise"):
+            bilateral_depth(top, cfg)  # the upper band alone does not fault
+
+    def test_worker_keeps_caller_fp_state(self, monkeypatch):
+        # a new thread starts from NumPy's default errstate, which warns on
+        # overflow, and warnings fail this suite
+        calls = self.force_bands(monkeypatch, 2)
+        dm = self.lower_band_overflow_map()
+        cfg = BilateralConfig(window=1, sigma_r=0.1)
+        with np.errstate(over="ignore"):
+            out = bilateral_depth(dm, cfg)
+            expected = bilateral_loop_oracle(dm, cfg)
+        assert np.array_equal(out.depths, expected)
+        assert len(calls) == 1
+
+    def test_concurrent_callers(self, monkeypatch):
+        # more threads than CPUs, each call running two bands, with a short
+        # switch interval: every call keeps its own bits
+        self.force_bands(monkeypatch, 2)
+        cfg = BilateralConfig(window=2, sigma_s=1.3)
+        maps = [TestBilateralMatchesLoop.bordered_map((2 * STRIP + 7, 29),
+                                                      seed=20 + k)
+                for k in range(4)]
+        expected = [bilateral_loop_oracle(dm, cfg) for dm in maps]
+        results = {}
+
+        def call(k):
+            for _ in range(5):
+                out = bilateral_depth(maps[k], cfg).depths
+                results.setdefault(k, []).append(
+                    np.array_equal(out, expected[k]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=call, args=(k,))
+                       for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == {k: [True] * 5 for k in range(4)}
+
+    def test_in_parallel_reraises_after_join(self):
+        ran = []
+
+        def lower():
+            time.sleep(0.05)
+            ran.append("lower")
+            raise MemoryError("worker")
+
+        with pytest.raises(MemoryError, match="worker"):
+            spatial._in_parallel(lambda: ran.append("upper"), lower)
+        assert sorted(ran) == ["lower", "upper"]
+
+
+class TestBilateralSubnormalClamp:
+    """Weights below e**-700 are raised to about e**-700, a normal float."""
+
+    @staticmethod
+    def stripes(gap, sigma_r=0.1, shape=(64, 96)):
+        # 2-pixel vertical stripes `gap` sigma_r apart
+        cols = (np.arange(shape[1]) // 2) % 2
+        depths = 1.0 + gap * sigma_r * cols * np.ones((shape[0], 1))
+        return DepthMap.from_depths(depths), BilateralConfig(sigma_r=sigma_r)
+
+    # at sigma_s 0.3 the spatial weights reach 8e-20; at 0.026 the nearest
+    # is subnormal itself, and at 1e-6 every one is 0.0
+    @pytest.mark.parametrize("sigma_s", [2.0, 0.3, 0.026, 1e-6])
+    @pytest.mark.parametrize("gap", [38.1, 10.0, 1000.0])
+    def test_stripes_bit_identical(self, sigma_s, gap):
+        dm, cfg = self.stripes(gap)
+        cfg = BilateralConfig(sigma_s=sigma_s, sigma_r=cfg.sigma_r)
+        with np.errstate(under="ignore"):
+            expected = bilateral_loop_oracle(dm, cfg)
+        assert np.array_equal(bilateral_depth(dm, cfg).depths, expected)
+
+    def test_tiny_centre_under_large_neighbours(self):
+        # a valid depth about 1e295 times smaller than its neighbours: the
+        # raised weights, 24 of about 1e-304, are no longer below
+        # half an ulp of the centre term 1e-295. The centre moves by about
+        # 2.4e-8 relative; every other pixel keeps its bits
+        depths = np.ones((5, 5))
+        depths[2, 2] = 1e-295
+        dm = DepthMap.from_depths(depths)
+        cfg = BilateralConfig(sigma_r=0.026)
+        out = bilateral_depth(dm, cfg).depths
+        with np.errstate(under="ignore"):
+            expected = bilateral_loop_oracle(dm, cfg)
+        assert expected[2, 2] == 1e-295
+        assert out[2, 2] != expected[2, 2]
+        assert abs(out[2, 2] - expected[2, 2]) <= 1e-7 * expected[2, 2]
+        rest = np.ones((5, 5), dtype=bool)
+        rest[2, 2] = False
+        assert np.array_equal(out[rest], expected[rest])
+
+
 class TestBilateralConfig:
     @pytest.mark.parametrize("field, value", [
         ("window", -1),
@@ -229,6 +401,18 @@ class TestBilateralConfig:
     def test_out_of_range_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             BilateralConfig(**{field: value})
+
+    @pytest.mark.parametrize("shape", [(4, 5), (1, 1), (7, 2)])
+    def test_window_past_map_is_clamped(self, shape):
+        # offsets past the map add exactly 0.0, so any window from
+        # max(H, W) - 1 on gives the same bits
+        dm = TestBilateralMatchesLoop.bordered_map(shape, seed=5)
+        clamped = BilateralConfig(window=max(shape) - 1, sigma_r=0.3)
+        out = bilateral_depth(dm, clamped).depths
+        assert np.array_equal(out, bilateral_loop_oracle(dm, clamped))
+        for window in (max(shape), 99_999_999):
+            cfg = BilateralConfig(window=window, sigma_r=0.3)
+            assert np.array_equal(bilateral_depth(dm, cfg).depths, out)
 
     def test_window_zero_is_identity(self):
         rng = np.random.default_rng(8)
