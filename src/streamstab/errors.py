@@ -9,6 +9,10 @@ class ToolkitError(ValueError):
     pass
 
 
+class InvalidValue(ToolkitError):
+    """A valid depth or a confidence that is not finite and positive."""
+
+
 # -- geometry --------------------------------------------------------------
 
 class ZeroQuaternion(ToolkitError):

@@ -14,7 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidGamma, NonUnitQuaternion, ZeroQuaternion
+from .errors import (InvalidGamma, InvalidValue, NonUnitQuaternion,
+                     ZeroQuaternion)
 
 _UNIT_TOL = 1e-6
 
@@ -136,8 +137,10 @@ class PointSet:
         object.__setattr__(self, "points", pts)
         if self.confidences is not None:
             conf = np.asarray(self.confidences, dtype=float).reshape(-1)
-            if conf.shape[0] != pts.shape[0]:
-                raise ValueError("confidences length must match points")
+            ok = (conf > 0) & (conf < math.inf)
+            if conf.shape != (len(pts),) or not ok.all():
+                raise InvalidValue(
+                    "confidences must be one finite positive value per point")
             object.__setattr__(self, "confidences", conf)
 
     def __len__(self) -> int:

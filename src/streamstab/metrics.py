@@ -9,8 +9,8 @@ from the training losses in losses.py.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +23,7 @@ from .spatial import DepthMap
 _NORMALS_BLOCK = 4096  # points per batched SVD in _tree_normals
 
 
-@dataclass(frozen=True)
-class Similarity3:
+class Similarity3(NamedTuple):
     """Similarity transform p -> scale * rotation @ p + translation."""
 
     scale: float
@@ -133,7 +132,8 @@ def metric_depth(pred: DepthMap, gt: DepthMap,
     """Absolute relative error and the delta < 1.25 inlier percentage.
 
     scale mode multiplies pred by the median gt/pred ratio; scale_and_shift
-    applies the least-squares affine correction a * pred + b.
+    fits a * pred + b by least squares from centred sums, without BLAS, and
+    raises DegenerateConfiguration if sum((pred - mean(pred))**2) is 0.
     """
     if pred.depths.shape != gt.depths.shape:
         raise ShapeMismatch("depth maps must have the same shape")
@@ -145,8 +145,11 @@ def metric_depth(pred: DepthMap, gt: DepthMap,
     if mode is DepthEvalMode.SCALE:
         p = p * float(np.median(g / p))
     elif mode is DepthEvalMode.SCALE_AND_SHIFT:
-        a, b = np.polyfit(p, g, 1)
-        p = a * p + b
+        pc = p - p.mean()
+        spread = np.sum(pc * pc)
+        if spread == 0.0:
+            raise DegenerateConfiguration("pred depths have no spread")
+        p = np.sum(pc * (g - g.mean())) / spread * pc + g.mean()
     abs_rel = float(np.mean(np.abs(p - g) / g))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.maximum(p / g, g / p)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoValidPixels
+from .errors import InvalidValue, NoValidPixels
 from .geometry import PointSet
 
 _STRIP_ROWS = 32  # rows per strip
@@ -58,7 +58,7 @@ _MAX_BANDS = min(2, len(os.sched_getaffinity(0))
 
 @dataclass(frozen=True)
 class DepthMap:
-    depths: np.ndarray  # (H, W) scene units
+    depths: np.ndarray  # (H, W) scene units; finite and > 0 where valid
     valid: np.ndarray   # (H, W) bool
 
     def __post_init__(self):
@@ -66,6 +66,8 @@ class DepthMap:
         v = np.asarray(self.valid, dtype=bool)
         if d.shape != v.shape or d.ndim != 2:
             raise ValueError("depths and valid must be matching 2D arrays")
+        if (v > ((d > 0) & (d < math.inf))).any():  # NaN fails both tests
+            raise InvalidValue("valid depths must be finite and positive")
         object.__setattr__(self, "depths", d)
         object.__setattr__(self, "valid", v)
 
@@ -97,17 +99,14 @@ class BilateralConfig:
             return self.sigma_r
         # np.median by selection on the copy the mask index makes: the lower
         # middle, and for an even count its mean with the least value above
-        # it, as np.median computes it. min propagates a NaN, which partition
-        # sorts above every number, so a NaN depth still gives NaN
+        # it, as np.median computes it
         x = depth_map.depths[depth_map.valid]
         if not x.size:
             raise NoValidPixels("depth map has no valid pixels")
         k = (x.size - 1) // 2
         x.partition(k)
-        lo = x[k]
-        hi = x[k + 1:].min(initial=math.inf)
-        median = lo if x.size % 2 else (lo + hi) / 2.0
-        return 0.05 * float(hi if math.isnan(hi) else median)
+        median = x[k] if x.size % 2 else (x[k] + x[k + 1:].min()) / 2.0
+        return 0.05 * float(median)
 
 
 @dataclass(frozen=True)
@@ -205,7 +204,7 @@ def bilateral_depth(depth_map: DepthMap, cfg: BilateralConfig = BilateralConfig(
         np.multiply(blk, mask[reach:reach + m], out=blk)
         np.multiply(blk, _rows(mask, reach + s0, g, m), out=blk)
 
-    def band(strips, weight_sum, value_sum, term, store, update, mask):
+    def band(strips, weight_sum, value_sum, term, store, mask):
         for r0 in strips:
             r1 = min(r0 + rows, h)
             n = (r1 - r0 - 1) * pw + wid  # first to last real pixel of the strip
@@ -253,12 +252,10 @@ def bilateral_depth(depth_map: DepthMap, cfg: BilateralConfig = BilateralConfig(
                     ws += wgt
                     np.multiply(wgt, values[a:a + n], out=term[:n])
                     vs += term[:n]
+            # the centre weight makes ws >= 1 at every valid pixel
             ws = weight_sum[:(r1 - r0) * pw].reshape(r1 - r0, pw)[:, :wid]
             vs = value_sum[:(r1 - r0) * pw].reshape(r1 - r0, pw)[:, :wid]
-            ok = update[:r1 - r0]
-            np.greater_equal(ws, 1e-300, out=ok)
-            np.logical_and(ok, valid[r0:r1], out=ok)
-            np.divide(vs, ws, out=out[r0:r1], where=ok)
+            np.divide(vs, ws, out=out[r0:r1], where=valid[r0:r1])
 
     out = np.array(d, copy=True)
     strips = range(0, h, rows)
@@ -268,8 +265,7 @@ def bilateral_depth(depth_map: DepthMap, cfg: BilateralConfig = BilateralConfig(
     # band, so the output does not depend on the number of bands
     bands = min(_MAX_BANDS, len(strips))
     bufs = [(np.empty(rows * pw), np.empty(rows * pw), np.empty(n_max),
-             np.empty(slots[n_kept] + scratch), np.empty((rows, wid), dtype=bool),
-             np.empty(n_max + 2 * reach))
+             np.empty(slots[n_kept] + scratch), np.empty(n_max + 2 * reach))
             for _ in range(bands)]
     if bands == 1:
         band(strips, *bufs[0])

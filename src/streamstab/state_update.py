@@ -7,6 +7,7 @@ gradient steps; the per-frame learning rate comes from frame_scoring.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,14 +31,9 @@ class MemoryState:
         return MemoryState(np.zeros((n, c)))
 
 
-@dataclass(frozen=True)
-class Observation:
-    key: np.ndarray  # (c,)
-    value: np.ndarray  # (n,)
-
-    def __post_init__(self):
-        object.__setattr__(self, "key", np.asarray(self.key, dtype=float).reshape(-1))
-        object.__setattr__(self, "value", np.asarray(self.value, dtype=float).reshape(-1))
+class Observation(NamedTuple):
+    key: np.ndarray  # (c,) floats
+    value: np.ndarray  # (n,) floats, stored under the key
 
 
 def associative_gradient(state: MemoryState, obs: Observation) -> np.ndarray:

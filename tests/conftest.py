@@ -9,10 +9,15 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from streamstab import Pose, Quaternion, Trajectory, quat_normalize
 
 # Hypothesis caches Unicode tables and source constants under ./.hypothesis
-# even with database=None; a temporary home, removed at exit, keeps the
-# checkout clean
+# even with database=None; a temporary home, removed when the session ends,
+# keeps the checkout clean
 _HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
 set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
+
+
+def pytest_sessionfinish(session, exitstatus):
+    _HYPOTHESIS_HOME.cleanup()
+
 
 # Subprocess tests run `python -m streamstab` from a temporary cwd, where a
 # relative PYTHONPATH entry such as `src` no longer resolves.

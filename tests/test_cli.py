@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -272,6 +273,18 @@ class TestRefine:
         assert err == ""
         assert dst.read_bytes() == src.read_bytes()
 
+    def test_integer_past_float_range(self, capsys, tmp_path):
+        # int flags are not converted to float: a 400-digit --window ended in
+        # an OverflowError traceback, and is now clamped like any other
+        dm = DepthMap.from_depths(np.full((4, 5), 2.0))
+        src = tmp_path / "in.pfm"
+        src.write_bytes(write_pfm(dm))
+        code, _, err = run(capsys, ["refine", "--in", str(src), "--out",
+                                    str(tmp_path / "o.pfm"),
+                                    "--window", "1" + "0" * 400])
+        assert (code, err) == (0, "")
+        assert (tmp_path / "o.pfm").read_bytes() == src.read_bytes()
+
 
 class TestEval:
     def test_eval_traj_identical(self, capsys, tmp_path):
@@ -324,6 +337,20 @@ class TestEval:
         assert float(abs_rel) == pytest.approx(0.0, abs=1e-6)
         assert float(delta) == 100.0
 
+    def test_eval_depth_constant_pred_scale_and_shift(self, capsys, tmp_path):
+        # exited 0 with a RankWarning and a number from an underdetermined fit
+        pp, gp = tmp_path / "pred.pfm", tmp_path / "gt.pfm"
+        pp.write_bytes(write_pfm(DepthMap.from_depths(np.full((4, 5), 1.5))))
+        gp.write_bytes(write_pfm(DepthMap.from_depths(
+            np.linspace(1.0, 3.0, 20).reshape(4, 5))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["eval-depth", "--pred", str(pp),
+                                          "--gt", str(gp),
+                                          "--mode", "scale_and_shift"])
+        assert (code, out) == (3, "")
+        assert err == "error: pred depths have no spread\n"
+
     def test_eval_recon_identical(self, capsys, tmp_path):
         rng = np.random.default_rng(3)
         cloud = PointSet(rng.standard_normal((60, 3)))
@@ -352,6 +379,19 @@ class TestEval:
         assert code == 2
         assert out == ""
         assert f"line {line}" in err
+
+    def test_eval_recon_non_positive_confidence(self, capsys, tmp_path):
+        rng = np.random.default_rng(7)
+        cloud = PointSet(rng.standard_normal((30, 3)), np.ones(30))
+        text = write_ply_ascii(cloud).decode("ascii").splitlines()
+        text[8 + 4] = text[8 + 4].rsplit(" ", 1)[0] + " -1"  # 8 header lines
+        path = tmp_path / "c.ply"
+        path.write_text("\n".join(text) + "\n")
+        code, out, err = run(capsys, ["eval-recon", "--pred", str(path),
+                                      "--gt", str(path)])
+        assert (code, out) == (3, "")
+        assert err == ("error: confidences must be one finite positive value "
+                       "per point\n")
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("side", ["--pred", "--gt"])
@@ -469,6 +509,30 @@ class TestSimulate:
         _, out1, _ = run(capsys, ["simulate", "--frames", "10", "--seed", "7"])
         _, out2, _ = run(capsys, ["simulate", "--frames", "10", "--seed", "7"])
         assert out1 == out2
+
+    def test_state_dim_bound(self, capsys, tmp_path):
+        # parsed only: nothing runs at the bound, and nothing past it
+        args = build_parser().parse_args(["simulate", "--state-dim", "4096"])
+        assert args.state_dim == 4096
+        for value in ("4097", "999999999"):
+            with pytest.raises(SystemExit) as exc:
+                main(["simulate", "--frames", "1", "--state-dim", value])
+            assert exc.value.code == 2
+            assert f"--state-dim: must be at most 4096, got {value}" in \
+                capsys.readouterr().err
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("state-dim = 4097\n")
+        code, out, err = run(capsys, ["simulate", "--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 1: invalid value for state_dim")
+
+    def test_memory_error_exit_3(self, capsys, monkeypatch):
+        def simulate_stream(*args):
+            raise MemoryError("Unable to allocate 7.28 PiB for an array")
+        monkeypatch.setattr("streamstab.cli.simulate_stream", simulate_stream)
+        code, out, err = run(capsys, ["simulate", "--frames", "1"])
+        assert (code, out) == (3, "")
+        assert err == "error: Unable to allocate 7.28 PiB for an array\n"
 
 
 class TestConfigFile:

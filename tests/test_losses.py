@@ -7,8 +7,8 @@ from streamstab import (LossWeights, PointSet, Pose, Quaternion, Trajectory,
                         grad_pose_translations, loss_acc, loss_ate, loss_conf,
                         loss_pose, loss_rgb, loss_rpe, loss_total,
                         scale_normalizer)
-from streamstab.errors import (EmptyList, LengthMismatch, MissingConfidence,
-                               ShapeMismatch, TooShort)
+from streamstab.errors import (EmptyList, InvalidValue, LengthMismatch,
+                               MissingConfidence, ShapeMismatch, TooShort)
 from streamstab.losses import hemisphere_align
 
 from conftest import awkward_trajectory, random_trajectory
@@ -146,6 +146,18 @@ class TestLossConf:
         with pytest.raises(LengthMismatch):
             loss_conf(PointSet(np.ones((2, 3)), np.ones(2)),
                       PointSet(np.ones((3, 3))), 0.2)
+
+    @pytest.mark.parametrize("conf", [[1.0, 0.0, -1.0], [1.0, math.nan, 1.0],
+                                      [1.0, math.inf, 1.0], [1.0, 1.0, -0.0],
+                                      [1.0, 1.0], [1.0, 1.0, 1.0, 1.0]])
+    def test_confidences_are_finite_positive_one_per_point(self, conf):
+        # loss_conf gave nan and two RuntimeWarnings for [1, 0, -1]
+        with pytest.raises(InvalidValue):
+            PointSet(np.ones((3, 3)), np.array(conf))
+
+    def test_smallest_and_largest_confidences_accepted(self):
+        conf = np.array([5e-324, 1.7976931348623157e308])
+        assert np.array_equal(PointSet(np.ones((2, 3)), conf).confidences, conf)
 
 
 class TestLossRgb:

@@ -16,6 +16,19 @@ from streamstab.metrics import estimate_normals
 from conftest import awkward_trajectory, random_trajectory, random_unit_quat
 
 
+def polyfit_depth_oracle(pred, gt):
+    """metric_depth's scale_and_shift mode with the line from np.polyfit (the
+    old fit)."""
+    mask = pred.valid & gt.valid
+    p, g = pred.depths[mask], gt.depths[mask]
+    a, b = np.polyfit(p, g, 1)
+    p = a * p + b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.maximum(p / g, g / p)
+    return (float(np.mean(np.abs(p - g) / g)),
+            100.0 * float(np.mean((p > 0) & (ratio < 1.25))))
+
+
 def rot_z(deg):
     a = math.radians(deg)
     return np.array([[math.cos(a), -math.sin(a), 0],
@@ -285,6 +298,37 @@ class TestMetricDepth:
         b = DepthMap.from_depths(np.ones((5, 5)))
         with pytest.raises(ShapeMismatch):
             metric_depth(a, b)
+
+    def test_scale_and_shift_matches_polyfit(self):
+        rng = np.random.default_rng(20)
+        for _ in range(50):
+            shape = tuple(rng.integers(2, 40, size=2))
+            gt = rng.uniform(1.0, 5.0, size=shape)
+            pred = np.abs(rng.uniform(0.3, 3.0) * gt + rng.uniform(-1.0, 2.0)
+                          + rng.normal(0.0, 0.3, size=shape)) + 0.1
+            valid = rng.random(shape) < 0.9
+            valid.flat[:2] = True
+            pred = DepthMap(pred, valid)
+            gt = DepthMap.from_depths(gt)
+            abs_rel, delta = metric_depth(pred, gt,
+                                          DepthEvalMode.SCALE_AND_SHIFT)
+            want_abs_rel, want_delta = polyfit_depth_oracle(pred, gt)
+            assert abs_rel == pytest.approx(want_abs_rel, rel=1e-12)
+            assert delta == want_delta
+
+    @pytest.mark.parametrize("pred", [
+        np.full((4, 5), 1.5),  # polyfit: a RankWarning and a number
+        1e-300 * np.linspace(1.0, 2.0, 20).reshape(4, 5),  # spread underflows
+    ], ids=["constant", "1e-300"])
+    def test_pred_without_spread_is_degenerate(self, pred):
+        gt = DepthMap.from_depths(np.linspace(1.0, 3.0, 20).reshape(4, 5))
+        with pytest.raises(DegenerateConfiguration):
+            metric_depth(DepthMap.from_depths(pred), gt,
+                         DepthEvalMode.SCALE_AND_SHIFT)
+        # the other modes still give a number
+        for mode in (DepthEvalMode.ORIGINAL, DepthEvalMode.SCALE):
+            assert all(map(math.isfinite, metric_depth(
+                DepthMap.from_depths(pred), gt, mode)))
 
     def test_no_overlap(self):
         d = np.ones((2, 2))

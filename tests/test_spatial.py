@@ -8,7 +8,7 @@ import pytest
 
 from streamstab import (BilateralConfig, DepthMap, Intrinsics,
                         bilateral_depth, depth_to_points, refine_cloud, spatial)
-from streamstab.errors import NoValidPixels
+from streamstab.errors import InvalidValue, NoValidPixels
 
 STRIP = spatial._STRIP_ROWS
 
@@ -446,14 +446,14 @@ class TestAdaptiveSigmaR:
             assert np.array_equal(dm.depths, before)
 
     @pytest.mark.parametrize("count", [1, 2, 3, 100, 101])
-    def test_nan_depth_gives_nan(self, count):
+    def test_nan_depth_is_rejected(self, count):
+        # a valid NaN depth gave a NaN sigma_r; the map can no longer hold one
         rng = np.random.default_rng(count)
         for i in range(count):
             depths = rng.uniform(0.1, 10.0, size=(1, count))
             depths[0, i] = np.nan
-            dm = DepthMap(depths, np.ones_like(depths, dtype=bool))
-            assert math.isnan(BilateralConfig().effective_sigma_r(dm))
-            assert math.isnan(self.median_oracle(dm))
+            with pytest.raises(InvalidValue):
+                DepthMap(depths, np.ones_like(depths, dtype=bool))
 
     def test_no_valid_pixels(self):
         # np.median gave NaN and a RuntimeWarning here
@@ -464,6 +464,28 @@ class TestAdaptiveSigmaR:
     def test_set_sigma_r_is_returned(self):
         dm = DepthMap.from_depths(np.ones((2, 2)))
         assert BilateralConfig(sigma_r=0.3).effective_sigma_r(dm) == 0.3
+
+
+class TestDepthMapInvariant:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0,
+                                     -0.0])
+    def test_valid_depth_must_be_finite_and_positive(self, bad):
+        depths = np.full((3, 4), 2.0)
+        depths[1, 2] = bad
+        with pytest.raises(InvalidValue):
+            DepthMap(depths, np.ones((3, 4), dtype=bool))
+        # an invalid pixel may store it, and the filter passes it through
+        valid = np.ones((3, 4), dtype=bool)
+        valid[1, 2] = False
+        out = bilateral_depth(DepthMap(depths, valid),
+                              BilateralConfig(window=1, sigma_r=0.1))
+        assert np.array_equal(out.depths, depths, equal_nan=True)
+        assert np.array_equal(out.valid, valid)
+
+    def test_smallest_and_largest_floats_accepted(self):
+        depths = np.array([[5e-324, 1.7976931348623157e308]])
+        dm = DepthMap(depths, np.ones((1, 2), dtype=bool))
+        assert np.array_equal(dm.depths, depths)
 
 
 class TestIntrinsics:
