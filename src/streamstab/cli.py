@@ -243,20 +243,22 @@ def _cmd_stabilize(args) -> None:
 
 
 def _cmd_refine(args) -> None:
+    # the output's flags are checked before the map is read and filtered
+    out = Path(args.outfile)
+    if out.suffix.lower() == ".ply":
+        if None in (args.fx, args.fy, args.cx, args.cy):
+            args.parser.error("PLY output requires --fx --fy --cx --cy")
+        intr = Intrinsics(args.fx, args.fy, args.cx, args.cy)
+    elif out.suffix.lower() != ".pfm":
+        args.parser.error(f"unsupported output extension {out.suffix!r}")
     depth_map = read_pfm(Path(args.infile).read_bytes())
     cfg = BilateralConfig(window=args.window, sigma_s=args.sigma_s,
                           sigma_r=args.sigma_r)
     refined = bilateral_depth(depth_map, cfg)
-    out = Path(args.outfile)
     if out.suffix.lower() == ".pfm":
         out.write_bytes(write_pfm(refined))
-    elif out.suffix.lower() == ".ply":
-        if None in (args.fx, args.fy, args.cx, args.cy):
-            args.parser.error("PLY output requires --fx --fy --cx --cy")
-        intr = Intrinsics(args.fx, args.fy, args.cx, args.cy)
-        out.write_bytes(write_ply_ascii(depth_to_points(refined, intr)))
     else:
-        args.parser.error(f"unsupported output extension {out.suffix!r}")
+        out.write_bytes(write_ply_ascii(depth_to_points(refined, intr)))
 
 
 def _load_pair(args):
@@ -265,17 +267,13 @@ def _load_pair(args):
     return pred, gt
 
 
-def _prefix(traj, k):
-    if k is not None and k > len(traj):
-        print(f"warning: --prefix-frames {k} exceeds trajectory length "
-              f"{len(traj)}; clamping", file=sys.stderr)
-    return traj[:k]
-
-
 def _cmd_eval_traj(args) -> None:
     pred, gt = _load_pair(args)
-    pred = _prefix(pred, args.prefix_frames)
-    gt = _prefix(gt, args.prefix_frames)
+    k, shortest = args.prefix_frames, min(len(pred), len(gt))
+    if k is not None and k > shortest:
+        print(f"warning: --prefix-frames {k} exceeds trajectory length "
+              f"{shortest}; clamping", file=sys.stderr)
+    pred, gt = pred[:k], gt[:k]
     ate = metric_ate(pred, gt, with_scale=args.align == "sim3")
     rpe_trans, rpe_rot = metric_rpe(pred, gt)
     print("frames,ate,rpe_trans,rpe_rot")

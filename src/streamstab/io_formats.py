@@ -8,13 +8,15 @@ All readers reject trailing garbage and fail fast on truncated payloads.
 
 from __future__ import annotations
 
+import io
 import math
 import re
+from itertools import islice
 
 import numpy as np
 
-from .errors import (MissingProperty, NonMonotonicTimestamps, ParseError,
-                     UnsupportedMagic)
+from .errors import (InvalidValue, MissingProperty, NonMonotonicTimestamps,
+                     ParseError, UnsupportedMagic)
 from .frame_scoring import GrayImage
 from .geometry import PointSet, Trajectory, squared
 from .spatial import DepthMap
@@ -22,7 +24,8 @@ from .spatial import DepthMap
 # vertex lines per np.array call when reading and per format_rows call when
 # writing: the split fields of a whole cloud would hold about 350 bytes per
 # point, and its formatted fields a Python float each, several times the
-# float table they come from or fill
+# float table they come from or fill; so either side holds the table, one
+# block and the payload
 _PLY_BLOCK_LINES = 4096
 
 
@@ -33,10 +36,13 @@ def format_rows(table, sep: str = " ") -> str:
     return (row * len(table)) % tuple(table.ravel().tolist())
 
 
-def _lines(data: bytes) -> list[bytes]:
-    """The lines of a text payload, each ended by `\n`, `\r\n` or `\r` only
-    (str.splitlines also ends lines at `\x0b`, `\x0c` and `\x1c`-`\x1e`)."""
-    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
+def _lf(data: bytes) -> bytes:
+    """`data` with every line ended by `\n`: lines end at `\n`, `\r\n` or `\r`
+    only (str.splitlines also ends lines at `\x0b`, `\x0c` and `\x1c`-`\x1e`).
+    A payload with no `\r` is returned as it is, not copied."""
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return data
 
 
 def _decimals(line: bytes) -> list[float]:
@@ -54,7 +60,8 @@ def _decimals(line: bytes) -> list[float]:
 def read_trajectory_tum(text: str) -> Trajectory:
     rows, linenos = [], []
     data = text.encode("utf-8", "surrogatepass")
-    for lineno, line in enumerate(map(bytes.strip, _lines(data)), start=1):
+    for lineno, line in enumerate(map(bytes.strip, _lf(data).split(b"\n")),
+                                 start=1):
         if not line or line.startswith(b"#"):
             continue
         try:
@@ -193,8 +200,12 @@ def read_pfm(data: bytes) -> DepthMap:
 def write_pfm(depth_map: DepthMap) -> bytes:
     header = b"Pf\n%d %d\n-1.0\n" % depth_map.depths.shape[::-1]
     depths = np.where(depth_map.valid, depth_map.depths, 0.0)
-    payload = depths[::-1].astype("<f4").tobytes()
-    return header + payload
+    with np.errstate(over="ignore"):  # checked below, as a non-finite value
+        depths = depths[::-1].astype("<f4")
+    kept = np.isfinite(depths) & (depths > 0)
+    if not kept[depth_map.valid[::-1]].all():
+        raise InvalidValue("a valid depth is not a finite positive float32")
+    return header + depths.tobytes()
 
 
 # -- ASCII PLY point clouds ------------------------------------------------
@@ -202,16 +213,17 @@ def write_pfm(depth_map: DepthMap) -> bytes:
 def read_ply_ascii(data: bytes) -> PointSet:
     if not data.isascii():
         raise ParseError("PLY payload is not ASCII")
-    lines = _lines(data)
-    if lines[0].strip() != b"ply":
+    data = _lf(data)
+    # a BytesIO made from bytes shares their buffer, so its lines are cut
+    # straight from the payload and no list of them is ever held
+    stream = io.BytesIO(data)
+    if stream.readline().strip() != b"ply":
         raise UnsupportedMagic("missing 'ply' magic")
     n_vertices = None
     properties = []
-    i = 1
     in_vertex_element = False
-    while i < len(lines):
-        fields = lines[i].split()
-        i += 1
+    for i, line in enumerate(stream, start=2):
+        fields = line.split()
         if not fields or fields[0] == b"comment":
             continue
         if fields[0] == b"format":
@@ -239,37 +251,59 @@ def read_ply_ascii(data: bytes) -> PointSet:
     for name in ("x", "y", "z"):
         if name not in properties:
             raise MissingProperty(f"vertex property {name!r} missing")
-    body = lines[i:]
-    n_rows = sum(1 for line in body if line.strip())
-    if n_rows != n_vertices:
-        raise ParseError(f"expected {n_vertices} vertex lines, got {n_rows}")
-    width = len(properties)
-    # `_` belongs in no vertex field; one count over the data finds it in the
-    # body without a copy of it
-    if data.count(b"_") > sum(line.count(b"_") for line in lines[:i]):
-        raise _vertex_line_error(lines, i, width)
+    start = stream.tell()
+    table = None
+    if data.find(b"_", start) == -1:  # `_` belongs in no vertex field
+        table = _vertex_table(stream, data.count(b"\n", start) + 1,
+                              n_vertices, len(properties))
+    if table is None:
+        raise _vertex_error(data, start, i + 1, n_vertices, len(properties))
+    cols = {name: j for j, name in enumerate(properties)}
+    x, y, z = cols["x"], cols["y"], cols["z"]
+    # adjacent x y z columns are a view of the table, not a copy of them
+    points = (table[:, x:x + 3] if (y, z) == (x + 1, x + 2)
+              else table[:, [x, y, z]])
+    conf = cols.get("confidence")
+    return PointSet(points, None if conf is None else table[:, conf])
+
+
+def _vertex_table(lines, n_lines: int, n_vertices: int,
+                  width: int) -> np.ndarray | None:
+    """The `n_vertices` x `width` table of the next `n_lines` of `lines`,
+    read `_PLY_BLOCK_LINES` at a time, or None when their non-blank lines
+    are not `n_vertices` rows of `width` finite numbers."""
+    if n_vertices > n_lines:  # make no table that the lines cannot fill
+        return None
     table = np.empty((n_vertices, width))
     filled = 0
-    for start in range(0, len(body), _PLY_BLOCK_LINES):
+    for _ in range(0, n_lines, _PLY_BLOCK_LINES):
         rows = [fields for fields in
-                map(bytes.split, body[start:start + _PLY_BLOCK_LINES]) if fields]
+                map(bytes.split, islice(lines, _PLY_BLOCK_LINES)) if fields]
+        block = table[filled:filled + len(rows)]
+        if len(block) < len(rows):
+            return None
         try:
-            table[filled:filled + len(rows)] = np.array(
-                rows, dtype=float).reshape(len(rows), width)
+            block[:] = np.array(rows, dtype=float).reshape(len(rows), width)
         except ValueError:  # a ragged, short or non-numeric row
-            raise _vertex_line_error(lines, i, width)
+            return None
+        if not np.isfinite(block).all():
+            return None
         filled += len(rows)
-    if not np.isfinite(table).all():
-        raise _vertex_line_error(lines, i, width)
-    cols = {name: table[:, j] for j, name in enumerate(properties)}
-    points = np.stack([cols["x"], cols["y"], cols["z"]], axis=1)
-    conf = cols.get("confidence")
-    return PointSet(points, conf)
+    return table if filled == n_vertices else None
 
 
-def _vertex_line_error(lines: list[bytes], start: int, width: int) -> ParseError:
-    """The error naming the first bad vertex line at or after lines[start]."""
-    for lineno, line in enumerate(lines[start:], start=start + 1):
+def _vertex_error(data: bytes, start: int, lineno: int, n_vertices: int,
+                  width: int) -> ParseError:
+    """The error of the vertex lines from data[start:], the first of them
+    line `lineno`: a count that is not `n_vertices`, else the first line
+    that is not `width` finite numbers."""
+    lines = io.BytesIO(data)
+    lines.seek(start)
+    n_rows = sum(1 for line in lines if line.split())
+    if n_rows != n_vertices:
+        return ParseError(f"expected {n_vertices} vertex lines, got {n_rows}")
+    lines.seek(start)
+    for lineno, line in enumerate(lines, start=lineno):
         fields = line.split()
         if not fields:
             continue
@@ -285,17 +319,22 @@ def _vertex_line_error(lines: list[bytes], start: int, width: int) -> ParseError
 
 
 def write_ply_ascii(cloud: PointSet) -> bytes:
-    has_conf = cloud.confidences is not None
+    conf = cloud.confidences
     header = ["ply", "format ascii 1.0",
               f"element vertex {len(cloud)}",
               "property float x", "property float y", "property float z"]
-    if has_conf:
+    if conf is not None:
         header.append("property float confidence")
     header.append("end_header")
-    table = cloud.points
-    if has_conf:
-        table = np.column_stack([table, cloud.confidences])
-    parts = [("\n".join(header) + "\n").encode("ascii")]
-    parts += [format_rows(table[start:start + _PLY_BLOCK_LINES]).encode("ascii")
-              for start in range(0, len(table), _PLY_BLOCK_LINES)]
-    return b"".join(parts)
+    # each block goes into the buffer as soon as it is formatted, and
+    # getvalue() hands that buffer over: no list of the encoded blocks and
+    # no joined copy of them
+    out = io.BytesIO()
+    out.write(("\n".join(header) + "\n").encode("ascii"))
+    for start in range(0, len(cloud), _PLY_BLOCK_LINES):
+        block = cloud.points[start:start + _PLY_BLOCK_LINES]
+        if conf is not None:
+            block = np.column_stack([block,
+                                     conf[start:start + _PLY_BLOCK_LINES]])
+        out.write(format_rows(block).encode("ascii"))
+    return out.getvalue()

@@ -187,6 +187,24 @@ class TestRefine:
             main(["refine", "--in", str(src), "--out", str(tmp_path / "o.ply")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("out, flags", [
+        ("o.ply", ["--fx", "10", "--fy", "10", "--cx", "2"]),
+        ("o.png", ["--fx", "10", "--fy", "10", "--cx", "2", "--cy", "2"]),
+    ], ids=["ply-without-cy", "png"])
+    def test_usage_error_before_reading_or_filtering(self, monkeypatch,
+                                                     tmp_path, out, flags):
+        src = tmp_path / "in.pfm"
+        src.write_bytes(write_pfm(DepthMap.from_depths(np.full((4, 4), 2.0))))
+
+        def never(*args):
+            raise AssertionError("the map was read or filtered")
+        monkeypatch.setattr("streamstab.cli.read_pfm", never)
+        monkeypatch.setattr("streamstab.cli.bilateral_depth", never)
+        with pytest.raises(SystemExit) as exc:
+            main(["refine", "--in", str(src), "--out", str(tmp_path / out),
+                  *flags])
+        assert exc.value.code == 2
+
     def test_ply_output(self, capsys, tmp_path):
         dm = DepthMap.from_depths(np.full((4, 4), 2.0))
         src = tmp_path / "in.pfm"
@@ -311,7 +329,9 @@ class TestEval:
                                       "--gt", str(path),
                                       "--prefix-frames", "50"])
         assert code == 0
-        assert "clamping" in err
+        # one warning for the run, not one per trajectory
+        assert err == ("warning: --prefix-frames 50 exceeds trajectory "
+                       "length 5; clamping\n")
         assert out.splitlines()[1].startswith("5,")
 
     def test_non_positive_prefix_frames_usage_error(self, tmp_path):

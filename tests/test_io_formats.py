@@ -1,5 +1,7 @@
 import math
 import string
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,8 +10,10 @@ from hypothesis import strategies as st
 
 from streamstab import (DepthMap, GrayImage, PointSet, Pose, Quaternion,
                         Trajectory, quat_normalize)
-from streamstab.errors import (MissingProperty, NonMonotonicTimestamps,
-                               ParseError, UnsupportedMagic)
+from streamstab import io_formats
+from streamstab.errors import (InvalidValue, MissingProperty,
+                               NonMonotonicTimestamps, ParseError,
+                               UnsupportedMagic)
 from streamstab.io_formats import (_pnm_header, read_pfm, read_pgm,
                                    read_ply_ascii, read_trajectory_tum,
                                    write_pfm, write_pgm, write_ply_ascii,
@@ -471,8 +475,119 @@ class TestPfm:
         with pytest.raises(ParseError, match="invalid PFM dimensions or scale"):
             read_pfm(b"Pf\n1 1\n" + scale + b"\n" + payload)
 
+    @pytest.mark.parametrize("depths", [
+        [[1e39, 2.0], [1e-50, 3.0]], [[1e39, 2.0], [1.0, 3.0]],
+        [[1.0, 2.0], [1e-50, 3.0]]], ids=["both", "overflow", "underflow"])
+    def test_depth_float32_cannot_hold_rejected(self, depths):
+        # float32 would hold inf or 0, which read back as invalid pixels
+        dm = DepthMap.from_depths(depths)
+        with pytest.raises(InvalidValue, match="finite positive float32"):
+            write_pfm(dm)
+
+    def test_float32_extremes_round_trip(self):
+        f32 = np.finfo(np.float32)
+        depths = np.array([[float(f32.max), 2.0],
+                           [float(f32.smallest_subnormal), 3.0]])
+        back = read_pfm(write_pfm(DepthMap.from_depths(depths)))
+        assert back.valid.all()
+        assert np.array_equal(back.depths, depths)
+
+
+_PLY_FIELDS = [b"0", b"1", b"-2.5", b"0.5", b"1e300", b"1e999", b"nan",
+               b"-inf", b"1_0", b"z", b"\x1c", b"\x0b", b""]
+_PLY_HEAD_LINES = [b"format ascii 1.0", b"format binary_little_endian 1.0",
+                   b"format", b"element vertex 2", b"element vertex",
+                   b"element vertex 99999999999999999999", b"element face 1",
+                   b"property float x", b"property float confidence",
+                   b"property", b"comment a_b", b"end_header", b""]
+
+
+@st.composite
+def ply_payloads(draw):
+    """Any bytes, or a PLY file whose header, body and line ends are
+    drawn from valid and malformed pieces."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=80))
+    extra = draw(st.lists(st.sampled_from(["confidence", "w", "x"]),
+                          max_size=2))
+    props = draw(st.permutations(["x", "y", "z", *extra]))
+    props = props[draw(st.sampled_from([0, 0, 0, 1])):]
+    numbers = st.lists(st.sampled_from(_PLY_FIELDS[:5]), min_size=len(props),
+                       max_size=len(props))
+    body = draw(st.lists(st.one_of(
+        numbers, numbers, st.lists(st.sampled_from(_PLY_FIELDS), max_size=5)),
+        max_size=5))
+    count = sum(map(any, body)) + draw(st.sampled_from([0, 0, 0, 1, -1]))
+    head = [b"ply", b"format ascii 1.0", b"element vertex %d" % max(count, 0)]
+    head += [b"property float " + name.encode() for name in props]
+    head += draw(st.lists(st.sampled_from(_PLY_HEAD_LINES), max_size=2))
+    eol = draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
+    lines = head + [b"end_header"] + [b" ".join(fields) for fields in body]
+    return eol.join(lines) + draw(st.sampled_from([eol, b""]))
+
+
+def read_ply_outcome(data):
+    """The cloud's bytes, or the type and message of its error."""
+    try:
+        cloud = read_ply_ascii(data)
+    except ParseError as exc:
+        return type(exc), str(exc)
+    except InvalidValue as exc:  # a confidence that is not positive: exit 3
+        assert str(exc).startswith("confidences must be")
+        return type(exc), str(exc)
+    assert np.isfinite(cloud.points).all()
+    conf = cloud.confidences
+    return cloud.points.tobytes(), None if conf is None else conf.tobytes()
+
+
+def memory_cloud(with_conf):
+    rng = np.random.default_rng(8)
+    return PointSet(rng.standard_normal((50_000, 3)),
+                    rng.uniform(0.1, 2.0, 50_000) if with_conf else None)
+
 
 class TestPly:
+    @FUZZ
+    @given(ply_payloads())
+    def test_any_bytes_give_cloud_or_parse_error(self, data):
+        read_ply_outcome(data)
+
+    @settings(FUZZ, max_examples=150)
+    @given(ply_payloads())
+    def test_block_size_changes_no_outcome(self, data):
+        outcomes = []
+        for block in (1, 2, 4096):
+            with mock.patch.object(io_formats, "_PLY_BLOCK_LINES", block):
+                outcomes.append(read_ply_outcome(data))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+
+    @pytest.mark.parametrize("with_conf", [False, True],
+                             ids=["xyz", "confidence"])
+    def test_reader_holds_table_and_one_block(self, with_conf):
+        # no list of every line and no copy of the payload: about 3-4 MB here
+        data = write_ply_ascii(memory_cloud(with_conf))
+        tracemalloc.start()
+        try:
+            cloud = read_ply_ascii(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = cloud.points.nbytes + (cloud.confidences.nbytes if with_conf
+                                       else 0)
+        assert peak <= table + 4 * 2**20
+
+    @pytest.mark.parametrize("with_conf", [False, True],
+                             ids=["xyz", "confidence"])
+    def test_writer_holds_output_and_one_block(self, with_conf):
+        cloud = memory_cloud(with_conf)
+        tracemalloc.start()
+        try:
+            data = write_ply_ascii(cloud)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * len(data)
+
     def test_single_point_round_trip(self):
         cloud = PointSet(np.array([[1.0, 2.0, 3.0]]))
         back = read_ply_ascii(write_ply_ascii(cloud))
