@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import string
 import sys
 from pathlib import Path
 
@@ -35,20 +36,22 @@ def _read_config(args: argparse.Namespace) -> dict:
              if action.option_strings and not action.required
              and action.dest not in ("help", "config")}
     values = {}
+    # lines end at \n only (read_text maps \r\n and \r to it), and only ASCII
+    # whitespace is stripped, as the file readers do; not str.splitlines/strip
     for lineno, line in enumerate(
-            Path(args.config).read_text().splitlines(), start=1):
-        line = line.strip()
+            Path(args.config).read_text().split("\n"), start=1):
+        line = line.strip(string.whitespace)
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ParseError("config line is not key=value", line=lineno)
         key, _, value = line.partition("=")
-        key = key.strip().replace("-", "_")
+        key = key.strip(string.whitespace).replace("-", "_")
         if key not in flags:
             raise ParseError(
                 f"unknown config key {key!r} for {args.command}", line=lineno)
         flag = flags[key]
-        value = value.strip()
+        value = value.strip(string.whitespace)
         try:
             value = flag.type(value) if flag.type else value
         except (ValueError, argparse.ArgumentTypeError) as exc:
@@ -63,9 +66,12 @@ def _read_config(args: argparse.Namespace) -> dict:
 
 def _number(kind: type = float, low: float = -math.inf, above: bool = False,
             high: float = math.inf):
-    """argparse type: a finite `kind` from `low` (exclusive if `above`) to `high`."""
+    """argparse type: a finite `kind` from `low` (exclusive if `above`) to
+    `high`, spelled in ASCII without `_`, as the file readers require."""
     def parse(text: str):
         try:
+            if not text.isascii() or "_" in text:
+                raise ValueError
             value = kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(

@@ -62,6 +62,15 @@ def squared(a) -> np.ndarray:
     return np.float_power(a, 2.0)
 
 
+def median(x: np.ndarray) -> float:
+    """np.median of a non-empty 1D float array without NaN, by selection: the
+    lower middle, and for an even count its mean with the least value above
+    it, as np.median computes it, in a fraction of its time. Reorders x."""
+    k = (x.size - 1) // 2
+    x.partition(k)
+    return float(x[k] if x.size % 2 else (x[k] + x[k + 1:].min()) / 2.0)
+
+
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
     """Rotation matrices (..., 3, 3) of scalar-first unit quaternions (..., 4)."""
     w, x, y, z = np.moveaxis(np.asarray(q, dtype=float), -1, 0)

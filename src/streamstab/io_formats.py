@@ -181,10 +181,8 @@ def read_pfm(data: bytes) -> DepthMap:
         raise ParseError("invalid PFM header field")
     width, height = int(tokens[0]), int(tokens[1])
     try:
-        scale = float(tokens[2])  # from bytes: ASCII only, but 1_0 reads 10
+        scale = _decimals(tokens[2])[0]
     except ValueError:
-        raise ParseError("invalid PFM header field")
-    if b"_" in tokens[2]:
         raise ParseError("invalid PFM header field")
     if width <= 0 or height <= 0 or scale == 0 or not math.isfinite(scale):
         raise ParseError("invalid PFM dimensions or scale")

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import (DegenerateConfiguration, LengthMismatch,
                      NoOverlappingValidity, NonFinitePoints, ShapeMismatch,
                      TooFewPoints, TooShort)
-from .geometry import PointSet, Trajectory, quat_to_matrix, squared
+from .geometry import PointSet, Trajectory, median, quat_to_matrix, squared
 from .spatial import DepthMap
 
 _NORMALS_BLOCK = 4096  # points per batched SVD in _tree_normals
@@ -143,7 +143,7 @@ def metric_depth(pred: DepthMap, gt: DepthMap,
     p = pred.depths[mask]
     g = gt.depths[mask]
     if mode is DepthEvalMode.SCALE:
-        p = p * float(np.median(g / p))
+        p = p * median(g / p)
     elif mode is DepthEvalMode.SCALE_AND_SHIFT:
         pc = p - p.mean()
         spread = np.sum(pc * pc)

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .frame_scoring import GrayImage
+from .frame_scoring import GrayImage, score_frame
 from .geometry import Pose, Quaternion, quat_normalize
 from .state_update import (MemoryState, Observation, apply_update,
-                           associative_gradient, recall_error, stream_step)
+                           associative_gradient, recall_error)
 
 
 def simulate_stream(frames: int, state_dim: int, seed: int,
@@ -37,14 +37,14 @@ def simulate_stream(frames: int, state_dim: int, seed: int,
 
         position = position + rng.normal(0.0, 0.1, size=3)
         q = quat_normalize(Quaternion(1.0, *rng.normal(0.0, 0.05, size=3)))
-        pose = Pose(np.array(position, copy=True), q, step / 30.0)
+        pose = Pose(position, q, step / 30.0)  # position is rebound, not mutated
 
         if constant_beta is not None:
             beta = constant_beta
-            state = apply_update(state, associative_gradient(state, obs), beta)
         else:
             img = GrayImage(rng.uniform(size=(16, 16)))
-            state, beta = stream_step(state, prev_pose, pose, img, obs)
+            beta = score_frame(prev_pose, pose, img)
+        state = apply_update(state, associative_gradient(state, obs), beta)
         prev_pose = pose
 
         rows.append((step, beta,

@@ -4,18 +4,18 @@ Filters each valid pixel by a Gaussian-weighted average over a square window,
 with weights combining pixel distance and depth similarity, then optionally
 back-projects to a point cloud through pinhole intrinsics.
 
-The filter is evaluated in padded strips. The map is padded by the window
-half-width into a flat depth copy (0.0 at invalid and padding pixels) and a
-flat mask of the valid pixels, so each window offset is one flat shift and a
-missing neighbour gets weight 0.0 whatever its stored depth. Rows are taken
-in strips of a few dozen, and every buffer is reused from strip to strip.
+The filter is evaluated in strips of a few dozen rows of a flat copy of the
+map, padded by the window half-width and 0.0 at invalid and padding pixels,
+so each window offset is one flat shift. A valid depth is > 0, so a strip's
+0/1 validity mask is that copy > 0, and a missing neighbour gets weight 0.0
+whatever depth it stores. Every buffer is reused from strip to strip.
 
-Within a strip the offsets of one dy row have consecutive shifts, so their
-range weights are one (offsets, pixels) block: each step (difference,
-square, scale, floor, exp, spatial weight, mask) is one NumPy call over the
-block instead of one per offset. The range weight of offset o, shifted, is
-the weight of -o, so the blocks before the centre are kept and read again,
-shifted, for the offsets after it.
+The offsets before the centre come in groups of consecutive shifts (each
+dy < 0 row, and the dx < 0 half of dy = 0); each step (difference, square,
+scale, floor, exp, spatial weight, mask) is one NumPy call over a group's
+(offsets, pixels) block. The groups after the centre are these negated, and
+the weight of -o is that of o, shifted, so a block is kept and read again
+for its negation, up to a memory cap.
 
 The strips are cut into two bands of rows at a strip boundary: the lower
 band runs on one worker thread while the caller runs the upper one, so a
@@ -38,11 +38,12 @@ import math
 import os
 import threading
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .errors import InvalidValue, NoValidPixels
-from .geometry import PointSet
+from .errors import DegenerateConfiguration, InvalidValue, NoValidPixels
+from .geometry import PointSet, median
 
 _STRIP_ROWS = 32  # rows per strip
 # cap on the range weights that each band keeps for reuse by the negated
@@ -97,16 +98,10 @@ class BilateralConfig:
     def effective_sigma_r(self, depth_map: DepthMap) -> float:
         if self.sigma_r is not None:
             return self.sigma_r
-        # np.median by selection on the copy the mask index makes: the lower
-        # middle, and for an even count its mean with the least value above
-        # it, as np.median computes it
-        x = depth_map.depths[depth_map.valid]
+        x = depth_map.depths[depth_map.valid]  # a copy, which median reorders
         if not x.size:
             raise NoValidPixels("depth map has no valid pixels")
-        k = (x.size - 1) // 2
-        x.partition(k)
-        median = x[k] if x.size % 2 else (x[k] + x[k + 1:].min()) / 2.0
-        return 0.05 * float(median)
+        return 0.05 * median(x)
 
 
 @dataclass(frozen=True)
@@ -139,28 +134,24 @@ def bilateral_depth(depth_map: DepthMap, cfg: BilateralConfig = BilateralConfig(
     d = depth_map.depths
     valid = depth_map.valid
     sigma_r = cfg.effective_sigma_r(depth_map)
+    neg_two_var = -(2.0 * sigma_r ** 2)
+    if not neg_two_var:  # a zero difference over it would be 0 / -0, NaN
+        raise DegenerateConfiguration(
+            f"sigma_r {sigma_r!r} is too small: 2 * sigma_r**2 underflows to 0")
     h, wid = d.shape
     # an offset past the map adds exactly 0.0 to both sums, so clamping the
     # window keeps the bits and bounds the padding
     w = min(cfg.window, max(h, wid) - 1)
     pw = wid + 2 * w  # padded row length
 
-    # padded flat copies: depths with 0.0 at invalid and padding pixels, and
-    # a mask of the valid pixels; offset (dy, dx) is a flat shift of dy*pw + dx
+    # a padded flat copy of the depths, 0.0 at invalid and padding pixels;
+    # offset (dy, dx) is a flat shift of dy*pw + dx
     values = np.zeros((h + 2 * w, pw))
     np.copyto(values[w:w + h, w:w + wid], d, where=valid)
-    present = np.zeros((h + 2 * w, pw), dtype=bool)
-    np.copyto(present[w:w + h, w:w + wid], valid)
     values = values.ravel()
-    present = present.ravel()
 
-    # the offsets in row-major order, in groups of consecutive shifts: each
-    # dy < 0 row, the dx < 0 half of the dy = 0 row, the centre (None), then
-    # the rest, so that group last - i holds the negations of group i in
-    # reverse
-    half = [(dy, -w, 2 * w + 1) for dy in range(-w, 0)] + ([(0, -w, w)] if w else [])
-    mirrored = [(-dy, -(dx0 + g - 1), g) for dy, dx0, g in reversed(half)]
-
+    # the groups before the centre in row-major order: each dy < 0 row, then
+    # the dx < 0 half of dy = 0; the groups after it are these negated
     def group(dy, dx0, g):
         # the first shift, and columns of the spatial weights s and of the
         # range exponent floors: exp(floor) * s is about e**-700, a normal
@@ -170,22 +161,16 @@ def bilateral_depth(depth_map: DepthMap, cfg: BilateralConfig = BilateralConfig(
         floor = [min(0.0, -700.0 - math.log(s)) if s else 0.0 for s in spatial]
         return dy * pw + dx0, np.array(spatial)[:, None], np.array(floor)[:, None]
 
-    groups = [group(dy, dx0, g) for dy, dx0, g in half + mirrored]
-    groups.insert(len(half), None)
-    last = len(groups) - 1
-    neg_two_var = -(2.0 * sigma_r ** 2)
-
+    groups = [group(dy, -w, 2 * w + 1) for dy in range(-w, 0)]
+    groups += [group(0, -w, w)] if w else []
     rows = min(_STRIP_ROWS, h)
     n_max = (rows - 1) * pw + wid
     # the weight of -o at p is the weight of o at p - shift(o): the same
     # difference, squared. So the first n_kept groups are evaluated past the
     # strip by their largest |shift| and kept for their negations; any other
-    # group is evaluated over the strip alone, in the scratch slot
-    sizes = [len(spatial) * (n_max - s0) for s0, spatial, _ in groups[:len(half)]]
-    slots = np.cumsum([0] + sizes).tolist()
-    n_kept = sum(8 * end <= _REUSE_BYTES for end in slots[1:])
-    scratch = 0 if n_kept == len(half) else (2 * w + 1) * n_max
-
+    # group is evaluated over the strip alone, once per sign, in the scratch
+    n_kept = sum(8 * end <= _REUSE_BYTES for end in accumulate(
+        len(spatial) * (n_max - s0) for s0, spatial, _ in groups))
     reach = w * pw + w  # largest |shift|
 
     def evaluate(blk, start, s0, spatial, floor, mask):
@@ -204,58 +189,52 @@ def bilateral_depth(depth_map: DepthMap, cfg: BilateralConfig = BilateralConfig(
         np.multiply(blk, mask[reach:reach + m], out=blk)
         np.multiply(blk, _rows(mask, reach + s0, g, m), out=blk)
 
-    def band(strips, weight_sum, value_sum, term, store, mask):
+    def band(strips, weight_sum, value_sum, term, kept, scratch, mask):
         for r0 in strips:
             r1 = min(r0 + rows, h)
             n = (r1 - r0 - 1) * pw + wid  # first to last real pixel of the strip
             start = (r0 + w) * pw + w
-            ws = weight_sum[:n]
-            vs = value_sum[:n]
+            ws = weight_sum.ravel()[:n]  # views: the buffers are contiguous
+            vs = value_sum.ravel()[:n]
             ws.fill(0.0)
             vs.fill(0.0)
-            np.copyto(mask[:n + 2 * reach],
-                      present[start - reach:start + n + reach])
-            kept = []
-            for i, group in enumerate(groups):
-                if group is None:
-                    # weight exp(0) * 1.0 = 1.0 at a valid pixel, so its term
-                    # is its value; sums at a missing pixel are never read,
-                    # and its value is 0.0
-                    ws += 1.0
-                    vs += values[start:start + n]
-                    continue
-                s0, spatial, floor = group
-                g = len(spatial)
-                if last - i < n_kept:
-                    # shift s0 + j here negates shift t0 + k, k = g - 1 - j,
-                    # of a kept block, whose row k has that weight at pixel
-                    # x - s0 - j = x + t0 + k, where it is the centre. So
-                    # once the weights are summed, the block times the
-                    # centre values gives the terms, in place
-                    blk, t0 = kept[last - i]
-                    wgts = [blk[k, -t0 - k:n - t0 - k]
-                            for k in range(g - 1, -1, -1)]
-                    for wgt in wgts:
-                        ws += wgt
-                    np.multiply(blk, values[start:start + n - t0], out=blk)
-                    for wgt in wgts:  # now the terms
-                        vs += wgt
-                    continue
-                m = n - s0 if i < n_kept else n
-                slot = slots[min(i, n_kept)]
-                blk = store[slot:slot + g * m].reshape(g, m)
-                evaluate(blk, start, s0, spatial, floor, mask)
-                if i < n_kept:
-                    kept.append((blk, s0))
-                for j, wgt in enumerate(blk[:, :n]):
+            # a valid depth is > 0, and values holds 0.0 at every other pixel
+            np.greater(values[start - reach:start + n + reach], 0.0,
+                       out=mask[:n + 2 * reach])
+
+            def add(s0, wgts):
+                # row j weighs shift s0 + j: its term is weight * neighbour value
+                for j, wgt in enumerate(wgts):
                     a = start + s0 + j
-                    ws += wgt
+                    np.add(ws, wgt, out=ws)
                     np.multiply(wgt, values[a:a + n], out=term[:n])
-                    vs += term[:n]
+                    np.add(vs, term[:n], out=vs)
+
+            for i, (s0, spatial, floor) in enumerate(groups):
+                blk = (kept[i][:, :n - s0] if i < n_kept
+                       else scratch[:len(spatial), :n])
+                evaluate(blk, start, s0, spatial, floor, mask)
+                add(s0, blk[:, :n])
+            # weight exp(0) * 1.0 = 1.0 at a valid pixel, so its term is its
+            # value; sums at a missing pixel are never read, and its value is 0.0
+            ws += 1.0
+            vs += values[start:start + n]
+            for i, (s0, spatial, floor) in reversed(list(enumerate(groups))):
+                # (-dy, -dx) has the spatial weight of (dy, dx): columns reversed
+                g = len(spatial)
+                t0 = -(s0 + g - 1)
+                if i < n_kept:
+                    # shift t0 + j negates shift s0 + k, k = g - 1 - j, whose
+                    # kept row has that weight at pixel x + t0 + j
+                    add(t0, [kept[i][k, -s0 - k:n - s0 - k]
+                             for k in range(g - 1, -1, -1)])
+                else:
+                    blk = scratch[:g, :n]
+                    evaluate(blk, start, t0, spatial[::-1], floor[::-1], mask)
+                    add(t0, blk)
             # the centre weight makes ws >= 1 at every valid pixel
-            ws = weight_sum[:(r1 - r0) * pw].reshape(r1 - r0, pw)[:, :wid]
-            vs = value_sum[:(r1 - r0) * pw].reshape(r1 - r0, pw)[:, :wid]
-            np.divide(vs, ws, out=out[r0:r1], where=valid[r0:r1])
+            np.divide(value_sum[:r1 - r0, :wid], weight_sum[:r1 - r0, :wid],
+                      out=out[r0:r1], where=valid[r0:r1])
 
     out = np.array(d, copy=True)
     strips = range(0, h, rows)
@@ -264,8 +243,11 @@ def bilateral_depth(depth_map: DepthMap, cfg: BilateralConfig = BilateralConfig(
     # while the caller runs the upper one. Each pixel's sums are made in one
     # band, so the output does not depend on the number of bands
     bands = min(_MAX_BANDS, len(strips))
-    bufs = [(np.empty(rows * pw), np.empty(rows * pw), np.empty(n_max),
-             np.empty(slots[n_kept] + scratch), np.empty(n_max + 2 * reach))
+    bufs = [(np.empty((rows, pw)), np.empty((rows, pw)), np.empty(n_max),
+             [np.empty((len(spatial), n_max - s0))
+              for s0, spatial, _ in groups[:n_kept]],
+             np.empty((2 * w + 1, n_max if n_kept < len(groups) else 0)),
+             np.empty(n_max + 2 * reach))
             for _ in range(bands)]
     if bands == 1:
         band(strips, *bufs[0])

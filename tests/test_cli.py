@@ -222,7 +222,7 @@ class TestRefine:
     @pytest.mark.parametrize("flag, values", [
         ("--window", ["-1", "1.5", "x"]),
         ("--sigma-s", ["0", "-2", "nan", "inf", "x"]),
-        ("--sigma-r", ["0", "-1", "nan", "-inf", "x"]),
+        ("--sigma-r", ["0", "-1", "nan", "-inf", "x", "0_5", "\u20030.5"]),
         ("--fx", ["0", "-1", "nan", "inf", "x"]),
         ("--fy", ["0", "-1", "nan", "-inf", "x"]),
         ("--cx", ["nan", "inf", "-inf", "x"]),
@@ -238,11 +238,12 @@ class TestRefine:
         ("--lambda3", ["-inf"]),
         ("--conf-loss", ["nan"]),
         ("--rgb-loss", ["inf"]),
-        ("--frames", ["0", "-3", "1.5", "x"]),
+        ("--frames", ["0", "-3", "1.5", "x", "\u0663", "1_0"]),
         ("--state-dim", ["0", "-1", "x"]),
         ("--policy", ["constant:abc", "constant:nan", "constant:inf",
-                      "constant", "constant:", "bogus", "adaptive:1"]),
-        ("--seed", ["-1", "1.5", "nan", "x"]),
+                      "constant", "constant:", "bogus", "adaptive:1",
+                      "constant:1_0", "constant:\u0661"]),
+        ("--seed", ["-1", "1.5", "nan", "x", "1_0", "\u0661\u0660"]),
         ("--w1", ["-1", "nan", "inf", "x"]),
         ("--w2", ["-0.5", "nan", "-inf"]),
         ("--radius", ["-1", "nan", "inf"]),
@@ -261,6 +262,28 @@ class TestRefine:
                 main(argv + [flag, value])
             assert exc.value.code == 2
             assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", [False, True], ids=["flag", "config"])
+    def test_sigma_r_whose_square_is_zero_exit_3(self, capsys, tmp_path,
+                                                 config):
+        # 2 * sigma_r**2 underflows to 0: two RuntimeWarnings, then an error
+        # about the NaN depths that 0 / -0 made
+        src = tmp_path / "in.pfm"
+        src.write_bytes(write_pfm(DepthMap.from_depths(np.full((4, 5), 2.0))))
+        dst = tmp_path / "o.pfm"
+        argv = ["refine", "--in", str(src), "--out", str(dst)]
+        if config:
+            (tmp_path / "c.cfg").write_text("sigma-r = 1e-200\n")
+            argv += ["--config", str(tmp_path / "c.cfg")]
+        else:
+            argv += ["--sigma-r", "1e-200"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err == ("error: sigma_r 1e-200 is too small: "
+                       "2 * sigma_r**2 underflows to 0\n")
+        assert not dst.exists()
 
     def test_window_past_map_same_bytes(self, capsys, tmp_path):
         # the window is clamped to max(H, W) - 1 = 4; before, the padded copy
@@ -630,6 +653,9 @@ class TestConfigFile:
         (["score", "--traj", "t.txt", "--frames", "f"], "epsilon=0"),
         (["score", "--traj", "t.txt", "--frames", "f"], "clip_max=-1"),
         (["score", "--traj", "t.txt", "--frames", "f"], "initial_weight=inf"),
+        (["simulate"], "seed=1_0"),
+        (["simulate"], "frames=\u0663"),
+        (["simulate"], "frames=3\x1c"),
     ])
     def test_bad_value_parse_error_with_line(self, capsys, tmp_path,
                                              command, line):
@@ -638,6 +664,27 @@ class TestConfigFile:
         code, _, err = run(capsys, command + ["--config", str(cfg)])
         assert code == 2
         assert "line 2" in err
+
+    @pytest.mark.parametrize("text, line", [
+        ("frames=2\x0cseed=5\n", 1),     # \x0c ends no line: one bad value
+        ("frames=2\x0b\nseed=x\n", 2),  # \x0b neither, nor is it a line
+        ("frames=2\x1dseed=5\n", 1),
+        ("frames=2\x85seed=5\n", 1),
+        ("\u00a0frames=2\n", 1),        # a non-ASCII space is no space
+        ("frames=2\r\nseed=5\rbogus=1\n", 3),
+    ])
+    def test_lines_end_at_newline_only(self, capsys, tmp_path, text, line):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_bytes(text.encode())
+        code, out, err = run(capsys, ["simulate", "--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: line {line}: ")
+
+    def test_ascii_whitespace_is_stripped(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_bytes(b"\x0b frames\t=\x0c2 \r\n\tseed = 5\x0b\n")
+        assert run(capsys, ["simulate", "--config", str(cfg)]) == \
+            run(capsys, ["simulate", "--frames", "2", "--seed", "5"])
 
     @pytest.mark.parametrize("command, line", [
         (["score", "--traj", "t.txt", "--frames", "f"], "traj=t.txt"),

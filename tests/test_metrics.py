@@ -269,6 +269,25 @@ class TestMetricDepth:
         assert abs_rel == pytest.approx(0.0, abs=1e-9)
         assert delta == 100.0
 
+    @pytest.mark.parametrize("count", [1, 2, 3, 100, 101])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_scale_mode_scales_by_np_median(self, count, ties):
+        # scale mode is original mode on pred times np.median(gt / pred),
+        # which it computes by selection; gt holds invalid pixels too
+        rng = np.random.default_rng(count)
+        for _ in range(20):
+            pred = rng.uniform(0.5, 5.0, size=(1, count + 4))
+            ratios = rng.uniform(0.5, 2.0, size=pred.shape)
+            if ties:
+                ratios = rng.choice(ratios[0, :3], size=pred.shape)
+            gt = pred * ratios
+            gt[0, rng.permutation(count + 4)[:4]] = 0.0
+            pm, gm = DepthMap.from_depths(pred), DepthMap.from_depths(gt)
+            s = float(np.median(gt[gm.valid] / pred[gm.valid]))
+            scaled = DepthMap.from_depths(pred * s)
+            assert (metric_depth(pm, gm, DepthEvalMode.SCALE)
+                    == metric_depth(scaled, gm))
+
     def test_affine_scale_and_shift_mode(self):
         rng = np.random.default_rng(12)
         gt = DepthMap.from_depths(rng.uniform(1.0, 5.0, size=(8, 8)))

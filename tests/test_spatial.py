@@ -8,7 +8,7 @@ import pytest
 
 from streamstab import (BilateralConfig, DepthMap, Intrinsics,
                         bilateral_depth, depth_to_points, refine_cloud, spatial)
-from streamstab.errors import InvalidValue, NoValidPixels
+from streamstab.errors import DegenerateConfiguration, InvalidValue, NoValidPixels
 
 STRIP = spatial._STRIP_ROWS
 
@@ -180,7 +180,9 @@ class TestBilateralMatchesLoop:
         assert np.array_equal(bilateral_depth(dm, cfg).depths,
                               bilateral_loop_oracle(dm, cfg))
 
-    @pytest.mark.parametrize("fill", [np.nan, np.inf, -np.inf, -1.0])
+    # 0.0 and 7.5 as well: the kernel reads validity as depth > 0 from a
+    # copy that holds 0.0 at invalid pixels, not from the stored depths
+    @pytest.mark.parametrize("fill", [np.nan, np.inf, -np.inf, -1.0, 0.0, 7.5])
     def test_invalid_values_do_not_reach_neighbours(self, fill):
         dm = self.bordered_map((37, 23), seed=11)
         cfg = BilateralConfig(window=2, sigma_r=0.1)
@@ -261,6 +263,23 @@ class TestBilateralBands:
         cfg = BilateralConfig()
         out = bilateral_depth(dm, cfg)
         assert np.array_equal(out.depths, bilateral_loop_oracle(dm, cfg))
+        assert len(calls) == bands - 1
+
+    @pytest.mark.parametrize("bands", [1, 2])
+    def test_smallest_positive_depth_is_valid(self, monkeypatch, bands):
+        # 5e-324 is > 0, so it counts as valid, as a neighbour and as a
+        # centre; one such pixel in each band
+        calls = self.force_bands(monkeypatch, bands)
+        dm = TestBilateralMatchesLoop.bordered_map((2 * STRIP + 5, 23), seed=9)
+        depths, valid = dm.depths.copy(), dm.valid.copy()
+        for y, x in [(5, 7), (STRIP + 10, 11)]:
+            depths[y, x] = 5e-324
+            valid[y, x] = True
+        dm = DepthMap(depths, valid)
+        cfg = BilateralConfig(window=2, sigma_s=1.7, sigma_r=0.5)
+        out = bilateral_depth(dm, cfg).depths
+        assert np.array_equal(out, bilateral_loop_oracle(dm, cfg))
+        assert 0.0 < out[5, 7] < 2.0
         assert len(calls) == bands - 1
 
     @pytest.mark.parametrize("reuse_bytes", [0, 150_000])
@@ -401,6 +420,23 @@ class TestBilateralConfig:
     def test_out_of_range_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             BilateralConfig(**{field: value})
+
+    @pytest.mark.parametrize("sigma_r, depth", [(1e-200, 2.0), (None, 1e-200),
+                                                (1.5e-162, 2.0)])
+    def test_sigma_r_whose_square_is_zero_is_degenerate(self, sigma_r, depth):
+        # 2 * sigma_r**2 underflows to 0, and 0 / -0 made every weight NaN,
+        # with RuntimeWarnings; an adaptive sigma_r from tiny depths too
+        dm = DepthMap.from_depths(np.full((3, 4), depth))
+        with pytest.raises(DegenerateConfiguration, match="sigma_r"):
+            bilateral_depth(dm, BilateralConfig(sigma_r=sigma_r))
+
+    def test_sigma_r_whose_square_is_subnormal_runs(self):
+        # 2 * 1.6e-162**2 is a subnormal, not 0, so no error; the exponent
+        # next to the padding overflows to -inf and the floor raises it
+        dm = DepthMap.from_depths(np.full((3, 4), 2.0))
+        with np.errstate(over="ignore"):
+            out = bilateral_depth(dm, BilateralConfig(sigma_r=1.6e-162))
+        assert np.array_equal(out.depths, dm.depths)
 
     @pytest.mark.parametrize("shape", [(4, 5), (1, 1), (7, 2)])
     def test_window_past_map_is_clamped(self, shape):
