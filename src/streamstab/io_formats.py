@@ -21,11 +21,10 @@ from .frame_scoring import GrayImage
 from .geometry import PointSet, Trajectory, squared
 from .spatial import DepthMap
 
-# vertex lines per np.array call when reading and per format_rows call when
-# writing: the split fields of a whole cloud would hold about 350 bytes per
-# point, and its formatted fields a Python float each, several times the
-# float table they come from or fill; so either side holds the table, one
-# block and the payload
+# vertex lines per np.array call (read) and per format_rows call (write): a
+# whole cloud's split fields would take about 350 bytes a point, and its
+# formatted fields a Python float each, several times the float table; so
+# each side holds only the table, one block and the payload
 _PLY_BLOCK_LINES = 4096
 
 
@@ -53,6 +52,16 @@ def _decimals(line: bytes) -> list[float]:
     if b"_" in line:
         raise ValueError(f"not a decimal number in {line!r}")
     return [float(f) for f in line.split()]
+
+
+def _integer(token: bytes, message: str, line: int | None = None) -> int:
+    """`token`, ASCII digits, as an int; else ParseError(message, line)."""
+    try:
+        if token.isdigit():  # ASCII only; int() also reads `+3` and `1_0`
+            return int(token)
+    except ValueError:  # more digits than int() reads
+        pass
+    raise ParseError(message, line=line)
 
 
 # -- TUM trajectories ------------------------------------------------------
@@ -106,7 +115,6 @@ def write_trajectory_tum(traj: Trajectory) -> str:
 _PNM_HEADER = re.compile(
     rb".." + rb"(?:\s|#[^\r\n]*(?![^\r\n]))*([^\s#]\S*)(?!\S)" * 3 + rb"\s?",
     re.DOTALL)
-_P2_SAMPLE = re.compile(rb"-?[0-9]+")
 
 
 def _pnm_header(data: bytes) -> tuple[tuple[bytes, ...], int]:
@@ -127,22 +135,18 @@ def _payload(data: bytes, offset: int, need: int, kind: str) -> bytes:
 
 
 def read_pgm(data: bytes) -> GrayImage:
-    if len(data) < 2:
-        raise ParseError("not a PGM file")
     magic = data[:2]
     if magic not in (b"P2", b"P5"):
         raise UnsupportedMagic(f"unsupported magic {magic!r}")
     tokens, offset = _pnm_header(data)
-    if not all(map(bytes.isdigit, tokens)):
-        raise ParseError("non-integer PGM header field")
-    width, height, maxval = map(int, tokens)
+    width, height, maxval = (_integer(t, "non-integer PGM header field")
+                             for t in tokens)
     if width <= 0 or height <= 0 or not 0 < maxval <= 65535:
         raise ParseError("invalid PGM dimensions or maxval")
     if magic == b"P5":
-        bytes_per = 2 if maxval > 255 else 1
-        payload = _payload(data, offset, width * height * bytes_per, "PGM")
-        dtype = ">u2" if bytes_per == 2 else np.uint8
-        values = np.frombuffer(payload, dtype=dtype).astype(float)
+        dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
+        payload = _payload(data, offset, width * height * dtype.itemsize, "PGM")
+        values = np.frombuffer(payload, dtype=dtype)
     else:
         payload = data[offset:]
         if not payload.isascii():
@@ -151,9 +155,10 @@ def read_pgm(data: bytes) -> GrayImage:
         if len(fields) != width * height:
             raise ParseError(
                 f"expected {width * height} samples, got {len(fields)}")
-        if not all(map(_P2_SAMPLE.fullmatch, fields)):
-            raise ParseError("non-integer PGM sample")
-        values = np.array([int(f) for f in fields], dtype=float)
+        # `-0` is 0; other negatives, and ints past float's range, fail below
+        sample = "non-integer PGM sample"
+        values = np.array([-_integer(f[1:], sample) if f[:1] == b"-"
+                           else _integer(f, sample) for f in fields])
     if values.max(initial=0) > maxval:
         raise ParseError("sample exceeds maxval")
     if values.min(initial=0) < 0:
@@ -177,9 +182,8 @@ def read_pfm(data: bytes) -> DepthMap:
     if data[:2] != b"Pf":
         raise UnsupportedMagic(f"unsupported magic {data[:2]!r}")
     tokens, offset = _pnm_header(data)
-    if not (tokens[0].isdigit() and tokens[1].isdigit()):
-        raise ParseError("invalid PFM header field")
-    width, height = int(tokens[0]), int(tokens[1])
+    width, height = (_integer(t, "invalid PFM header field")
+                     for t in tokens[:2])
     try:
         scale = _decimals(tokens[2])[0]
     except ValueError:
@@ -232,12 +236,9 @@ def read_ply_ascii(data: bytes) -> PointSet:
         elif fields[0] == b"element":
             in_vertex_element = fields[1:2] == [b"vertex"]
             if in_vertex_element:
-                # decimal digits only, as the PNM header integers: Python's
-                # int also reads `1_0` as 10 and `+3` as 3
-                if len(fields) < 3 or not fields[2].isdigit():
-                    raise ParseError("element vertex needs an integer count",
-                                     line=i)
-                n_vertices = int(fields[2])
+                n_vertices = _integer(fields[2] if len(fields) > 2 else b"",
+                                      "element vertex needs an integer count",
+                                      line=i)
         elif fields[0] == b"property" and in_vertex_element:
             properties.append(fields[-1].decode())
         elif fields[0] == b"end_header":

@@ -182,7 +182,8 @@ def bilateral_depth(depth_map: DepthMap, cfg: BilateralConfig = BilateralConfig(
         np.subtract(values[start:start + m],
                     _rows(values, start + s0, g, m), out=blk)
         np.square(blk, out=blk)
-        np.divide(blk, neg_two_var, out=blk)
+        with np.errstate(over="ignore"):  # to -inf, which the floor raises
+            np.divide(blk, neg_two_var, out=blk)
         np.maximum(blk, floor, out=blk)
         np.exp(blk, out=blk)
         np.multiply(blk, spatial, out=blk)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NonPositiveDt
 from .geometry import Pose, Quaternion, Trajectory, quat_normalize, slerp
@@ -22,8 +23,7 @@ class OneEuroConfig:
     beta_gain: float = 0.007  # cutoff gain per unit speed
 
 
-@dataclass(frozen=True)
-class FilterState:
+class FilterState(NamedTuple):
     last_t: tuple[float, float, float] | None = None
     last_q: Quaternion | None = None
     last_timestamp: float = 0.0

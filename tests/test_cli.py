@@ -119,7 +119,9 @@ class TestScore:
         (b"P2\n2 2\n255\n1 2\n3 \xff\n", "non-ASCII"),
         (b"P2\n2 2\n255\n1 2\n3 -3\n", "negative PGM sample"),
         (b"P2\n2 2\n255\n1 2\n3 1_0\n", "non-integer PGM sample"),
-    ], ids=["non-ascii", "negative", "python-int"])
+        (b"P2\n2 2\n255\n1 2\n3 " + b"9" * 400 + b"\n",
+         "sample exceeds maxval"),
+    ], ids=["non-ascii", "negative", "python-int", "past-float-range"])
     def test_bad_p2_frame_parse_error(self, capsys, traj_file, frames_dir,
                                       payload, message):
         (frames_dir / "frame_002.pgm").write_bytes(payload)
@@ -284,6 +286,21 @@ class TestRefine:
         assert err == ("error: sigma_r 1e-200 is too small: "
                        "2 * sigma_r**2 underflows to 0\n")
         assert not dst.exists()
+
+    @pytest.mark.parametrize("sigma_r", ["1e-161", "1e-156", "1e-154"])
+    def test_tiny_sigma_r_no_warning(self, capsys, tmp_path, sigma_r):
+        # a difference over 2 * sigma_r**2 overflowed to -inf, which the
+        # exponent floor raises, with an overflow RuntimeWarning
+        dm = DepthMap.from_depths(np.full((4, 5), 2.0))
+        src = tmp_path / "in.pfm"
+        src.write_bytes(write_pfm(dm))
+        dst = tmp_path / "o.pfm"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["refine", "--in", str(src), "--out",
+                                          str(dst), "--sigma-r", sigma_r])
+        assert (code, err) == (0, "")
+        assert dst.read_bytes() == src.read_bytes()
 
     def test_window_past_map_same_bytes(self, capsys, tmp_path):
         # the window is clamped to max(H, W) - 1 = 4; before, the padded copy
@@ -528,6 +545,33 @@ class TestEval:
         assert header == "ate,rpe,acc,pose,conf,rgb,total"
         values = [float(v) for v in row.split(",")]
         assert all(abs(v) < 1e-9 for v in values)
+
+
+class TestIntegerPastDigitLimit:
+    # int() reads at most 4,300 digits by default; one more in a header
+    # field ended in exit 3 and a hint to call sys.set_int_max_str_digits
+    LONG = b"1" * 4301
+
+    @pytest.mark.parametrize("command", ["refine", "eval-depth", "score",
+                                         "eval-recon"])
+    def test_parse_error(self, capsys, tmp_path, traj_file, frames_dir,
+                         command):
+        pfm = tmp_path / "d.pfm"
+        pfm.write_bytes(b"Pf\n" + self.LONG + b" 1\n-1.0\n" + bytes(4))
+        (frames_dir / "frame_001.pgm").write_bytes(
+            b"P5\n8 8\n" + self.LONG + b"\n" + bytes(64))
+        ply = tmp_path / "c.ply"
+        ply.write_bytes(b"ply\nformat ascii 1.0\nelement vertex " + self.LONG
+                        + b"\nproperty float x\nproperty float y\n"
+                        b"property float z\nend_header\n1 2 3\n")
+        argv = {"refine": ["--in", pfm, "--out", tmp_path / "o.pfm"],
+                "eval-depth": ["--pred", pfm, "--gt", pfm],
+                "score": ["--traj", traj_file, "--frames", frames_dir],
+                "eval-recon": ["--pred", ply, "--gt", ply]}[command]
+        code, _, err = run(capsys, [command, *map(str, argv)])
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "set_int_max_str_digits" not in err
 
 
 class TestSimulate:

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from streamstab import (DepthMap, GrayImage, PointSet, Pose, Quaternion,
@@ -24,6 +24,8 @@ from conftest import awkward_trajectory, random_trajectory
 # deterministic, and no example database written to disk
 FUZZ = settings(derandomize=True, database=None, deadline=None,
                 max_examples=300)
+# an integer field of one digit more than int() reads by default
+LONG = b"1" * 4301
 
 
 def read_tum_loop_oracle(text):
@@ -341,6 +343,11 @@ class TestPgm:
         with pytest.raises(UnsupportedMagic):
             read_pgm(b"P6\n1 1\n255\nxxx")
 
+    @pytest.mark.parametrize("data", [b"", b"P"])
+    def test_short_payload_unsupported_magic(self, data):
+        with pytest.raises(UnsupportedMagic, match="unsupported magic"):
+            read_pgm(data)
+
     def test_sixteen_bit(self):
         data = b"P5\n1 1\n65535\n" + (30000).to_bytes(2, "big")
         img = read_pgm(data)
@@ -372,9 +379,11 @@ class TestPgm:
 
     @pytest.mark.parametrize("header", [
         b"+2 1\n255", b"2 +1\n255", b"2 1\n+255", b"1_0 1\n255",
-        b"2 1\n2_55", b"-2 1\n255", b"2 1\n0x1f", b"2 1\n\xd9\xa3"],
+        b"2 1\n2_55", b"-2 1\n255", b"2 1\n0x1f", b"2 1\n\xd9\xa3",
+        LONG + b" 1\n255", b"2 1\n" + LONG],
         ids=["plus-width", "plus-height", "plus-maxval", "underscore-width",
-             "underscore-maxval", "minus-width", "hex-maxval", "arabic-digit"])
+             "underscore-maxval", "minus-width", "hex-maxval", "arabic-digit",
+             "long-width", "long-maxval"])
     @pytest.mark.parametrize("magic", [b"P2", b"P5"])
     def test_header_fields_are_decimal_digits(self, magic, header):
         with pytest.raises(ParseError, match="non-integer PGM header field"):
@@ -382,7 +391,8 @@ class TestPgm:
 
     @pytest.mark.parametrize("payload", [
         b"1_0 3", b"+3 4", b"4 +0", b"-1_0 3", b"3 --3", b"3 -+3", b"3 3-",
-        b"3 -", b"0x1 2"])
+        b"3 -", b"0x1 2", pytest.param(b"3 " + LONG, id="long"),
+        pytest.param(b"-" + LONG + b" 3", id="long-negative")])
     def test_p2_samples_are_decimal_digits(self, payload):
         with pytest.raises(ParseError, match="non-integer PGM sample"):
             read_pgm(b"P2\n2 1\n255\n" + payload + b"\n")
@@ -398,6 +408,15 @@ class TestPgm:
 
     def test_p2_minus_zero_is_zero(self):
         assert read_pgm(b"P2\n2 1\n255\n-0 255\n").pixels.tolist() == [[0.0, 1.0]]
+
+    @pytest.mark.parametrize("sample, message", [
+        (b"9" * 400, "sample exceeds maxval"),
+        (b"-" + b"9" * 400, "negative PGM sample")], ids=["big", "negative"])
+    def test_p2_sample_past_float_range(self, sample, message):
+        # a sample is read as an int: as a float, 400 digits overflowed
+        with pytest.raises(ParseError, match=message):
+            read_pgm(b"P2\n2 1\n255\n3 " + sample + b"\n")
+        assert read_pgm(b"P2\n1 1\n255\n" + b"0" * 400).pixels[0, 0] == 0.0
 
     def test_round_trip(self):
         rng = np.random.default_rng(1)
@@ -454,9 +473,11 @@ class TestPfm:
             read_pfm(magic + b"\n1")
 
     @pytest.mark.parametrize("size", [b"+1 1", b"1 +1", b"1_0 1", b"1 0x1",
-                                      b"-1 1", b"1.0 1"],
+                                      b"-1 1", b"1.0 1", LONG + b" 1",
+                                      b"1 " + LONG],
                              ids=["plus-width", "plus-height", "underscore",
-                                  "hex", "minus", "float"])
+                                  "hex", "minus", "float", "long-width",
+                                  "long-height"])
     def test_size_fields_are_decimal_digits(self, size):
         payload = np.array([[2.5]], dtype="<f4").tobytes()
         with pytest.raises(ParseError, match="invalid PFM header field"):
@@ -491,6 +512,65 @@ class TestPfm:
         back = read_pfm(write_pfm(DepthMap.from_depths(depths)))
         assert back.valid.all()
         assert np.array_equal(back.depths, depths)
+
+
+# header tokens: PGM/PFM sizes, then maxvals and PFM scales, valid and not
+_PNM_SIZES = [b"1", b"2", b"3", b"0", b"-1", b"+2", b"1_0", b"1.0",
+              b"\xd9\xa3", b"9" * 400, LONG]
+_PNM_THIRDS = [b"255", b"65535", b"-1.0", b"1.0", b"256", b"65536", b"0",
+               b"nan", b"1e999", b"1_0", LONG]
+_P2_SAMPLES = [b"0", b"-0", b"7", b"255", b"256", b"-3", b"+3", b"1_0",
+               b"--3", b"-", b"\xff", b"9" * 400, LONG]
+
+
+@st.composite
+def pnm_payloads(draw):
+    """Any bytes, or a PGM or PFM whose magic, header tokens and payload
+    length are drawn from valid and malformed pieces."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=80))
+    magic = draw(st.sampled_from([b"P2", b"P5", b"Pf", b"PF", b"P6", b"P",
+                                  b""]))
+    tokens = [draw(st.sampled_from(_PNM_SIZES)),
+              draw(st.sampled_from(_PNM_SIZES)),
+              draw(st.sampled_from(_PNM_THIRDS))]
+    tokens = tokens[:draw(st.sampled_from([3, 3, 3, 2]))]
+    sep = st.sampled_from([b" ", b"\n", b"\n# c\n"])
+    head = magic + draw(sep) + draw(sep).join(tokens) + draw(
+        st.sampled_from([b"\n", b" ", b"", b"\n\n"]))
+    # the sample count that small digit sizes give, else 2
+    n = math.prod(int(t) if t in (b"1", b"2", b"3") else 2 for t in tokens[:2])
+    if magic == b"P2":
+        samples = st.one_of(st.sampled_from([b"0", b"-0", b"7", b"255"]),
+                            st.sampled_from(_P2_SAMPLES))
+        return head + b" ".join(draw(st.lists(samples, min_size=n - 1,
+                                              max_size=n + 1)))
+    size = max(0, n * draw(st.sampled_from([1, 2, 4]))
+               + draw(st.sampled_from([0, 0, 1, -1])))
+    return head + draw(st.binary(min_size=size, max_size=size))
+
+
+class TestPnmReaders:
+    @FUZZ
+    @given(pnm_payloads())
+    @example(b"P5\n" + LONG + b" 1\n255\n\x00")
+    @example(b"P5\n1 1\n" + LONG + b"\n\x00")
+    @example(b"P2\n1 1\n255\n" + LONG + b"\n")
+    @example(b"Pf\n" + LONG + b" 1\n-1.0\n" + bytes(4))
+    def test_any_bytes_give_value_or_parse_error(self, data):
+        try:
+            pixels = read_pgm(data).pixels
+        except ParseError:
+            pass
+        else:
+            assert ((pixels >= 0) & (pixels <= 1)).all()
+        try:
+            dm = read_pfm(data)
+        except ParseError:
+            pass
+        else:
+            assert np.array_equal(dm.valid, dm.depths > 0)
+            assert np.isfinite(dm.depths).all()
 
 
 _PLY_FIELDS = [b"0", b"1", b"-2.5", b"0.5", b"1e300", b"1e999", b"nan",
@@ -549,6 +629,9 @@ def memory_cloud(with_conf):
 class TestPly:
     @FUZZ
     @given(ply_payloads())
+    @example(b"ply\nformat ascii 1.0\nelement vertex " + LONG + b"\n"
+             b"property float x\nproperty float y\nproperty float z\n"
+             b"end_header\n1 2 3\n")
     def test_any_bytes_give_cloud_or_parse_error(self, data):
         read_ply_outcome(data)
 
@@ -625,7 +708,8 @@ class TestPly:
             assert write_ply_ascii(cloud) == whole
 
     @pytest.mark.parametrize("count", [b"1_0", b"+10", b"0x0a", b"10.0",
-                                       b"-10", b""])
+                                       b"-10", b"",
+                                       pytest.param(LONG, id="long")])
     def test_vertex_count_is_decimal_digits(self, count):
         # Python's int reads `1_0` and `+10` as 10; the count is ASCII
         # digits, as the PNM header integers are

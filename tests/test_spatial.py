@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -434,9 +435,20 @@ class TestBilateralConfig:
         # 2 * 1.6e-162**2 is a subnormal, not 0, so no error; the exponent
         # next to the padding overflows to -inf and the floor raises it
         dm = DepthMap.from_depths(np.full((3, 4), 2.0))
-        with np.errstate(over="ignore"):
-            out = bilateral_depth(dm, BilateralConfig(sigma_r=1.6e-162))
+        out = bilateral_depth(dm, BilateralConfig(sigma_r=1.6e-162))
         assert np.array_equal(out.depths, dm.depths)
+
+    def test_tiny_sigma_r_matches_loop_without_warning(self):
+        # each nonzero difference over 2 * 1e-161**2 overflows to -inf, which
+        # warned; the oracle's own divide overflows too
+        dm = TestBilateralMatchesLoop.bordered_map((STRIP + 5, 9), seed=11)
+        cfg = BilateralConfig(window=2, sigma_r=1e-161)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = bilateral_depth(dm, cfg)
+        with np.errstate(over="ignore"):
+            expected = bilateral_loop_oracle(dm, cfg)
+        assert np.array_equal(out.depths, expected)
 
     @pytest.mark.parametrize("shape", [(4, 5), (1, 1), (7, 2)])
     def test_window_past_map_is_clamped(self, shape):
