@@ -10,12 +10,14 @@ so each window offset is one flat shift. A valid depth is > 0, so a strip's
 0/1 validity mask is that copy > 0, and a missing neighbour gets weight 0.0
 whatever depth it stores. Every buffer is reused from strip to strip.
 
-The offsets before the centre come in groups of consecutive shifts (each
-dy < 0 row, and the dx < 0 half of dy = 0); each step (difference, square,
-scale, floor, exp, spatial weight, mask) is one NumPy call over a group's
-(offsets, pixels) block. The groups after the centre are these negated, and
-the weight of -o is that of o, shifted, so a block is kept and read again
-for its negation, up to a memory cap.
+The offsets come in pairs (o, -o), one for each offset o before the centre
+in row-major order. The weight of o at pixel q is that of -o at q + o, so
+each pair's range weights are evaluated once, as one row over the strip and
+the pair's reach past it, each step (difference, square, scale, floor, exp,
+spatial weight, masks) one NumPy call; the row is then added to the sums of
+both pixels while it is still in cache. Each pixel starts from its centre
+(weight sum W = 1.0, term sum S = 0.0) and adds weight * (neighbour - depth)
+to S, and a valid depth v becomes v + S / W.
 
 The strips are cut into two bands of rows at a strip boundary: the lower
 band runs on one worker thread while the caller runs the upper one, so a
@@ -24,11 +26,11 @@ may run on, the strips); nothing sets it. The caller allocates both bands'
 buffers, and a fault in the worker (an exception, a floating-point error
 under the caller's np.errstate) is raised in the caller.
 
-Each pixel still sums its offsets in the same order with the same arithmetic
-as a plain per-offset loop, whatever the grouping into calls, strips and
-bands: only the caller or only the worker writes a pixel's sums. So the
-output is bit-identical to that loop, and does not depend on the number of
-bands.
+Each pixel sums its centre first, then o and -o for each pair in order, with
+the same arithmetic as a plain per-offset loop in that order, whatever the
+strips and bands: only the caller or only the worker writes a pixel's sums.
+So the output is bit-identical to that loop in the v + S / W form, and does
+not depend on the number of strips or bands.
 """
 
 from __future__ import annotations
@@ -38,19 +40,13 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
 from .errors import DegenerateConfiguration, InvalidValue, NoValidPixels
 from .geometry import PointSet, median
 
-_STRIP_ROWS = 32  # rows per strip
-# cap on the range weights that each band keeps for reuse by the negated
-# offsets, about three float64 frames at 640x480; the kept weights would grow
-# as window**3 * width, so past the cap the remaining groups are evaluated
-# once per sign instead
-_REUSE_BYTES = 8 << 20
+_STRIP_ROWS = 64  # rows per strip
 # row bands, one per thread: the caller's and at most one worker's, within
 # the CPUs this process may run on (sched_getaffinity is Linux-only)
 _MAX_BANDS = min(2, len(os.sched_getaffinity(0))
@@ -125,8 +121,9 @@ def bilateral_depth(depth_map: DepthMap, cfg: BilateralConfig = BilateralConfig(
     (NaN, +-inf, 0 or negative). A weight below e**-700 (about 1e-304) is
     raised to about that: the range exponent is floored at -700 minus the
     log of the spatial weight before exp, so that no weight is subnormal
-    (those run about 12x slower). The raised weight is then absorbed by the
-    centre term, whose weight is 1.0, unless a valid depth is more than about
+    (those run about 12x slower). The weight sum starts at the centre's 1.0,
+    which absorbs the raised weights, and their terms weight * (neighbour -
+    depth) are absorbed by the depth, unless a valid depth is more than about
     1e280 times smaller than a neighbour's: a float32 PFM depth cannot be.
     """
     if not depth_map.valid.any():
@@ -150,92 +147,60 @@ def bilateral_depth(depth_map: DepthMap, cfg: BilateralConfig = BilateralConfig(
     np.copyto(values[w:w + h, w:w + wid], d, where=valid)
     values = values.ravel()
 
-    # the groups before the centre in row-major order: each dy < 0 row, then
-    # the dx < 0 half of dy = 0; the groups after it are these negated
-    def group(dy, dx0, g):
-        # the first shift, and columns of the spatial weights s and of the
-        # range exponent floors: exp(floor) * s is about e**-700, a normal
-        # float, unless s is below that itself
-        spatial = [np.exp(-(dy * dy + dx * dx) / (2.0 * cfg.sigma_s ** 2))
-                   for dx in range(dx0, dx0 + g)]
-        floor = [min(0.0, -700.0 - math.log(s)) if s else 0.0 for s in spatial]
-        return dy * pw + dx0, np.array(spatial)[:, None], np.array(floor)[:, None]
-
-    groups = [group(dy, -w, 2 * w + 1) for dy in range(-w, 0)]
-    groups += [group(0, -w, w)] if w else []
+    # the offsets o before the centre in row-major order, each with its shift
+    # (< 0), spatial weight s and range exponent floor: exp(floor) * s is
+    # about e**-700, a normal float, unless s is below that itself
+    pairs = []
+    for dy in range(-w, 1):
+        for dx in range(-w, w + 1 if dy else 0):
+            s = np.exp(-(dy * dy + dx * dx) / (2.0 * cfg.sigma_s ** 2))
+            pairs.append((dy * pw + dx, s,
+                          min(0.0, -700.0 - math.log(s)) if s else 0.0))
     rows = min(_STRIP_ROWS, h)
     n_max = (rows - 1) * pw + wid
-    # the weight of -o at p is the weight of o at p - shift(o): the same
-    # difference, squared. So the first n_kept groups are evaluated past the
-    # strip by their largest |shift| and kept for their negations; any other
-    # group is evaluated over the strip alone, once per sign, in the scratch
-    n_kept = sum(8 * end <= _REUSE_BYTES for end in accumulate(
-        len(spatial) * (n_max - s0) for s0, spatial, _ in groups))
     reach = w * pw + w  # largest |shift|
 
-    def evaluate(blk, start, s0, spatial, floor, mask):
-        # the range weights of shifts s0 .. s0 + g - 1 at the m pixels from
-        # start, one call per step over the (g, m) block. mask[reach + k] is
-        # 1.0 if pixel start + k is valid, else 0.0; multiplying by it is
-        # exact, as the weights are finite, and faster than a masked copy
-        g, m = blk.shape
-        np.subtract(values[start:start + m],
-                    _rows(values, start + s0, g, m), out=blk)
-        np.square(blk, out=blk)
-        with np.errstate(over="ignore"):  # to -inf, which the floor raises
-            np.divide(blk, neg_two_var, out=blk)
-        np.maximum(blk, floor, out=blk)
-        np.exp(blk, out=blk)
-        np.multiply(blk, spatial, out=blk)
-        np.multiply(blk, mask[reach:reach + m], out=blk)
-        np.multiply(blk, _rows(mask, reach + s0, g, m), out=blk)
-
-    def band(strips, weight_sum, value_sum, term, kept, scratch, mask):
+    def band(strips, weight_sum, value_sum, t, diff, mask):
         for r0 in strips:
             r1 = min(r0 + rows, h)
             n = (r1 - r0 - 1) * pw + wid  # first to last real pixel of the strip
             start = (r0 + w) * pw + w
             ws = weight_sum.ravel()[:n]  # views: the buffers are contiguous
             vs = value_sum.ravel()[:n]
-            ws.fill(0.0)
+            ws.fill(1.0)  # the centre: weight exp(0) * 1.0, term 0.0
             vs.fill(0.0)
-            # a valid depth is > 0, and values holds 0.0 at every other pixel
+            # mask[reach + k] is 1.0 if pixel start + k is valid, else 0.0: a
+            # valid depth is > 0, and values holds 0.0 at every other pixel
             np.greater(values[start - reach:start + n + reach], 0.0,
                        out=mask[:n + 2 * reach])
-
-            def add(s0, wgts):
-                # row j weighs shift s0 + j: its term is weight * neighbour value
-                for j, wgt in enumerate(wgts):
-                    a = start + s0 + j
-                    np.add(ws, wgt, out=ws)
-                    np.multiply(wgt, values[a:a + n], out=term[:n])
-                    np.add(vs, term[:n], out=vs)
-
-            for i, (s0, spatial, floor) in enumerate(groups):
-                blk = (kept[i][:, :n - s0] if i < n_kept
-                       else scratch[:len(spatial), :n])
-                evaluate(blk, start, s0, spatial, floor, mask)
-                add(s0, blk[:, :n])
-            # weight exp(0) * 1.0 = 1.0 at a valid pixel, so its term is its
-            # value; sums at a missing pixel are never read, and its value is 0.0
-            ws += 1.0
-            vs += values[start:start + n]
-            for i, (s0, spatial, floor) in reversed(list(enumerate(groups))):
-                # (-dy, -dx) has the spatial weight of (dy, dx): columns reversed
-                g = len(spatial)
-                t0 = -(s0 + g - 1)
-                if i < n_kept:
-                    # shift t0 + j negates shift s0 + k, k = g - 1 - j, whose
-                    # kept row has that weight at pixel x + t0 + j
-                    add(t0, [kept[i][k, -s0 - k:n - s0 - k]
-                             for k in range(g - 1, -1, -1)])
-                else:
-                    blk = scratch[:g, :n]
-                    evaluate(blk, start, t0, spatial[::-1], floor[::-1], mask)
-                    add(t0, blk)
-            # the centre weight makes ws >= 1 at every valid pixel
-            np.divide(value_sum[:r1 - r0, :wid], weight_sum[:r1 - r0, :wid],
-                      out=out[r0:r1], where=valid[r0:r1])
+            for sh, spatial, floor in pairs:
+                # t[k] weighs pixel q = start + k and its neighbour q + sh,
+                # for q from the strip's first pixel to its last - sh: the
+                # weight of o at the centre q, and of -o at the centre q + sh.
+                # Multiplying by the masks is exact, as the weights are finite
+                m = n - sh
+                tm, dm = t[:m], diff[:m]
+                np.subtract(values[start + sh:start + sh + m],
+                            values[start:start + m], out=dm)
+                np.square(dm, out=tm)
+                with np.errstate(over="ignore"):  # to -inf, which the floor raises
+                    np.divide(tm, neg_two_var, out=tm)
+                np.maximum(tm, floor, out=tm)
+                np.exp(tm, out=tm)
+                np.multiply(tm, spatial, out=tm)
+                np.multiply(tm, mask[reach:reach + m], out=tm)
+                np.multiply(tm, mask[reach + sh:reach + sh + m], out=tm)
+                # each pixel adds o, then -o; the term of o is
+                # t * (neighbour - centre) and that of -o its negation
+                ws += tm[:n]
+                ws += tm[-sh:]
+                np.multiply(tm, dm, out=dm)
+                vs += dm[:n]
+                vs -= dm[-sh:]
+            # ws >= 1 at every valid pixel; sums at a missing pixel are never read
+            shift = value_sum[:r1 - r0, :wid]
+            np.divide(shift, weight_sum[:r1 - r0, :wid], out=shift)
+            np.add(d[r0:r1], shift, out=out[r0:r1], where=valid[r0:r1])
 
     out = np.array(d, copy=True)
     strips = range(0, h, rows)
@@ -244,11 +209,8 @@ def bilateral_depth(depth_map: DepthMap, cfg: BilateralConfig = BilateralConfig(
     # while the caller runs the upper one. Each pixel's sums are made in one
     # band, so the output does not depend on the number of bands
     bands = min(_MAX_BANDS, len(strips))
-    bufs = [(np.empty((rows, pw)), np.empty((rows, pw)), np.empty(n_max),
-             [np.empty((len(spatial), n_max - s0))
-              for s0, spatial, _ in groups[:n_kept]],
-             np.empty((2 * w + 1, n_max if n_kept < len(groups) else 0)),
-             np.empty(n_max + 2 * reach))
+    bufs = [(np.empty((rows, pw)), np.empty((rows, pw)), np.empty(n_max + reach),
+             np.empty(n_max + reach), np.empty(n_max + 2 * reach))
             for _ in range(bands)]
     if bands == 1:
         band(strips, *bufs[0])
@@ -257,12 +219,6 @@ def bilateral_depth(depth_map: DepthMap, cfg: BilateralConfig = BilateralConfig(
         _in_parallel(lambda: band(strips[:cut], *bufs[0]),
                      lambda: band(strips[cut:], *bufs[1]))
     return DepthMap(out, np.array(valid, copy=True))
-
-
-def _rows(flat: np.ndarray, a: int, g: int, m: int) -> np.ndarray:
-    """The (g, m) view of a flat array whose row j is flat[a + j:a + j + m]."""
-    return np.ndarray((g, m), flat.dtype, flat, a * flat.itemsize,
-                      (flat.itemsize, flat.itemsize))
 
 
 def _in_parallel(upper, lower) -> None:

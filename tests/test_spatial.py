@@ -14,32 +14,76 @@ from streamstab.errors import DegenerateConfiguration, InvalidValue, NoValidPixe
 STRIP = spatial._STRIP_ROWS
 
 
+def _shifted(d, valid, dy, dx):
+    """The centre and neighbour depths and the neighbour validity of offset
+    (dy, dx) over the pixels whose neighbour is inside the map, with their
+    slices; None if there are none."""
+    h, wid = d.shape
+    y0, y1 = max(0, -dy), min(h, h - dy)
+    x0, x1 = max(0, -dx), min(wid, wid - dx)
+    if y0 >= y1 or x0 >= x1:
+        return None
+    return ((slice(y0, y1), slice(x0, x1)), d[y0:y1, x0:x1],
+            d[y0 + dy:y1 + dy, x0 + dx:x1 + dx],
+            valid[y0 + dy:y1 + dy, x0 + dx:x1 + dx])
+
+
+def _weight(cfg, sigma_r, dy, dx, cd, nd, nv):
+    spatial = np.exp(-(dy * dy + dx * dx) / (2.0 * cfg.sigma_s ** 2))
+    rng = np.exp(-((cd - nd) ** 2) / (2.0 * sigma_r ** 2))
+    return np.where(nv, spatial * rng, 0.0)
+
+
 def bilateral_loop_oracle(depth_map, cfg):
     """The bilateral filter as a per-offset loop over whole shifted frames;
-    bilateral_depth must match it bit for bit."""
+    bilateral_depth must match it bit for bit. Each pixel sums its centre
+    first (weight W = 1.0, term S = 0.0), then o and -o for each offset o
+    before the centre in row-major order, adding weight * (neighbour -
+    centre) to S; a valid pixel becomes v + S / W."""
     d = depth_map.depths
     valid = depth_map.valid
     sigma_r = cfg.effective_sigma_r(depth_map)
     w = cfg.window
-    h, wid = d.shape
+
+    weight_sum = np.ones_like(d)
+    value_sum = np.zeros_like(d)
+    for oy, ox in [(dy, dx) for dy in range(-w, 1) for dx in range(-w, w + 1)
+                   if (dy, dx) < (0, 0)]:
+        for dy, dx in ((oy, ox), (-oy, -ox)):
+            # out-of-bounds neighbours contribute nothing
+            shifted = _shifted(d, valid, dy, dx)
+            if shifted is None:
+                continue
+            at, cd, nd, nv = shifted
+            wgt = _weight(cfg, sigma_r, dy, dx, cd, nd, nv)
+            weight_sum[at] += wgt
+            value_sum[at] += wgt * (nd - cd)
+
+    out = np.array(d, copy=True)
+    out[valid] = d[valid] + value_sum[valid] / weight_sum[valid]
+    return out
+
+
+def bilateral_rowmajor_oracle(depth_map, cfg):
+    """The filter as the per-offset loop in plain row-major order, centre
+    included, with the weighted mean S / W of the neighbour depths: the
+    order and form before the pair kernel, equal to it within rounding."""
+    d = depth_map.depths
+    valid = depth_map.valid
+    sigma_r = cfg.effective_sigma_r(depth_map)
+    w = cfg.window
 
     weight_sum = np.zeros_like(d)
     value_sum = np.zeros_like(d)
     for dy in range(-w, w + 1):
         for dx in range(-w, w + 1):
-            # shifted neighbor views; out-of-bounds neighbors contribute nothing
-            y0, y1 = max(0, -dy), min(h, h - dy)
-            x0, x1 = max(0, -dx), min(wid, wid - dx)
-            if y0 >= y1 or x0 >= x1:
+            shifted = _shifted(d, valid, dy, dx)
+            if shifted is None:
                 continue
-            nd = d[y0 + dy:y1 + dy, x0 + dx:x1 + dx]
-            nv = valid[y0 + dy:y1 + dy, x0 + dx:x1 + dx]
-            cd = d[y0:y1, x0:x1]
-            spatial = np.exp(-(dy * dy + dx * dx) / (2.0 * cfg.sigma_s ** 2))
-            rng = np.exp(-((cd - nd) ** 2) / (2.0 * sigma_r ** 2))
-            wgt = np.where(nv, spatial * rng, 0.0)
-            weight_sum[y0:y1, x0:x1] += wgt
-            value_sum[y0:y1, x0:x1] += wgt * nd
+            at, cd, nd, nv = shifted
+            wgt = _weight(cfg, sigma_r, dy, dx, cd, nd, nv)
+            weight_sum[at] += wgt
+            value_sum[at] += wgt * nd
 
     out = np.array(d, copy=True)
     ok = valid & (weight_sum >= 1e-300)
@@ -164,15 +208,17 @@ class TestBilateralMatchesLoop:
         assert np.array_equal(out.depths, bilateral_loop_oracle(dm, cfg))
         assert np.array_equal(out.valid, dm.valid)
 
-    @pytest.mark.parametrize("reuse_bytes", [0, 20_000, 150_000])
-    def test_capped_weight_reuse_bit_identical(self, monkeypatch, reuse_bytes):
-        # no kept weights (0 and 20,000 bytes), and only the first dy row
-        # kept (150,000 bytes hold its 7 x 1,537 weights, not two rows')
-        monkeypatch.setattr("streamstab.spatial._REUSE_BYTES", reuse_bytes)
-        dm = self.bordered_map((45, 38), seed=3)
-        cfg = BilateralConfig(window=3, sigma_s=1.2)
-        assert np.array_equal(bilateral_depth(dm, cfg).depths,
-                              bilateral_loop_oracle(dm, cfg))
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (3, 4),
+                                       (33, 17), (70, 45), (384, 512)])
+    @pytest.mark.parametrize("window", [0, 1, 2, 5])
+    @pytest.mark.parametrize("sigma_r", [None, 0.08])
+    def test_rowmajor_order_within_rounding(self, shape, window, sigma_r):
+        # the pair order and the v + S / W form change only the last bits
+        dm = self.bordered_map(shape, seed=window)
+        cfg = BilateralConfig(window=window, sigma_s=1.7, sigma_r=sigma_r)
+        out = bilateral_depth(dm, cfg).depths
+        old = bilateral_rowmajor_oracle(dm, cfg)
+        assert np.all(np.abs(out - old) <= 1e-14 * np.abs(old))
 
     def test_all_valid_bit_identical(self):
         rng = np.random.default_rng(7)
@@ -246,8 +292,10 @@ class TestBilateralBands:
         return calls
 
     @pytest.mark.parametrize("bands", [1, 2])
-    @pytest.mark.parametrize("height", [1, STRIP - 1, STRIP, STRIP + 1,
-                                        2 * STRIP + 1, 384])
+    # heights inside one strip; one row short of a strip, a strip, one row
+    # past one and two strips; six strips
+    @pytest.mark.parametrize("height", [1, 31, 32, 33, STRIP - 1, STRIP,
+                                        STRIP + 1, 2 * STRIP + 1, 384])
     @pytest.mark.parametrize("window", [0, 1, 2, 5])
     def test_bit_identical(self, monkeypatch, bands, height, window):
         calls = self.force_bands(monkeypatch, bands)
@@ -267,6 +315,19 @@ class TestBilateralBands:
         assert len(calls) == bands - 1
 
     @pytest.mark.parametrize("bands", [1, 2])
+    @pytest.mark.parametrize("window", [2, 5])
+    def test_strip_rows_do_not_change_output(self, monkeypatch, bands, window):
+        # each pixel sums its offsets in one order whatever the strips, down
+        # to strips of one row, whose pairs reach past the next strip
+        self.force_bands(monkeypatch, bands)
+        dm = TestBilateralMatchesLoop.bordered_map((2 * STRIP + 1, 37), seed=14)
+        cfg = BilateralConfig(window=window, sigma_s=1.7)
+        expected = bilateral_loop_oracle(dm, cfg)
+        for rows in (1, 7, 64):
+            monkeypatch.setattr("streamstab.spatial._STRIP_ROWS", rows)
+            assert np.array_equal(bilateral_depth(dm, cfg).depths, expected)
+
+    @pytest.mark.parametrize("bands", [1, 2])
     def test_smallest_positive_depth_is_valid(self, monkeypatch, bands):
         # 5e-324 is > 0, so it counts as valid, as a neighbour and as a
         # centre; one such pixel in each band
@@ -282,16 +343,6 @@ class TestBilateralBands:
         assert np.array_equal(out, bilateral_loop_oracle(dm, cfg))
         assert 0.0 < out[5, 7] < 2.0
         assert len(calls) == bands - 1
-
-    @pytest.mark.parametrize("reuse_bytes", [0, 150_000])
-    def test_capped_weight_reuse_two_bands(self, monkeypatch, reuse_bytes):
-        calls = self.force_bands(monkeypatch, 2)
-        monkeypatch.setattr("streamstab.spatial._REUSE_BYTES", reuse_bytes)
-        dm = TestBilateralMatchesLoop.bordered_map((2 * STRIP + 5, 38), seed=3)
-        cfg = BilateralConfig(window=3, sigma_s=1.2)
-        assert np.array_equal(bilateral_depth(dm, cfg).depths,
-                              bilateral_loop_oracle(dm, cfg))
-        assert len(calls) == 1
 
     @staticmethod
     def lower_band_overflow_map():
@@ -392,9 +443,9 @@ class TestBilateralSubnormalClamp:
 
     def test_tiny_centre_under_large_neighbours(self):
         # a valid depth about 1e295 times smaller than its neighbours: the
-        # raised weights, 24 of about 1e-304, are no longer below
-        # half an ulp of the centre term 1e-295. The centre moves by about
-        # 2.4e-8 relative; every other pixel keeps its bits
+        # terms of the raised weights, 24 of about 1e-304 * (1 - 1e-295), are
+        # no longer below half an ulp of the depth 1e-295. The centre moves by
+        # about 2.4e-8 relative; every other pixel keeps its bits
         depths = np.ones((5, 5))
         depths[2, 2] = 1e-295
         dm = DepthMap.from_depths(depths)
