@@ -4,6 +4,8 @@ Everything derives from ToolkitError so callers can catch the whole family;
 parse-time failures additionally carry the offending line number.
 """
 
+import math
+
 
 class ToolkitError(ValueError):
     pass
@@ -11,6 +13,19 @@ class ToolkitError(ValueError):
 
 class InvalidValue(ToolkitError):
     """A valid depth or a confidence that is not finite and positive."""
+
+
+class NonFiniteResult(ToolkitError):
+    """A result past float's range: a motion score or loss whose weighted
+    terms overflow, a back-projected point, or a memory state that
+    diverges."""
+
+    @classmethod
+    def check(cls, value: float, what: str) -> float:
+        """`value`, a weighted sum, unless a term took it past the range."""
+        if not math.isfinite(value):
+            raise cls(f"{what} is not finite: a weighted term overflows")
+        return value
 
 
 # -- geometry --------------------------------------------------------------

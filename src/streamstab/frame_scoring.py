@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyImage, NegativeMagnitude
+from .errors import EmptyImage, NegativeMagnitude, NonFiniteResult
 from .geometry import Pose, relative_pose
 
 
@@ -105,7 +105,7 @@ def motion_score(delta_x: float, delta_q: float, w1: float, w2: float) -> float:
     """Weighted sum of translation and rotation magnitudes."""
     if delta_x < 0 or delta_q < 0:
         raise NegativeMagnitude("motion magnitudes must be nonnegative")
-    return w1 * delta_x + w2 * delta_q
+    return NonFiniteResult.check(w1 * delta_x + w2 * delta_q, "motion score")
 
 
 def adaptive_update_weight(s1: float, s2: float,

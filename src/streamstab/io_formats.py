@@ -21,10 +21,11 @@ from .frame_scoring import GrayImage
 from .geometry import PointSet, Trajectory, squared
 from .spatial import DepthMap
 
-# vertex lines per np.array call (read) and per format_rows call (write): a
-# whole cloud's split fields would take about 350 bytes a point, and its
-# formatted fields a Python float each, several times the float table; so
-# each side holds only the table, one block and the payload
+# lines per np.array call in the TUM and PLY readers, and vertex lines per
+# format_rows call in the PLY writer: a whole cloud's split fields would take
+# about 350 bytes a point, and its formatted fields a Python float each,
+# several times the float table; so each side holds only the table, one
+# block and the payload
 _PLY_BLOCK_LINES = 4096
 
 
@@ -44,14 +45,13 @@ def _lf(data: bytes) -> bytes:
     return data
 
 
-def _decimals(line: bytes) -> list[float]:
-    """The fields of a text line as floats, split on ASCII whitespace by
-    bytes.split (str.split also splits on `\x1c`-`\x1f`). Python's float
-    also reads `_` between digits, which no writer emits: a line that holds
-    it is a ValueError, as is a field with any non-ASCII byte."""
-    if b"_" in line:
-        raise ValueError(f"not a decimal number in {line!r}")
-    return [float(f) for f in line.split()]
+def _decimals(fields: list[bytes]) -> list[float]:
+    """Fields split by bytes.split (on ASCII whitespace only) as floats. A
+    field with `_`, which float reads between digits and no writer emits, or
+    with a non-ASCII byte is a ValueError."""
+    if b"_" in b"".join(fields):
+        raise ValueError("not a decimal number")
+    return [float(f) for f in fields]
 
 
 def _integer(token: bytes, message: str, line: int | None = None) -> int:
@@ -64,31 +64,73 @@ def _integer(token: bytes, message: str, line: int | None = None) -> int:
     raise ParseError(message, line=line)
 
 
+def _decimal_table(table: np.ndarray, data: bytes, start: int = 0):
+    """Fill `table` with the rows of data[start:]: its non-blank lines, each
+    to be as many finite decimal fields (`_decimals`) as the table has
+    columns. `_PLY_BLOCK_LINES` lines go to each np.array call, and only a
+    block that fails is read again one row at a time. Returns None when the
+    rows fill the table; else the index of the first row that is bad,
+    missing or past the table's end, with every row before it in the table,
+    and that row's floats (None when a field is not a number)."""
+    # a BytesIO made from bytes shares their buffer, so its lines are cut
+    # straight from the payload and no list of them is ever held
+    lines, filled = io.BytesIO(data), 0
+    lines.seek(start)
+    while (pos := lines.tell()) < len(data):
+        rows = [fields for fields in
+                map(bytes.split, islice(lines, _PLY_BLOCK_LINES)) if fields]
+        part = table[filled:filled + len(rows)]
+        try:  # np.array reads `1_0` as 10, as float does
+            if len(part) < len(rows) or data.find(b"_", pos, lines.tell()) >= 0:
+                raise ValueError
+            part[:] = np.array(rows, dtype=float).reshape(part.shape)
+        except ValueError:  # a ragged, short, extra or non-numeric row
+            part = None
+        if part is None or not np.isfinite(part).all():
+            for i, fields in enumerate(rows, start=filled):
+                try:
+                    values = _decimals(fields)
+                except ValueError:
+                    return i, None
+                if (i == len(table) or len(values) != table.shape[1]
+                        or not all(map(math.isfinite, values))):
+                    return i, values
+                table[i] = values
+        filled += len(rows)
+    return None if filled == len(table) else (filled, None)
+
+
+def _line_of(lines, row: int, lineno: int = 1) -> tuple[int, bytes]:
+    """The number and the text of the line of `lines` (the first of them
+    line `lineno`) that holds row `row`, its row-th non-blank line: a
+    rescan, made only for an error message."""
+    rows = ((i, line) for i, line in enumerate(lines, start=lineno)
+            if line.split())
+    return next(islice(rows, row, None))
+
+
 # -- TUM trajectories ------------------------------------------------------
 
 def read_trajectory_tum(text: str) -> Trajectory:
-    rows, linenos = [], []
-    data = text.encode("utf-8", "surrogatepass")
-    for lineno, line in enumerate(map(bytes.strip, _lf(data).split(b"\n")),
-                                 start=1):
-        if not line or line.startswith(b"#"):
-            continue
-        try:
-            row = _decimals(line)
-        except ValueError:
-            line = line.decode("utf-8", "surrogatepass")
-            raise ParseError(f"non-numeric field in {line!r}", line=lineno)
-        if len(row) != 8:
-            raise ParseError(f"expected 8 fields, got {len(row)}", line=lineno)
-        if not all(map(math.isfinite, row)):
-            raise ParseError("non-finite value", line=lineno)
-        if rows and row[0] <= rows[-1][0]:
-            raise NonMonotonicTimestamps(f"timestamp {row[0]} does not "
-                                         f"increase past {rows[-1][0]}",
-                                         line=lineno)
-        rows.append(row)
-        linenos.append(lineno)
-    table = np.array(rows).reshape(-1, 8)
+    # stripped lines, `#` comments blanked: the rows are the non-blank lines
+    lines = [b"" if line[:1] == b"#" else line for line in map(
+        bytes.strip, _lf(text.encode("utf-8", "surrogatepass")).split(b"\n"))]
+    table = np.empty((len(lines) - lines.count(b""), 8))
+    bad = _decimal_table(table, b"\n".join(lines))
+    ts = table[:len(table) if bad is None else bad[0], 0]
+    # the rows before a bad one are checked first, as a line-by-line read does
+    late = np.flatnonzero(ts[1:] <= ts[:-1])
+    if late.size:
+        i = late[0] + 1
+        raise NonMonotonicTimestamps(f"timestamp {ts[i]} does not increase "
+                                     f"past {ts[i - 1]}",
+                                     line=_line_of(lines, i)[0])
+    if bad is not None:
+        lineno, line = _line_of(lines, bad[0])
+        raise ParseError(
+            f"non-numeric field in {line.decode('utf-8', 'surrogatepass')!r}"
+            if bad[1] is None else f"expected 8 fields, got {len(bad[1])}"
+            if len(bad[1]) != 8 else "non-finite value", line=lineno)
     q = table[:, [7, 4, 5, 6]]
     # Quaternion.norm's sum in its order, so that q / norm matches
     # quat_normalize bit for bit; a norm past 1.8e308 is an error below
@@ -98,7 +140,8 @@ def read_trajectory_tum(text: str) -> Trajectory:
     if bad.size:
         i = bad[0]
         raise ParseError("quaternion norm overflows" if norm[i] == np.inf else
-                         "cannot normalize a zero quaternion", line=linenos[i])
+                         "cannot normalize a zero quaternion",
+                         line=_line_of(lines, i)[0])
     return Trajectory.from_arrays(table[:, 1:4], q / norm[:, None], table[:, 0])
 
 
@@ -185,7 +228,7 @@ def read_pfm(data: bytes) -> DepthMap:
     width, height = (_integer(t, "invalid PFM header field")
                      for t in tokens[:2])
     try:
-        scale = _decimals(tokens[2])[0]
+        scale = _decimals(tokens[2:])[0]
     except ValueError:
         raise ParseError("invalid PFM header field")
     if width <= 0 or height <= 0 or scale == 0 or not math.isfinite(scale):
@@ -216,8 +259,6 @@ def read_ply_ascii(data: bytes) -> PointSet:
     if not data.isascii():
         raise ParseError("PLY payload is not ASCII")
     data = _lf(data)
-    # a BytesIO made from bytes shares their buffer, so its lines are cut
-    # straight from the payload and no list of them is ever held
     stream = io.BytesIO(data)
     if stream.readline().strip() != b"ply":
         raise UnsupportedMagic("missing 'ply' magic")
@@ -250,13 +291,22 @@ def read_ply_ascii(data: bytes) -> PointSet:
     for name in ("x", "y", "z"):
         if name not in properties:
             raise MissingProperty(f"vertex property {name!r} missing")
-    start = stream.tell()
-    table = None
-    if data.find(b"_", start) == -1:  # `_` belongs in no vertex field
-        table = _vertex_table(stream, data.count(b"\n", start) + 1,
-                              n_vertices, len(properties))
-    if table is None:
-        raise _vertex_error(data, start, i + 1, n_vertices, len(properties))
+    start, width = stream.tell(), len(properties)
+    # make no table that the lines cannot fill
+    table = (np.empty((n_vertices, width))
+             if n_vertices <= data.count(b"\n", start) + 1 else None)
+    bad = (0, None) if table is None else _decimal_table(table, data, start)
+    if bad is not None:  # a count that is not n_vertices, then the bad line
+        stream.seek(start)
+        n_rows = sum(1 for line in stream if line.split())
+        if n_rows != n_vertices:
+            raise ParseError(f"expected {n_vertices} vertex lines, got {n_rows}")
+        stream.seek(start)
+        lineno, line = _line_of(stream, bad[0], i + 1)
+        raise ParseError("wrong number of vertex fields"
+                         if len(line.split()) != width else
+                         "non-numeric vertex field" if bad[1] is None else
+                         "non-finite vertex value", line=lineno)
     cols = {name: j for j, name in enumerate(properties)}
     x, y, z = cols["x"], cols["y"], cols["z"]
     # adjacent x y z columns are a view of the table, not a copy of them
@@ -264,57 +314,6 @@ def read_ply_ascii(data: bytes) -> PointSet:
               else table[:, [x, y, z]])
     conf = cols.get("confidence")
     return PointSet(points, None if conf is None else table[:, conf])
-
-
-def _vertex_table(lines, n_lines: int, n_vertices: int,
-                  width: int) -> np.ndarray | None:
-    """The `n_vertices` x `width` table of the next `n_lines` of `lines`,
-    read `_PLY_BLOCK_LINES` at a time, or None when their non-blank lines
-    are not `n_vertices` rows of `width` finite numbers."""
-    if n_vertices > n_lines:  # make no table that the lines cannot fill
-        return None
-    table = np.empty((n_vertices, width))
-    filled = 0
-    for _ in range(0, n_lines, _PLY_BLOCK_LINES):
-        rows = [fields for fields in
-                map(bytes.split, islice(lines, _PLY_BLOCK_LINES)) if fields]
-        block = table[filled:filled + len(rows)]
-        if len(block) < len(rows):
-            return None
-        try:
-            block[:] = np.array(rows, dtype=float).reshape(len(rows), width)
-        except ValueError:  # a ragged, short or non-numeric row
-            return None
-        if not np.isfinite(block).all():
-            return None
-        filled += len(rows)
-    return table if filled == n_vertices else None
-
-
-def _vertex_error(data: bytes, start: int, lineno: int, n_vertices: int,
-                  width: int) -> ParseError:
-    """The error of the vertex lines from data[start:], the first of them
-    line `lineno`: a count that is not `n_vertices`, else the first line
-    that is not `width` finite numbers."""
-    lines = io.BytesIO(data)
-    lines.seek(start)
-    n_rows = sum(1 for line in lines if line.split())
-    if n_rows != n_vertices:
-        return ParseError(f"expected {n_vertices} vertex lines, got {n_rows}")
-    lines.seek(start)
-    for lineno, line in enumerate(lines, start=lineno):
-        fields = line.split()
-        if not fields:
-            continue
-        if len(fields) != width:
-            return ParseError("wrong number of vertex fields", line=lineno)
-        try:
-            values = _decimals(line)
-        except ValueError:
-            return ParseError("non-numeric vertex field", line=lineno)
-        if not all(map(math.isfinite, values)):
-            return ParseError("non-finite vertex value", line=lineno)
-    return ParseError("malformed vertex data")
 
 
 def write_ply_ascii(cloud: PointSet) -> bytes:

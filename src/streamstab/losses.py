@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (EmptyList, EmptyTrajectory, LengthMismatch,
-                     MissingConfidence, ShapeMismatch, TooShort)
+                     MissingConfidence, NonFiniteResult, ShapeMismatch,
+                     TooShort)
 from .geometry import PointSet, Trajectory
 
 
@@ -127,13 +128,14 @@ def loss_pose(pred: Trajectory, gt: Trajectory, w: LossWeights = LossWeights()) 
         total += w.w_r * loss_rpe(pred, gt)
     if w.w_s > 0:
         total += w.w_s * loss_acc(pred)
-    return total
+    return NonFiniteResult.check(total, "pose loss")
 
 
 def loss_total(conf: float, rgb: float, pose: float,
                w: LossWeights = LossWeights()) -> float:
     """Weighted sum of the three top-level loss components."""
-    return w.lambda1 * conf + w.lambda2 * rgb + w.lambda3 * pose
+    return NonFiniteResult.check(
+        w.lambda1 * conf + w.lambda2 * rgb + w.lambda3 * pose, "total loss")
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:

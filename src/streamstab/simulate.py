@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import NonFiniteResult
 from .frame_scoring import GrayImage, score_frame
 from .geometry import Pose, Quaternion, quat_normalize
 from .state_update import (MemoryState, Observation, apply_update,
@@ -44,10 +45,15 @@ def simulate_stream(frames: int, state_dim: int, seed: int,
         else:
             img = GrayImage(rng.uniform(size=(16, 16)))
             beta = score_frame(prev_pose, pose, img)
-        state = apply_update(state, associative_gradient(state, obs), beta)
+        # a beta far from (0, 2) makes the state grow without bound: the
+        # first step whose state or recall is not finite ends the stream
+        with np.errstate(over="ignore", invalid="ignore"):
+            state = apply_update(state, associative_gradient(state, obs), beta)
+            row = (step, beta, recall_error(state, [first_obs]),
+                   recall_error(state, [obs]))
+        if not (np.isfinite(row).all() and np.isfinite(state.values).all()):
+            raise NonFiniteResult(f"memory state diverges at step {step} with "
+                                 f"beta {beta}: a value or recall is not finite")
         prev_pose = pose
-
-        rows.append((step, beta,
-                     recall_error(state, [first_obs]),
-                     recall_error(state, [obs])))
+        rows.append(row)
     return rows

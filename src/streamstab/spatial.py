@@ -43,7 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateConfiguration, InvalidValue, NoValidPixels
+from .errors import (DegenerateConfiguration, InvalidValue, NonFiniteResult,
+                     NoValidPixels)
 from .geometry import PointSet, median
 
 _STRIP_ROWS = 64  # rows per strip
@@ -118,20 +119,27 @@ def bilateral_depth(depth_map: DepthMap, cfg: BilateralConfig = BilateralConfig(
     """Bilateral filter over valid pixels; invalid pixels pass through.
 
     An invalid pixel gets weight 0.0 as a neighbour, whatever depth it stores
-    (NaN, +-inf, 0 or negative). A weight below e**-700 (about 1e-304) is
-    raised to about that: the range exponent is floored at -700 minus the
-    log of the spatial weight before exp, so that no weight is subnormal
-    (those run about 12x slower). The weight sum starts at the centre's 1.0,
-    which absorbs the raised weights, and their terms weight * (neighbour -
-    depth) are absorbed by the depth, unless a valid depth is more than about
-    1e280 times smaller than a neighbour's: a float32 PFM depth cannot be.
+    (NaN, +-inf, 0 or negative). A weight below e**-700 (about 1e-304), or
+    for sigma_r < 6e-6 below about 6e-310 / sigma_r, is raised to about
+    that, so that neither a weight nor its term at a difference of 37
+    sigma_r, about the least it is raised at, is subnormal (those run about
+    12x slower): the range exponent is floored at that log minus the log of
+    the spatial weight before exp. The weight sum starts at the centre's
+    1.0, which absorbs the raised weights, and their terms weight *
+    (neighbour - depth) are absorbed by the depth, unless a valid depth is
+    more than about 1e280 times (2e293 sigma_r for sigma_r < 6e-6) smaller
+    than a neighbour's: a float32 PFM depth cannot be.
+
+    A sigma whose square overflows (above about 1.34e154) gives each weight
+    of its kind the limit 1.0; a sigma_s whose square underflows to 0
+    (below about 1.6e-162) gives each spatial weight the limit 0.0.
     """
     if not depth_map.valid.any():
         raise NoValidPixels("depth map has no valid pixels")
     d = depth_map.depths
     valid = depth_map.valid
     sigma_r = cfg.effective_sigma_r(depth_map)
-    neg_two_var = -(2.0 * sigma_r ** 2)
+    neg_two_var = -_twice_square(sigma_r)
     if not neg_two_var:  # a zero difference over it would be 0 / -0, NaN
         raise DegenerateConfiguration(
             f"sigma_r {sigma_r!r} is too small: 2 * sigma_r**2 underflows to 0")
@@ -147,15 +155,20 @@ def bilateral_depth(depth_map: DepthMap, cfg: BilateralConfig = BilateralConfig(
     np.copyto(values[w:w + h, w:w + wid], d, where=valid)
     values = values.ravel()
 
+    # the least weight e**least, as the docstring gives it; e**0 where
+    # 2 sigma_r**2 overflows, so that each range weight is its limit 1.0
+    least = (max(-700.0, -712.0 - math.log(sigma_r))
+             if neg_two_var > -math.inf else 0.0)
     # the offsets o before the centre in row-major order, each with its shift
     # (< 0), spatial weight s and range exponent floor: exp(floor) * s is
-    # about e**-700, a normal float, unless s is below that itself
+    # about e**least, unless s is below that itself
     pairs = []
+    two_var_s = _twice_square(cfg.sigma_s)  # 0.0 gives each s its limit 0.0
     for dy in range(-w, 1):
         for dx in range(-w, w + 1 if dy else 0):
-            s = np.exp(-(dy * dy + dx * dx) / (2.0 * cfg.sigma_s ** 2))
+            s = np.exp(-(dy * dy + dx * dx) / two_var_s) if two_var_s else 0.0
             pairs.append((dy * pw + dx, s,
-                          min(0.0, -700.0 - math.log(s)) if s else 0.0))
+                          min(0.0, least - math.log(s)) if s else 0.0))
     rows = min(_STRIP_ROWS, h)
     n_max = (rows - 1) * pw + wid
     reach = w * pw + w  # largest |shift|
@@ -183,9 +196,11 @@ def bilateral_depth(depth_map: DepthMap, cfg: BilateralConfig = BilateralConfig(
                 np.subtract(values[start + sh:start + sh + m],
                             values[start:start + m], out=dm)
                 np.square(dm, out=tm)
-                with np.errstate(over="ignore"):  # to -inf, which the floor raises
+                # to -inf, which the floor raises; fmax floors a NaN too,
+                # inf / -inf where both squares overflow, to 0 there
+                with np.errstate(over="ignore", invalid="ignore"):
                     np.divide(tm, neg_two_var, out=tm)
-                np.maximum(tm, floor, out=tm)
+                np.fmax(tm, floor, out=tm)
                 np.exp(tm, out=tm)
                 np.multiply(tm, spatial, out=tm)
                 np.multiply(tm, mask[reach:reach + m], out=tm)
@@ -221,6 +236,12 @@ def bilateral_depth(depth_map: DepthMap, cfg: BilateralConfig = BilateralConfig(
     return DepthMap(out, np.array(valid, copy=True))
 
 
+def _twice_square(sigma: float) -> float:
+    """2 * sigma**2: inf from 1e154 on, where Python's ** may raise
+    OverflowError and 2 * sigma**2 is past the float range anyway."""
+    return 2.0 * sigma ** 2 if sigma < 1e154 else math.inf
+
+
 def _in_parallel(upper, lower) -> None:
     """Run `lower` on a worker thread in a copy of the caller's context (so
     np.errstate holds there too) while the caller runs `upper`; an exception
@@ -254,14 +275,20 @@ def depth_to_points(depth_map: DepthMap, intrinsics: Intrinsics) -> PointSet:
     # before y is gathered, so the two copies can share one block
     z = depth_map.depths[valid]
     points[:, 2] = z
-    x = np.broadcast_to(np.arange(w, dtype=float) - intrinsics.cx, (h, w))[valid]
-    x *= z
-    np.divide(x, intrinsics.fx, out=points[:, 0])
-    del x
-    y = np.broadcast_to((np.arange(h, dtype=float) - intrinsics.cy)[:, None],
-                        (h, w))[valid]
-    y *= z
-    np.divide(y, intrinsics.fy, out=points[:, 1])
+    try:  # a point past float's range: an overflow flag, which costs no pass
+        with np.errstate(over="raise"):
+            x = np.broadcast_to(np.arange(w, dtype=float) - intrinsics.cx,
+                                (h, w))[valid]
+            x *= z
+            np.divide(x, intrinsics.fx, out=points[:, 0])
+            del x
+            y = np.broadcast_to((np.arange(h, dtype=float)
+                                 - intrinsics.cy)[:, None], (h, w))[valid]
+            y *= z
+            np.divide(y, intrinsics.fy, out=points[:, 1])
+    except FloatingPointError:
+        raise NonFiniteResult("a back-projected point is past float's range: "
+                              "the intrinsics are out of scale with the depths")
     return PointSet(points)
 
 

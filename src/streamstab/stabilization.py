@@ -57,8 +57,14 @@ def _step(state: FilterState, t, q: Quaternion, ts: float,
     if dt <= 0:
         dt = _DEFAULT_DT
     dx, dy, dz = (u - v for u, v in zip(t, state.last_t))
-    speed = math.sqrt(dx * dx + dy * dy + dz * dz) / dt
-    alpha = smoothing_alpha(cutoff_freq(cfg, speed), dt)
+    dist = math.sqrt(dx * dx + dy * dy + dz * dz)
+    alpha = smoothing_alpha(cutoff_freq(cfg, dist / dt), dt)
+    if math.isnan(alpha):  # 2 pi f dt overflowed: inf / inf
+        # the same x as 2 pi (f_min dt + beta_gain dist), in which the speed
+        # dist / dt does not overflow; alpha tends to 1.0 where x does
+        x = 2.0 * math.pi * (cfg.f_min * dt
+                             + (cfg.beta_gain * dist if cfg.beta_gain else 0.0))
+        alpha = x / (x + 1.0) if x < math.inf else 1.0
     t = tuple(alpha * u + (1.0 - alpha) * v for u, v in zip(t, state.last_t))
     return FilterState(t, slerp(state.last_q, q, alpha), ts)
 

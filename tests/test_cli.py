@@ -1,10 +1,14 @@
+import io
 import math
 import re
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamstab import DepthMap, GrayImage, PointSet, Pose, Quaternion, Trajectory
 from streamstab.cli import build_parser, main
@@ -13,6 +17,7 @@ from streamstab.io_formats import (read_trajectory_tum, write_pfm, write_pgm,
 
 from conftest import random_trajectory
 from test_acceptance import _write_fixtures
+from test_io_formats import FUZZ
 
 
 @pytest.fixture
@@ -105,6 +110,25 @@ class TestScore:
         assert code == 0
         assert [row.split(",")[6] for row in out.splitlines()[1:]] == ["0"] * 4
 
+    @pytest.mark.parametrize("flag", ["--w1", "--w2"])
+    def test_motion_score_overflow_exit_3(self, capsys, tmp_path, frames_dir,
+                                          flag):
+        # w * delta overflowed: `inf` in the s1 column, with exit 0
+        # steps of 2 units and of pi radians
+        traj = Trajectory([Pose(np.array([2.0 * i, 0, 0]),
+                                Quaternion(0, 0, 0, 1) if i % 2 else
+                                Quaternion.identity(), i / 30.0)
+                           for i in range(4)])
+        path = tmp_path / "t.txt"
+        path.write_text(write_trajectory_tum(traj))
+        code, out, err = run(capsys, ["score", "--traj", str(path),
+                                      "--frames", str(frames_dir),
+                                      flag, "1e308"])
+        assert code == 3
+        assert "inf" not in out
+        assert err == ("error: motion score is not finite: a weighted term "
+                       "overflows\n")
+
     def test_all_black_frames(self, capsys, traj_file, tmp_path):
         d = tmp_path / "black"
         d.mkdir()
@@ -166,6 +190,31 @@ class TestStabilize:
             main(["stabilize", "--in", str(traj_file),
                   "--out", str(tmp_path / "o.txt"), "--fmin", "abc"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flags", [["--fmin", "1e308"],
+                                       ["--beta-gain", "1e308"], []],
+                             ids=["fmin", "beta-gain", "tiny-dt"])
+    def test_overflowing_cutoff_exit_0(self, capsys, traj_file, tmp_path,
+                                       flags):
+        # 2 pi f dt overflowed, and inf / inf ended in exit 3 with
+        # "error: gamma nan outside [0, 1]"
+        src = traj_file
+        if not flags:  # a step of 5e-324 s: the speed overflows
+            src = tmp_path / "tiny.txt"
+            src.write_text("0 0 0 0 0 0 0 1\n5e-324 1 0 0 0 0 0 1\n")
+        dst = tmp_path / "o.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["stabilize", "--in", str(src),
+                                          "--out", str(dst), *flags])
+        assert (code, out, err) == (0, "", "")
+        smoothed = read_trajectory_tum(dst.read_text())
+        if flags:  # alpha is 1.0: the input passes through
+            assert np.array_equal(smoothed.t, read_trajectory_tum(
+                src.read_text()).t)
+        else:  # alpha = x / (x + 1) for x = 2 pi * 0.007 * 1
+            assert dst.read_text().splitlines()[2].split()[1] == \
+                "0.042129351494096141"
 
 
 class TestRefine:
@@ -301,6 +350,42 @@ class TestRefine:
                                           str(dst), "--sigma-r", sigma_r])
         assert (code, err) == (0, "")
         assert dst.read_bytes() == src.read_bytes()
+
+    @pytest.mark.parametrize("flag", ["--sigma-s", "--sigma-r"])
+    def test_sigma_whose_square_overflows_same_bytes(self, capsys, tmp_path,
+                                                     flag):
+        # sigma**2 ended in an OverflowError traceback from about 1.34e154
+        # on; every weight of that sigma is 1.0, as at 1e150 on these depths
+        rng = np.random.default_rng(7)
+        src = tmp_path / "in.pfm"
+        src.write_bytes(write_pfm(DepthMap.from_depths(
+            rng.uniform(1.0, 5.0, size=(6, 7)))))
+        outputs = []
+        for sigma in ("1e150", "1.4e154", "1e308"):
+            dst = tmp_path / f"{sigma}.pfm"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run(capsys, ["refine", "--in", str(src),
+                                              "--out", str(dst), flag, sigma])
+            assert (code, out, err) == (0, "", "")
+            outputs.append(dst.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("flags", [["--fx", "1e-308"], ["--cx=-1e308"]])
+    def test_point_past_float_range_exit_3(self, capsys, tmp_path, flags):
+        # x overflowed to inf: a RuntimeWarning, then `inf` in the PLY, exit 0
+        src = tmp_path / "in.pfm"
+        src.write_bytes(write_pfm(DepthMap.from_depths(np.full((4, 5), 2.0))))
+        dst = tmp_path / "o.ply"
+        argv = ["refine", "--in", str(src), "--out", str(dst), "--fx", "50",
+                "--fy", "50", "--cx", "2", "--cy", "2", *flags]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err == ("error: a back-projected point is past float's range: "
+                       "the intrinsics are out of scale with the depths\n")
+        assert not dst.exists()
 
     def test_window_past_map_same_bytes(self, capsys, tmp_path):
         # the window is clamped to max(H, W) - 1 = 4; before, the padded copy
@@ -547,6 +632,22 @@ class TestEval:
         assert all(abs(v) < 1e-9 for v in values)
 
 
+    @pytest.mark.parametrize("flags, name", [
+        (["--ws", "1e308"], "pose"), (["--wa", "1e308", "--wr", "1e308"], "pose"),
+        (["--conf-loss", "1e308", "--lambda1", "2"], "total")])
+    def test_eval_loss_overflow_exit_3(self, capsys, tmp_path, flags, name):
+        # a weighted term past float's range printed `inf`, with exit 0
+        rng = np.random.default_rng(12)
+        pred, gt = tmp_path / "p.txt", tmp_path / "g.txt"
+        pred.write_text(write_trajectory_tum(random_trajectory(rng, 6)))
+        gt.write_text(write_trajectory_tum(random_trajectory(rng, 6)))
+        code, out, err = run(capsys, ["eval-loss", "--pred", str(pred),
+                                      "--gt", str(gt), *flags])
+        assert (code, out) == (3, "")
+        assert err == (f"error: {name} loss is not finite: a weighted term "
+                       f"overflows\n")
+
+
 class TestIntegerPastDigitLimit:
     # int() reads at most 4,300 digits by default; one more in a header
     # field ended in exit 3 and a hint to call sys.set_int_max_str_digits
@@ -612,6 +713,28 @@ class TestSimulate:
         code, out, err = run(capsys, ["simulate", "--config", str(cfg)])
         assert (code, out) == (2, "")
         assert err.startswith("error: line 1: invalid value for state_dim")
+
+    @pytest.mark.parametrize("beta, step", [("1e10", 16), ("1e200", 0)])
+    def test_divergent_state_exit_3(self, capsys, beta, step):
+        # the state grows by about |1 - beta| a step: at 1e10, 184 of the 200
+        # rows were nan or inf, after RuntimeWarnings, with exit 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["simulate", "--frames", "200",
+                                          "--policy", f"constant:{beta}"])
+        assert (code, out) == (3, "")
+        assert err == (f"error: memory state diverges at step {step} with "
+                       f"beta {float(beta)}: a value or recall is not "
+                       f"finite\n")
+
+    def test_large_finite_state_runs(self, capsys):
+        code, out, _ = run(capsys, ["simulate", "--frames", "200",
+                                    "--policy", "constant:10"])
+        assert code == 0
+        rows = np.array([line.split(",") for line in out.splitlines()[1:]],
+                        dtype=float)
+        assert len(rows) == 200 and np.isfinite(rows).all()
+        assert rows[-1, 2] > 1e26
 
     def test_memory_error_exit_3(self, capsys, monkeypatch):
         def simulate_stream(*args):
@@ -877,3 +1000,111 @@ class TestNonUtf8Text:
         assert code == 2
         assert out == ""
         assert "decode" in err
+
+
+# values that probe each flag's type, range and arithmetic: NaN, the
+# infinities, -0, the ends of float's range, a value whose square is past
+# it, a negative, the empty string and Python's `_` digit separator
+_AWKWARD = ["nan", "inf", "-inf", "-0", "1e308", "1e-308", "1.4e154", "-1",
+            "", "1_0"]
+
+# each subcommand on the fixtures under {root}: its inputs, each a choice
+# of files, and small sizes (20 steps of simulate)
+_FUZZ_ARGV = {
+    "score": [["--traj", "{root}/noisy.txt", "--frames", "{root}/frames"]],
+    "stabilize": [["--in", "{root}/" + name, "--out", "{root}/fuzz.txt"]
+                  for name in ("noisy.txt", "tiny_dt.txt")],
+    "refine": [["--in", "{root}/pred.pfm", "--out", "{root}/fuzz.pfm"],
+               ["--in", "{root}/pred.pfm", "--out", "{root}/fuzz.ply",
+                "--fx", "50", "--fy", "50", "--cx", "8", "--cy", "8"]],
+    "eval-traj": [["--pred", "{root}/noisy.txt", "--gt", "{root}/clean.txt"],
+                  ["--pred", "{root}/tiny_dt.txt",
+                   "--gt", "{root}/tiny_dt.txt"]],
+    "eval-depth": [["--pred", "{root}/pred.pfm", "--gt", "{root}/gt.pfm"]],
+    "eval-recon": [["--pred", "{root}/pred.ply", "--gt", "{root}/gt.ply"]],
+    "eval-loss": [["--pred", "{root}/noisy.txt", "--gt", "{root}/clean.txt"]],
+    "simulate": [["--frames", "20"]],
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    _write_fixtures(root)
+    # a step of 5e-324 s, over which a speed overflows
+    (root / "tiny_dt.txt").write_text("0 0 0 0 0 0 0 1\n"
+                                      "5e-324 1 0 0 0 0 0 1\n"
+                                      "1 2 0 0 0 0 0 1\n")
+    return root
+
+
+# the optional flags of each subcommand, as (flag, config key)
+_FUZZ_FLAGS = {command: [(action.option_strings[0], action.dest)
+                         for action in _optional_flags(command)[1]]
+               for command in _FUZZ_ARGV}
+
+
+@st.composite
+def awkward_argv(draw, command):
+    """`command`'s argv on the fixtures with one or two of its optional
+    flags set to awkward values, and a config text or None: one flag at a
+    time, without a config, is test_each_flag_each_awkward_value's."""
+    argv = [command, *draw(st.sampled_from(_FUZZ_ARGV[command]))]
+    for flag, key in draw(st.lists(st.sampled_from(_FUZZ_FLAGS[command]),
+                                   min_size=1, max_size=2, unique=True)):
+        value = draw(st.sampled_from(_AWKWARD))
+        if key == "policy":
+            value = draw(st.sampled_from(["constant:", ""])) + value
+        argv.append(f"{flag}={value}")
+    keys = [key for _, key in _FUZZ_FLAGS[command]]
+    lines = st.lists(st.tuples(st.sampled_from(keys), st.sampled_from(_AWKWARD))
+                     .map("=".join), max_size=2).map("\n".join)
+    return argv, draw(st.one_of(st.none(), lines, st.text(max_size=20)))
+
+
+def _check_main(root, argv, config=None):
+    """Run main on `argv` on the fixtures under `root`, with `config` as its
+    config file's text if not None: exit 0, 2 or 3 (and 0 or 2 for
+    stabilize, as a valid trajectory always smooths), no warning, one
+    `error:` line on failure and finite numbers on success."""
+    argv = [arg.format(root=root) for arg in argv]
+    if config is not None:
+        (root / "fuzz.cfg").write_text(config)
+        argv += ["--config", str(root / "fuzz.cfg")]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in ((0, 2) if argv[0] == "stabilize" else (0, 2, 3)), \
+        (argv, err)
+    assert not caught, (argv, [str(w.message) for w in caught])
+    if code:
+        assert err.splitlines()[-1].count("error: ") == 1, (argv, err)
+    else:
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert np.isfinite(np.array(rows, dtype=float)).all(), (argv, out)
+
+
+class TestMainProperty:
+    """Any argv of awkward flag values, and any config text, ends in exit 0,
+    2 or 3 with no traceback (an exception out of main fails the test) and
+    no warning, and what it prints is finite."""
+
+    @pytest.mark.parametrize("command", _FUZZ_ARGV)
+    def test_each_flag_each_awkward_value(self, fuzz_dir, command):
+        for argv in _FUZZ_ARGV[command]:
+            for flag, key in _FUZZ_FLAGS[command]:
+                for value in _AWKWARD + (["constant:" + v for v in _AWKWARD]
+                                         if key == "policy" else []):
+                    _check_main(fuzz_dir, [command, *argv, f"{flag}={value}"])
+
+    @settings(FUZZ, max_examples=40)
+    @given(data=st.data())
+    @pytest.mark.parametrize("command", _FUZZ_ARGV)
+    def test_awkward_values_exit_0_2_or_3(self, fuzz_dir, command, data):
+        _check_main(fuzz_dir, *data.draw(awkward_argv(command)))

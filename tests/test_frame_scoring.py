@@ -7,7 +7,7 @@ from streamstab import (GrayImage, Pose, Quaternion, ScoreConfig,
                         adaptive_update_weight, dft2_magnitude_centered,
                         highfreq_ratio, motion_score, quality_score,
                         score_frame, score_terms, to_grayscale)
-from streamstab.errors import EmptyImage, NegativeMagnitude
+from streamstab.errors import EmptyImage, NegativeMagnitude, NonFiniteResult
 from streamstab.frame_scoring import _outside_disk
 from streamstab.geometry import quat_to_matrix
 
@@ -205,6 +205,16 @@ class TestMotionScore:
     def test_negative_rejected(self):
         with pytest.raises(NegativeMagnitude):
             motion_score(-0.1, 0.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("args", [(2.0, 0.0, 1e308, 1.0),
+                                      (0.0, 2.0, 1.0, 1e308),
+                                      (1.0, 1.0, 1e308, 1e308),
+                                      (2.0, 2.0, 1e308, -1e308)])
+    def test_overflow_is_an_error(self, args):
+        # the weighted sum was inf or NaN, which score printed with exit 0
+        with pytest.raises(NonFiniteResult, match="motion score"):
+            motion_score(*args)
+        assert motion_score(1.0, 1.0, 1e307, 1e307) == 2e307
 
 
 class TestAdaptiveUpdateWeight:

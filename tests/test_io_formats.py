@@ -95,6 +95,15 @@ def _same_outcome(a, b):
         x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
 
+# TUM text: any text, or lines of number-like fields
+TUM_TEXT = st.one_of(
+    st.text(),
+    st.lists(st.lists(st.sampled_from(
+        ["0", "1", "-1", "0.5", "2", "1e200", "1e-200", "1e308", "nan",
+         "inf", "-inf", "x", "#", "1_0", "0x1", ""]), max_size=9)
+        .map(" ".join), max_size=6).map("\n".join))
+
+
 class TestTum:
     def test_identity_pose(self):
         traj = read_trajectory_tum("0.0 0 0 0 0 0 0 1\n")
@@ -227,12 +236,7 @@ class TestTum:
         assert list(traj.ts) == [0.0]
 
     @FUZZ
-    @given(st.one_of(
-        st.text(),
-        st.lists(st.lists(st.sampled_from(
-            ["0", "1", "-1", "0.5", "2", "1e200", "1e-200", "1e308", "nan",
-             "inf", "-inf", "x", "#", "1_0", "0x1", ""]), max_size=9)
-            .map(" ".join), max_size=6).map("\n".join)))
+    @given(TUM_TEXT)
     def test_any_text_gives_trajectory_or_parse_error(self, text):
         try:
             traj = read_trajectory_tum(text)
@@ -241,6 +245,19 @@ class TestTum:
         assert np.isfinite(traj.t).all()
         norms = np.linalg.norm(traj.q, axis=1)
         assert np.all(np.abs(norms - 1.0) < 1e-12)
+
+    @FUZZ
+    @given(TUM_TEXT)
+    # a timestamp out of order in the first block of 2 lines, a non-numeric
+    # line in the second: the order error comes first
+    @example("1 0 0 0 0 0 0 1\n0 0 0 0 0 0 0 1\nx\n")
+    def test_block_size_changes_no_outcome(self, text):
+        outcomes = []
+        for block in (1, 2, 4096):
+            with mock.patch.object(io_formats, "_PLY_BLOCK_LINES", block):
+                outcomes.append(_outcome(read_trajectory_tum, text))
+        assert _same_outcome(outcomes[0], outcomes[1])
+        assert _same_outcome(outcomes[0], outcomes[2])
 
     @FUZZ
     @given(st.lists(

@@ -8,7 +8,8 @@ from streamstab import (LossWeights, PointSet, Pose, Quaternion, Trajectory,
                         loss_pose, loss_rgb, loss_rpe, loss_total,
                         scale_normalizer)
 from streamstab.errors import (EmptyList, InvalidValue, LengthMismatch,
-                               MissingConfidence, ShapeMismatch, TooShort)
+                               MissingConfidence, NonFiniteResult,
+                               ShapeMismatch, TooShort)
 from streamstab.losses import hemisphere_align
 
 from conftest import awkward_trajectory, random_trajectory
@@ -321,6 +322,16 @@ class TestLossPose:
         gt = random_trajectory(rng, 5)
         assert loss_pose(pred, gt, LossWeights(0.0, 0.0, 0.0)) == 0.0
 
+    @pytest.mark.parametrize("weights", [(0.0, 0.0, 1e308),
+                                         (1e308, 1e308, 0.0),
+                                         (-1e308, 0.0, 1e308)])
+    def test_overflow_is_an_error(self, weights):
+        # a weighted term past float's range made the loss inf or NaN
+        rng = np.random.default_rng(11)
+        pred, gt = random_trajectory(rng, 5), random_trajectory(rng, 5)
+        with pytest.raises(NonFiniteResult, match="pose loss"):
+            loss_pose(pred, gt, LossWeights(*weights))
+
 
 class TestLossTotal:
     def test_zeros(self):
@@ -332,6 +343,14 @@ class TestLossTotal:
     def test_weighted(self):
         w = LossWeights(lambda1=0.5, lambda2=1.0, lambda3=2.0)
         assert loss_total(2.0, 0.0, 0.5, w) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("values", [(1e308, 1e308, 0.0),
+                                        (0.0, -1e308, -1e308),
+                                        (1e308, 0.0, 1e308)])
+    def test_overflow_is_an_error(self, values):
+        with pytest.raises(NonFiniteResult, match="total loss"):
+            loss_total(*values, LossWeights(lambda1=2.0, lambda2=2.0,
+                                            lambda3=2.0))
 
 
 class TestGradPoseTranslations:

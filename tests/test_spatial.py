@@ -9,7 +9,8 @@ import pytest
 
 from streamstab import (BilateralConfig, DepthMap, Intrinsics,
                         bilateral_depth, depth_to_points, refine_cloud, spatial)
-from streamstab.errors import DegenerateConfiguration, InvalidValue, NoValidPixels
+from streamstab.errors import (DegenerateConfiguration, InvalidValue,
+                               NonFiniteResult, NoValidPixels)
 
 STRIP = spatial._STRIP_ROWS
 
@@ -431,11 +432,15 @@ class TestBilateralSubnormalClamp:
         return DepthMap.from_depths(depths), BilateralConfig(sigma_r=sigma_r)
 
     # at sigma_s 0.3 the spatial weights reach 8e-20; at 0.026 the nearest
-    # is subnormal itself, and at 1e-6 every one is 0.0
+    # is subnormal itself, and at 1e-6 every one is 0.0. At sigma_r 1e-7 a
+    # weight raised to e**-700 times the difference 38.1 sigma_r would be
+    # subnormal, so the floor is raised there
     @pytest.mark.parametrize("sigma_s", [2.0, 0.3, 0.026, 1e-6])
-    @pytest.mark.parametrize("gap", [38.1, 10.0, 1000.0])
-    def test_stripes_bit_identical(self, sigma_s, gap):
-        dm, cfg = self.stripes(gap)
+    @pytest.mark.parametrize("gap, sigma_r", [(38.1, 0.1), (10.0, 0.1),
+                                              (1000.0, 0.1), (38.1, 1e-7)],
+                             ids=["38.1", "10.0", "1000.0", "38.1-1e-07"])
+    def test_stripes_bit_identical(self, sigma_s, gap, sigma_r):
+        dm, cfg = self.stripes(gap, sigma_r)
         cfg = BilateralConfig(sigma_s=sigma_s, sigma_r=cfg.sigma_r)
         with np.errstate(under="ignore"):
             expected = bilateral_loop_oracle(dm, cfg)
@@ -488,6 +493,39 @@ class TestBilateralConfig:
         dm = DepthMap.from_depths(np.full((3, 4), 2.0))
         out = bilateral_depth(dm, BilateralConfig(sigma_r=1.6e-162))
         assert np.array_equal(out.depths, dm.depths)
+
+    @pytest.mark.parametrize("field", ["sigma_s", "sigma_r"])
+    @pytest.mark.parametrize("sigma", [1.4e154, 1e200, 1.7976931348623157e308])
+    def test_sigma_whose_square_overflows_is_the_limit(self, field, sigma):
+        # sigma**2 raised OverflowError from about 1.34e154 on; every weight
+        # of that sigma is 1.0 now, as it already is at 1e150 on these depths
+        dm = TestBilateralMatchesLoop.bordered_map((STRIP + 5, 9), seed=12)
+        want = bilateral_depth(dm, BilateralConfig(**{field: 1e150})).depths
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = bilateral_depth(dm, BilateralConfig(**{field: sigma})).depths
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("sigma_s", [1e-162, 1e-308])
+    def test_sigma_s_whose_square_underflows_is_identity(self, sigma_s):
+        # 2 * sigma_s**2 is 0.0, and -1 / 0.0 ended in a ZeroDivisionError
+        # traceback; every spatial weight is its limit 0.0, as at 1e-6
+        dm = TestBilateralMatchesLoop.bordered_map((9, 11), seed=14)
+        out = bilateral_depth(dm, BilateralConfig(sigma_s=sigma_s)).depths
+        assert np.array_equal(out, dm.depths)
+
+    def test_range_weight_one_where_difference_square_overflows(self):
+        # at depths about 4e180 each squared difference overflows, and
+        # inf / -inf would make a NaN weight; with 2 * sigma_r**2 overflowed
+        # too every range weight is 1.0, so the map filters as its 2**-600
+        # scaled copy does, where the range weights at sigma_r 1e150 are 1.0
+        dm = TestBilateralMatchesLoop.bordered_map((STRIP + 5, 9), seed=13)
+        scale = 2.0 ** 600
+        big = DepthMap(dm.depths * scale, dm.valid)
+        want = bilateral_depth(dm, BilateralConfig(sigma_r=1e150)).depths
+        with np.errstate(over="ignore"):  # the squares, as at any sigma_r
+            got = bilateral_depth(big, BilateralConfig(sigma_r=1e308)).depths
+        assert np.array_equal(got, want * scale)
 
     def test_tiny_sigma_r_matches_loop_without_warning(self):
         # each nonzero difference over 2 * 1e-161**2 overflows to -inf, which
@@ -623,6 +661,19 @@ class TestDepthToPoints:
         expected = np.stack([(us - intr.cx) * z / intr.fx,
                              (vs - intr.cy) * z / intr.fy, z], axis=1)
         assert np.array_equal(depth_to_points(dm, intr).points, expected)
+
+    @pytest.mark.parametrize("intrinsics", [(1e-308, 1.0, 0.0, 0.0),
+                                            (1.0, 1e-308, 0.0, 0.0),
+                                            (1.0, 1.0, -1e308, 0.0),
+                                            (1.0, 1.0, 0.0, 1.7e308)])
+    def test_point_past_float_range_is_an_error(self, intrinsics):
+        # (u - cx) * z / fx overflowed to inf, with a RuntimeWarning, and
+        # refine wrote `inf` into its PLY with exit 0
+        dm = DepthMap.from_depths(np.full((3, 4), 3.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteResult, match="intrinsics"):
+                depth_to_points(dm, Intrinsics(*intrinsics))
 
     def test_projection_round_trip(self):
         rng = np.random.default_rng(6)

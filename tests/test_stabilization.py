@@ -150,6 +150,24 @@ class TestFilterStep:
             state, out = filter_step(state, raw, cfg)
             assert np.allclose(out.t, raw.t, atol=1e-6)
 
+    @pytest.mark.parametrize("f_min, beta_gain, dt, dist, alpha", [
+        (1e308, 0.007, 1.0 / 30.0, 1.0, 1.0),  # 2 pi f overflows
+        (1.0, 1e308, 1.0 / 30.0, 1.0, 1.0),  # beta_gain * speed overflows
+        (1.0, 0.007, 5e-324, 1.0, 0.042129351494096141),  # the speed does
+        (1.0, 0.0, 5e-324, 1.0, 2 * math.pi * 5e-324),  # 0 * inf is NaN
+        (1.0, 0.0, 1.0, 1e200, 2 * math.pi / (2 * math.pi + 1)),  # dist is inf
+    ], ids=["fmin", "beta-gain", "tiny-dt", "tiny-dt-zero-gain", "huge-step"])
+    def test_alpha_where_two_pi_f_dt_overflows(self, f_min, beta_gain, dt,
+                                               dist, alpha):
+        # 2 pi f dt overflowed to inf and inf / inf made alpha NaN, an
+        # InvalidGamma; alpha is x / (x + 1) for x = 2 pi (f_min dt +
+        # beta_gain dist), and 1.0 only where x itself overflows
+        e = Quaternion.identity()
+        cfg = OneEuroConfig(f_min=f_min, beta_gain=beta_gain)
+        state, _ = filter_step(FilterState(), Pose(np.zeros(3), e, 0.0), cfg)
+        _, out = filter_step(state, Pose(np.array([dist, 0, 0]), e, dt), cfg)
+        assert out.t[0] / dist == pytest.approx(alpha, rel=1e-15, abs=0.0)
+
     def test_pinned_alpha_midpoint(self):
         e = Quaternion.identity()
         h = math.sqrt(0.5)
