@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import string
 import sys
 from pathlib import Path
 
 from .errors import CountMismatch, ParseError, ToolkitError
 from .frame_scoring import ScoreConfig, score_terms
-from .io_formats import (format_rows, read_pfm, read_pgm, read_ply_ascii,
-                         read_trajectory_tum, write_pfm, write_ply_ascii,
-                         write_trajectory_tum)
+from .io_formats import (_decimals, _integer, format_rows, read_pfm, read_pgm,
+                         read_ply_ascii, read_trajectory_tum, write_pfm,
+                         write_ply_ascii, write_trajectory_tum)
 from .losses import (LossWeights, loss_acc, loss_ate, loss_pose, loss_rpe,
                      loss_total)
 from .metrics import (DepthEvalMode, metric_ate, metric_depth, metric_recon,
@@ -67,12 +68,11 @@ def _read_config(args: argparse.Namespace) -> dict:
 def _number(kind: type = float, low: float = -math.inf, above: bool = False,
             high: float = math.inf):
     """argparse type: a finite `kind` from `low` (exclusive if `above`) to
-    `high`, spelled in ASCII without `_`, as the file readers require."""
+    `high`, spelled as the file readers' integer or decimal fields."""
     def parse(text: str):
+        token = text.encode("utf-8", "surrogatepass")
         try:
-            if not text.isascii() or "_" in text:
-                raise ValueError
-            value = kind(text)
+            value = _integer(token, "") if kind is int else _decimals([token])[0]
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"invalid {kind.__name__} value: {text!r}")
@@ -101,6 +101,9 @@ def _policy(text: str) -> str | float:
 def _add_command(subs, name: str, func, help: str) -> argparse.ArgumentParser:
     sub = subs.add_parser(name, help=help)
     sub.set_defaults(func=func, parser=sub)
+    # Python 3.13's test for a negative number: before it, argparse takes an
+    # exponent form such as `--wa -1e-3` for an option
+    sub._negative_number_matcher = re.compile(r"-\.?\d")
     sub.add_argument("--config", help="flat key=value config file; "
                                       "explicit flags take precedence")
     return sub
@@ -220,11 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_row(*values) -> None:
-    print(format_rows([values], sep=","), end="")
-
-
-def _cmd_score(args) -> None:
+def _cmd_score(args):
     traj = read_trajectory_tum(Path(args.traj).read_text())
     frame_files = sorted(Path(args.frames).glob("*.pgm"))
     if len(frame_files) != len(traj):
@@ -233,13 +232,15 @@ def _cmd_score(args) -> None:
     cfg = ScoreConfig(w1=args.w1, w2=args.w2, radius=args.radius,
                       epsilon=args.epsilon, clip_max=args.clip_max,
                       initial_weight=args.initial_weight)
-    print("index,delta_x,delta_q,s1,R,s2,weight")
-    prev = None
-    for i, (pose, path) in enumerate(zip(traj, frame_files)):
-        # keeping `img` until the next frame is read saves ~2 ms of page faults
-        img = read_pgm(path.read_bytes())
-        _print_row(i, *score_terms(prev, pose, img, cfg))
-        prev = pose
+
+    def rows():  # a generator: each row is written as its frame is scored
+        prev = None
+        for i, (pose, path) in enumerate(zip(traj, frame_files)):
+            # keeping `img` until the next frame is read saves ~2 ms of page faults
+            img = read_pgm(path.read_bytes())
+            yield (i, *score_terms(prev, pose, img, cfg))
+            prev = pose
+    return "index,delta_x,delta_q,s1,R,s2,weight", rows()
 
 
 def _cmd_stabilize(args) -> None:
@@ -273,7 +274,7 @@ def _load_pair(args):
     return pred, gt
 
 
-def _cmd_eval_traj(args) -> None:
+def _cmd_eval_traj(args):
     pred, gt = _load_pair(args)
     k, shortest = args.prefix_frames, min(len(pred), len(gt))
     if k is not None and k > shortest:
@@ -282,27 +283,22 @@ def _cmd_eval_traj(args) -> None:
     pred, gt = pred[:k], gt[:k]
     ate = metric_ate(pred, gt, with_scale=args.align == "sim3")
     rpe_trans, rpe_rot = metric_rpe(pred, gt)
-    print("frames,ate,rpe_trans,rpe_rot")
-    _print_row(len(pred), ate, rpe_trans, rpe_rot)
+    return "frames,ate,rpe_trans,rpe_rot", [(len(pred), ate, rpe_trans, rpe_rot)]
 
 
-def _cmd_eval_depth(args) -> None:
+def _cmd_eval_depth(args):
     pred = read_pfm(Path(args.pred).read_bytes())
     gt = read_pfm(Path(args.gt).read_bytes())
-    abs_rel, delta = metric_depth(pred, gt, DepthEvalMode(args.mode))
-    print("abs_rel,delta_125")
-    _print_row(abs_rel, delta)
+    return "abs_rel,delta_125", [metric_depth(pred, gt, DepthEvalMode(args.mode))]
 
 
-def _cmd_eval_recon(args) -> None:
+def _cmd_eval_recon(args):
     pred = read_ply_ascii(Path(args.pred).read_bytes())
     gt = read_ply_ascii(Path(args.gt).read_bytes())
-    acc, comp, nc = metric_recon(pred, gt, k_normals=args.k_normals)
-    print("acc,comp,nc")
-    _print_row(acc, comp, nc)
+    return "acc,comp,nc", [metric_recon(pred, gt, k_normals=args.k_normals)]
 
 
-def _cmd_eval_loss(args) -> None:
+def _cmd_eval_loss(args):
     pred, gt = _load_pair(args)
     w = LossWeights(w_a=args.wa, w_r=args.wr, w_s=args.ws,
                     lambda1=args.lambda1, lambda2=args.lambda2,
@@ -312,17 +308,14 @@ def _cmd_eval_loss(args) -> None:
     acc = loss_acc(pred)
     pose = loss_pose(pred, gt, w)
     total = loss_total(args.conf_loss, args.rgb_loss, pose, w)
-    print("ate,rpe,acc,pose,conf,rgb,total")
-    _print_row(ate, rpe, acc, pose, args.conf_loss, args.rgb_loss, total)
+    return "ate,rpe,acc,pose,conf,rgb,total", [
+        (ate, rpe, acc, pose, args.conf_loss, args.rgb_loss, total)]
 
 
-def _cmd_simulate(args) -> None:
+def _cmd_simulate(args):
     constant_beta = None if args.policy == "adaptive" else args.policy
-    rows = simulate_stream(args.frames, args.state_dim, args.seed,
-                           constant_beta)
-    print("step,beta,recall_first,recall_latest")
-    for step, beta, r_first, r_latest in rows:
-        _print_row(step, beta, r_first, r_latest)
+    return "step,beta,recall_first,recall_latest", simulate_stream(
+        args.frames, args.state_dim, args.seed, constant_beta)
 
 
 def main(argv=None) -> int:
@@ -334,7 +327,12 @@ def main(argv=None) -> int:
             # flags given on the command line still win
             args.parser.set_defaults(**_read_config(args))
             args = parser.parse_args(argv)
-        args.func(args)
+        table = args.func(args)
+        if table is not None:  # a CSV header and its rows, for stdout
+            header, rows = table
+            print(header)
+            for row in rows:
+                print(format_rows([row], sep=","), end="")
     except (ToolkitError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         usage = (ParseError, CountMismatch, OSError, UnicodeDecodeError)

@@ -14,8 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (InvalidGamma, InvalidValue, NonUnitQuaternion,
-                     ZeroQuaternion)
+from .errors import (InvalidGamma, InvalidValue, LengthMismatch,
+                     NonUnitQuaternion, ZeroQuaternion)
 
 _UNIT_TOL = 1e-6
 
@@ -132,6 +132,13 @@ class Trajectory:
 
     def __iter__(self) -> Iterator[Pose]:
         return map(self.__getitem__, range(len(self)))
+
+
+def pair_length(pred: Trajectory, gt: Trajectory) -> int:
+    """The length of a pred/gt pair compared pose by pose; else LengthMismatch."""
+    if len(pred) != len(gt):
+        raise LengthMismatch("trajectories must have equal length")
+    return len(pred)
 
 
 @dataclass(frozen=True)

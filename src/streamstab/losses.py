@@ -17,7 +17,7 @@ import numpy as np
 from .errors import (EmptyList, EmptyTrajectory, LengthMismatch,
                      MissingConfidence, NonFiniteResult, ShapeMismatch,
                      TooShort)
-from .geometry import PointSet, Trajectory
+from .geometry import PointSet, Trajectory, pair_length
 
 
 @dataclass(frozen=True)
@@ -81,9 +81,7 @@ def hemisphere_align(quats: np.ndarray) -> np.ndarray:
 def loss_ate(pred: Trajectory, gt: Trajectory) -> float:
     """Per-frame absolute error of scale-normalized translations plus a
     quaternion agreement term 1 - |q_pred . q_gt|."""
-    n = len(pred)
-    if n != len(gt):
-        raise LengthMismatch("trajectories must have equal length")
+    n = pair_length(pred, gt)
     if n == 0:
         raise EmptyTrajectory("loss_ate needs at least one pose")
     tp, tg = pred.t, gt.t
@@ -95,9 +93,7 @@ def loss_ate(pred: Trajectory, gt: Trajectory) -> float:
 
 def loss_rpe(pred: Trajectory, gt: Trajectory) -> float:
     """First-difference consistency of translations and quaternion components."""
-    n = len(pred)
-    if n != len(gt):
-        raise LengthMismatch("trajectories must have equal length")
+    n = pair_length(pred, gt)
     if n < 2:
         raise TooShort("loss_rpe needs at least 2 poses")
     dtp = np.diff(pred.t, axis=0)
@@ -151,9 +147,7 @@ def grad_pose_translations(pred: Trajectory, gt: Trajectory,
     The scale normalizers are treated as constants (stop-gradient), matching
     what a finite-difference check with frozen normalizers verifies.
     """
-    n = len(pred)
-    if n != len(gt):
-        raise LengthMismatch("trajectories must have equal length")
+    n = pair_length(pred, gt)
     if w.w_r > 0 and n < 2:
         raise TooShort("RPE term needs at least 2 poses")
     if w.w_s > 0 and n < 3:

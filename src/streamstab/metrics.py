@@ -17,7 +17,8 @@ import numpy as np
 from .errors import (DegenerateConfiguration, LengthMismatch,
                      NoOverlappingValidity, NonFinitePoints, ShapeMismatch,
                      TooFewPoints, TooShort)
-from .geometry import PointSet, Trajectory, median, quat_to_matrix, squared
+from .geometry import (PointSet, Trajectory, median, pair_length,
+                       quat_to_matrix, squared)
 from .spatial import DepthMap
 
 _NORMALS_BLOCK = 4096  # points per batched SVD in _tree_normals
@@ -78,8 +79,7 @@ def umeyama_align(src, dst, with_scale: bool = True) -> Similarity3:
 
 def metric_ate(pred: Trajectory, gt: Trajectory, with_scale: bool = False) -> float:
     """RMSE of translation residuals after aligning pred onto gt."""
-    if len(pred) != len(gt):
-        raise LengthMismatch("trajectories must have equal length")
+    pair_length(pred, gt)
     tp, tg = pred.t, gt.t
     transform = umeyama_align(tp, tg, with_scale=with_scale)
     residuals = transform.apply(tp) - tg
@@ -104,9 +104,7 @@ def metric_rpe(pred: Trajectory, gt: Trajectory) -> tuple[float, float]:
 
     Returns (translational RMSE in scene units, rotational RMSE in degrees).
     """
-    n = len(pred)
-    if n != len(gt):
-        raise LengthMismatch("trajectories must have equal length")
+    n = pair_length(pred, gt)
     if n < 2:
         raise TooShort("RPE needs at least 2 poses")
     mp, mg = (_se3(quat_to_matrix(x.q), x.t) for x in (pred, gt))

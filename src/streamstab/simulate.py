@@ -45,15 +45,15 @@ def simulate_stream(frames: int, state_dim: int, seed: int,
         else:
             img = GrayImage(rng.uniform(size=(16, 16)))
             beta = score_frame(prev_pose, pose, img)
-        # a beta far from (0, 2) makes the state grow without bound: the
-        # first step whose state or recall is not finite ends the stream
-        with np.errstate(over="ignore", invalid="ignore"):
+        # the first step whose state or recall is not finite ends the stream
+        try:
             state = apply_update(state, associative_gradient(state, obs), beta)
             row = (step, beta, recall_error(state, [first_obs]),
                    recall_error(state, [obs]))
-        if not (np.isfinite(row).all() and np.isfinite(state.values).all()):
+        except NonFiniteResult:
             raise NonFiniteResult(f"memory state diverges at step {step} with "
-                                 f"beta {beta}: a value or recall is not finite")
+                                  f"beta {beta}: a value or recall is not "
+                                  f"finite") from None
         prev_pose = pose
         rows.append(row)
     return rows

@@ -1,7 +1,9 @@
 """Fast-weight memory state updated once per frame.
 
 The state is an n x c linear associative memory written with delta-rule
-gradient steps; the per-frame learning rate comes from frame_scoring.
+gradient steps; the per-frame learning rate comes from frame_scoring. A
+learning rate far from (0, 2) makes the state grow without bound: a gradient,
+state or recall error that is not finite is a NonFiniteResult.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptySet
+from .errors import DimensionMismatch, EmptySet, NonFiniteResult
 from .frame_scoring import GrayImage, ScoreConfig, score_frame
 from .geometry import Pose
 
@@ -36,6 +38,13 @@ class Observation(NamedTuple):
     value: np.ndarray  # (n,) floats, stored under the key
 
 
+def _finite(values, what: str):
+    """`values` if all of them are finite; else NonFiniteResult."""
+    if not np.isfinite(values).all():
+        raise NonFiniteResult(f"memory {what} is not finite: it diverges")
+    return values
+
+
 def associative_gradient(state: MemoryState, obs: Observation) -> np.ndarray:
     """Gradient of 0.5 * ||S k - v||^2 with respect to S (delta rule)."""
     n, c = state.values.shape
@@ -43,8 +52,9 @@ def associative_gradient(state: MemoryState, obs: Observation) -> np.ndarray:
         raise DimensionMismatch(
             f"observation ({obs.value.shape[0]}, {obs.key.shape[0]}) does not "
             f"match state ({n}, {c})")
-    residual = state.values @ obs.key - obs.value
-    return np.outer(residual, obs.key)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = state.values @ obs.key - obs.value
+        return _finite(np.outer(residual, obs.key), "gradient")
 
 
 def apply_update(state: MemoryState, gradient: np.ndarray, beta: float) -> MemoryState:
@@ -52,7 +62,8 @@ def apply_update(state: MemoryState, gradient: np.ndarray, beta: float) -> Memor
     gradient = np.asarray(gradient, dtype=float)
     if gradient.shape != state.values.shape:
         raise DimensionMismatch("gradient shape does not match state")
-    return MemoryState(state.values - beta * gradient)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return MemoryState(_finite(state.values - beta * gradient, "state"))
 
 
 def stream_step(state: MemoryState, prev: Pose | None, cur: Pose, img: GrayImage,
@@ -69,7 +80,8 @@ def recall_error(state: MemoryState, observations: list[Observation]) -> float:
     if not observations:
         raise EmptySet("recall_error needs at least one observation")
     errs = []
-    for obs in observations:
-        residual = np.linalg.norm(state.values @ obs.key - obs.value)
-        errs.append(residual / max(np.linalg.norm(obs.value), 1e-12))
-    return float(np.mean(errs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for obs in observations:
+            residual = np.linalg.norm(state.values @ obs.key - obs.value)
+            errs.append(residual / max(np.linalg.norm(obs.value), 1e-12))
+        return float(_finite(np.mean(errs), "recall error"))

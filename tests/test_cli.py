@@ -1,3 +1,4 @@
+import ast
 import io
 import math
 import re
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamstab import DepthMap, GrayImage, PointSet, Pose, Quaternion, Trajectory
+from streamstab import cli
 from streamstab.cli import build_parser, main
 from streamstab.io_formats import (read_trajectory_tum, write_pfm, write_pgm,
                                    write_ply_ascii, write_trajectory_tum)
@@ -617,6 +619,27 @@ class TestEval:
         assert out == ""
         assert "line 19" in err and "non-numeric vertex field" in err
 
+    @pytest.mark.parametrize("command", ["eval-traj", "eval-loss"])
+    def test_trajectories_of_unequal_length_exit_3(self, capsys, tmp_path,
+                                                   command):
+        rng = np.random.default_rng(13)
+        pred, gt = tmp_path / "p.txt", tmp_path / "g.txt"
+        pred.write_text(write_trajectory_tum(random_trajectory(rng, 6)))
+        gt.write_text(write_trajectory_tum(random_trajectory(rng, 5)))
+        code, out, err = run(capsys, [command, "--pred", str(pred),
+                                      "--gt", str(gt)])
+        assert (code, out) == (3, "")
+        assert err == "error: trajectories must have equal length\n"
+
+    def test_eval_recon_missing_end_header_exit_2(self, capsys, tmp_path):
+        good = tmp_path / "good.ply"
+        good.write_bytes(write_ply_ascii(PointSet(np.eye(3))))
+        broken = tmp_path / "broken.ply"
+        broken.write_bytes(good.read_bytes().replace(b"end_header\n", b""))
+        code, out, err = run(capsys, ["eval-recon", "--pred", str(broken),
+                                      "--gt", str(good)])
+        assert (code, out, err) == (2, "", "error: missing end_header\n")
+
     def test_eval_loss_identical_constant_velocity(self, capsys, tmp_path):
         e = Quaternion.identity()
         traj = Trajectory([Pose(np.array([float(i), 0, 0]), e, float(i))
@@ -743,6 +766,71 @@ class TestSimulate:
         code, out, err = run(capsys, ["simulate", "--frames", "1"])
         assert (code, out) == (3, "")
         assert err == "error: Unable to allocate 7.28 PiB for an array\n"
+
+
+class TestNumberSpelling:
+    # an integer flag or config value is ASCII digits, as an integer field of
+    # the files is; int() also reads a sign and surrounding whitespace
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--frames", "+3"],
+        ["simulate", "--seed", " 7"],
+        ["simulate", "--seed", "7\t"],
+        ["simulate", "--state-dim", "-0"],
+        ["eval-recon", "--pred", "c.ply", "--gt", "c.ply", "--k-normals", "+4"],
+        ["refine", "--in", "d.pfm", "--out", "o.pfm", "--window", "-0"],
+    ])
+    def test_integer_flag_not_digits_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"{argv[-2]}: invalid int value: {argv[-1]!r}" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["frames = +3", "seed=-0"])
+    def test_integer_config_value_not_digits_parse_error(self, capsys,
+                                                         tmp_path, line):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{line}\n")
+        code, out, err = run(capsys, ["simulate", "--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 1: invalid value for ")
+
+    def test_float_flag_spellings_kept(self):
+        parse = build_parser().parse_args
+        for text, value in [("+3", 3.0), (" 7 ", 7.0), ("-0", 0.0),
+                            (".5", 0.5), ("5.", 5.0), ("1E3", 1e3),
+                            ("-1e-3", -1e-3), ("007.5", 7.5)]:
+            args = parse(["eval-loss", "--pred", "p", "--gt", "g",
+                          "--wa=" + text])
+            assert args.wa == value
+
+    @pytest.mark.parametrize("value", ["-1e-3", "-.5e1", "-1E+2"])
+    def test_negative_exponent_form_as_own_argument(self, capsys, tmp_path,
+                                                    value):
+        # argparse before Python 3.13 took `-1e-3` for an option: "expected
+        # one argument"
+        rng = np.random.default_rng(14)
+        path = tmp_path / "t.txt"
+        path.write_text(write_trajectory_tum(random_trajectory(rng, 6)))
+        argv = ["eval-loss", "--pred", str(path), "--gt", str(path)]
+        split = run(capsys, argv + ["--wa", value])
+        assert split == run(capsys, argv + [f"--wa={value}"])
+        assert split[0] == 0
+
+    def test_negative_exponent_form_cx_exit_3(self, capsys, tmp_path):
+        src = tmp_path / "in.pfm"
+        src.write_bytes(write_pfm(DepthMap.from_depths(np.full((4, 5), 2.0))))
+        argv = ["refine", "--in", str(src), "--out", str(tmp_path / "o.ply"),
+                "--fx", "50", "--fy", "50", "--cy", "2"]
+        split = run(capsys, argv + ["--cx", "-1e308"])
+        assert split == run(capsys, argv + ["--cx=-1e308"])
+        assert split[:2] == (3, "")
+
+    def test_negative_infinity_still_taken_for_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval-loss", "--pred", "p", "--gt", "g", "--wa", "-inf"])
+        assert exc.value.code == 2
+        assert "--wa: expected one argument" in capsys.readouterr().err
 
 
 class TestConfigFile:
@@ -1108,3 +1196,22 @@ class TestMainProperty:
     @pytest.mark.parametrize("command", _FUZZ_ARGV)
     def test_awkward_values_exit_0_2_or_3(self, fuzz_dir, command, data):
         _check_main(fuzz_dir, *data.draw(awkward_argv(command)))
+
+
+def test_stdout_written_only_by_main():
+    # each subcommand returns its CSV header and rows, and main prints them;
+    # every other print goes to stderr
+    tree = ast.parse(Path(cli.__file__).read_text())
+    main_def, = [node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "main"]
+    in_main = {id(node) for node in ast.walk(main_def)}
+    stray = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and id(node) not in in_main
+             and isinstance(node.func, ast.Name) and node.func.id == "print"
+             and not any(kw.arg == "file" and ast.unparse(kw.value) ==
+                         "sys.stderr" for kw in node.keywords)]
+    assert stray == []
+    stdout = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and id(node) not in in_main
+              and ast.unparse(node) == "sys.stdout"]
+    assert stdout == []

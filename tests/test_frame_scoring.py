@@ -63,6 +63,11 @@ class TestToGrayscale:
         with pytest.raises(EmptyImage):
             to_grayscale(np.zeros((0, 0, 3)))
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2), ()])
+    def test_gray_image_must_be_2d(self, shape):
+        with pytest.raises(EmptyImage, match="2D raster"):
+            GrayImage(np.zeros(shape))
+
 
 class TestDft:
     def test_constant_image_dc_only(self):

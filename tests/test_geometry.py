@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from streamstab import (Pose, Quaternion, quat_geodesic_angle, quat_normalize,
-                        relative_pose, slerp)
+from streamstab import (Pose, Quaternion, Trajectory, quat_geodesic_angle,
+                        quat_normalize, relative_pose, slerp)
 from streamstab.errors import InvalidGamma, NonUnitQuaternion, ZeroQuaternion
 
 from conftest import quat_power, random_unit_quat
@@ -142,3 +142,19 @@ class TestRelativePose:
         dt, da = relative_pose(a, b)
         assert np.allclose(dt, 0)
         assert da == pytest.approx(math.pi / 2, abs=1e-12)
+
+
+class TestTrajectoryFromArrays:
+    def test_one_row_per_pose(self):
+        q = [[1.0, 0, 0, 0]] * 3
+        with pytest.raises(ValueError, match="one row per pose"):
+            Trajectory.from_arrays(np.zeros((3, 3)), q, [0.0, 1.0])
+        with pytest.raises(ValueError, match="one row per pose"):
+            Trajectory.from_arrays(np.zeros((2, 3)), q, [0.0, 1.0, 2.0])
+
+    @pytest.mark.parametrize("ts, step", [([0.0, 1.0, 1.0], "1.0 -> 1.0"),
+                                          ([0.0, 2.0, 1.0], "2.0 -> 1.0"),
+                                          ([0.0, math.nan, 1.0], "0.0 -> nan")])
+    def test_timestamps_strictly_increasing(self, ts, step):
+        with pytest.raises(ValueError, match=f"strictly increasing \\({step}\\)"):
+            Trajectory.from_arrays(np.zeros((3, 3)), [[1.0, 0, 0, 0]] * 3, ts)

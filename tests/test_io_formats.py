@@ -758,6 +758,17 @@ class TestPly:
         assert np.array_equal(back.points, cloud.points)
         assert np.array_equal(back.confidences, cloud.confidences)
 
+    @pytest.mark.parametrize("header, message", [
+        (b"element vertex 1\nproperty float x\nproperty float y\n"
+         b"property float z\n", "missing end_header"),
+        (b"property float x\nend_header\n", "missing vertex element"),
+        (b"element face 1\nproperty float x\nend_header\n",
+         "missing vertex element"),
+    ], ids=["no-end-header", "no-element", "face-only"])
+    def test_incomplete_header_rejected(self, header, message):
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            read_ply_ascii(b"ply\nformat ascii 1.0\n" + header + b"1 2 3\n")
+
     def test_missing_z_rejected(self):
         data = (b"ply\nformat ascii 1.0\nelement vertex 1\n"
                 b"property float x\nproperty float y\nend_header\n1 2\n")

@@ -7,9 +7,9 @@ from streamstab import (LossWeights, PointSet, Pose, Quaternion, Trajectory,
                         grad_pose_translations, loss_acc, loss_ate, loss_conf,
                         loss_pose, loss_rgb, loss_rpe, loss_total,
                         scale_normalizer)
-from streamstab.errors import (EmptyList, InvalidValue, LengthMismatch,
-                               MissingConfidence, NonFiniteResult,
-                               ShapeMismatch, TooShort)
+from streamstab.errors import (EmptyList, EmptyTrajectory, InvalidValue,
+                               LengthMismatch, MissingConfidence,
+                               NonFiniteResult, ShapeMismatch, TooShort)
 from streamstab.losses import hemisphere_align
 
 from conftest import awkward_trajectory, random_trajectory
@@ -181,7 +181,19 @@ class TestLossRgb:
             loss_rgb(np.zeros((2, 2)), np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("func", [loss_ate, loss_rpe, loss_pose,
+                                  grad_pose_translations])
+def test_trajectories_of_unequal_length(func):
+    with pytest.raises(LengthMismatch,
+                       match="^trajectories must have equal length$"):
+        func(straight_line(4), straight_line(5))
+
+
 class TestLossAte:
+    def test_empty(self):
+        with pytest.raises(EmptyTrajectory):
+            loss_ate(Trajectory(), Trajectory())
+
     def test_identical(self):
         rng = np.random.default_rng(3)
         traj = random_trajectory(rng, 5)
@@ -354,6 +366,21 @@ class TestLossTotal:
 
 
 class TestGradPoseTranslations:
+    @pytest.mark.parametrize("n, weights, message", [
+        (1, LossWeights(), "RPE term needs at least 2 poses"),
+        (2, LossWeights(), "acceleration term needs at least 3 poses"),
+        (2, LossWeights(w_r=0.0), "acceleration term needs at least 3 poses"),
+    ])
+    def test_too_short(self, n, weights, message):
+        traj = straight_line(n)
+        with pytest.raises(TooShort, match=message):
+            grad_pose_translations(traj, traj, weights)
+
+    def test_term_of_weight_zero_needs_no_length(self):
+        traj = straight_line(1)
+        grad = grad_pose_translations(traj, traj, LossWeights(w_r=0.0, w_s=0.0))
+        assert np.array_equal(grad, np.zeros((1, 3)))
+
     def test_zero_at_minimum(self):
         traj = straight_line(5)
         grad = grad_pose_translations(traj, traj)

@@ -7,9 +7,9 @@ import pytest
 from streamstab import (DepthEvalMode, DepthMap, PointSet, Pose, Quaternion,
                         Trajectory, metric_ate, metric_depth, metric_recon,
                         metric_rpe, umeyama_align)
-from streamstab.errors import (DegenerateConfiguration, NoOverlappingValidity,
-                               ShapeMismatch, ToolkitError, TooFewPoints,
-                               TooShort)
+from streamstab.errors import (DegenerateConfiguration, LengthMismatch,
+                               NoOverlappingValidity, ShapeMismatch,
+                               ToolkitError, TooFewPoints, TooShort)
 from streamstab.geometry import quat_to_matrix
 from streamstab.metrics import estimate_normals
 
@@ -104,7 +104,21 @@ def brute_force_recon(pred_pts, gt_pts, k_normals=16):
     return float(np.mean(dist_pg)), float(np.mean(dist_gp)), nc
 
 
+@pytest.mark.parametrize("func", [metric_ate, metric_rpe])
+def test_trajectories_of_unequal_length(func):
+    rng = np.random.default_rng(30)
+    with pytest.raises(LengthMismatch,
+                       match="^trajectories must have equal length$"):
+        func(random_trajectory(rng, 6), random_trajectory(rng, 5))
+
+
 class TestUmeyama:
+    def test_unequal_lengths(self):
+        rng = np.random.default_rng(31)
+        with pytest.raises(LengthMismatch, match="point lists"):
+            umeyama_align(rng.standard_normal((5, 3)),
+                          rng.standard_normal((4, 3)))
+
     def test_identity(self):
         rng = np.random.default_rng(0)
         pts = rng.standard_normal((10, 3))

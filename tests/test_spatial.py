@@ -619,6 +619,11 @@ class TestDepthMapInvariant:
         assert np.array_equal(out.depths, depths, equal_nan=True)
         assert np.array_equal(out.valid, valid)
 
+    @pytest.mark.parametrize("valid_shape", [(3, 5), (4, 3), (12,)])
+    def test_mask_must_match_depths(self, valid_shape):
+        with pytest.raises(ValueError, match="matching 2D arrays"):
+            DepthMap(np.full((3, 4), 2.0), np.ones(valid_shape, dtype=bool))
+
     def test_smallest_and_largest_floats_accepted(self):
         depths = np.array([[5e-324, 1.7976931348623157e308]])
         dm = DepthMap(depths, np.ones((1, 2), dtype=bool))
@@ -631,6 +636,13 @@ class TestIntrinsics:
     def test_non_finite_rejected(self, field, value):
         values = {"fx": 10.0, "fy": 10.0, "cx": 2.0, "cy": 2.0, field: value}
         with pytest.raises(ValueError, match="finite"):
+            Intrinsics(**values)
+
+    @pytest.mark.parametrize("field", ["fx", "fy"])
+    @pytest.mark.parametrize("value", [0.0, -0.0, -1.0])
+    def test_non_positive_focal_length_rejected(self, field, value):
+        values = {"fx": 10.0, "fy": 10.0, "cx": 2.0, "cy": 2.0, field: value}
+        with pytest.raises(ValueError, match="focal lengths must be positive"):
             Intrinsics(**values)
 
 

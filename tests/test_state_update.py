@@ -1,14 +1,22 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from streamstab import (GrayImage, MemoryState, Observation, Pose, Quaternion,
                         apply_update, associative_gradient, recall_error,
                         stream_step)
-from streamstab.errors import DimensionMismatch, EmptySet
+from streamstab.errors import DimensionMismatch, EmptySet, NonFiniteResult
 
 
 def recall_loss(values: np.ndarray, key: np.ndarray, value: np.ndarray) -> float:
     return 0.5 * float(np.sum((values @ key - value) ** 2))
+
+
+def test_state_must_be_2d():
+    for values in (np.zeros(3), np.zeros((2, 2, 2))):
+        with pytest.raises(DimensionMismatch, match="2D"):
+            MemoryState(values)
 
 
 class TestAssociativeGradient:
@@ -51,6 +59,10 @@ class TestAssociativeGradient:
 
 
 class TestApplyUpdate:
+    def test_gradient_shape_mismatch(self):
+        with pytest.raises(DimensionMismatch, match="gradient shape"):
+            apply_update(MemoryState.zeros(3, 3), np.ones((3, 4)), 0.5)
+
     def test_beta_zero_identity(self):
         rng = np.random.default_rng(2)
         values = rng.standard_normal((5, 5))
@@ -164,3 +176,56 @@ def test_forgetting_with_overcapacity_writes():
         if recall_error(state, [first]) > baseline:
             hits += 1
     assert hits >= 95
+
+
+class TestDivergence:
+    # a beta far from (0, 2) multiplies the residual by about |1 - beta| a
+    # write; the first write or recall that is not finite raises, with no
+    # RuntimeWarning on the way
+    @pytest.fixture(autouse=True)
+    def warnings_as_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @staticmethod
+    def observation(rng, n=8):
+        key = rng.standard_normal(n)
+        return Observation(key / np.linalg.norm(key), rng.standard_normal(n))
+
+    @pytest.mark.parametrize("beta", [1e10, 1e200])
+    def test_apply_update_and_recall_raise(self, beta):
+        rng = np.random.default_rng(11)
+        state, obs = MemoryState.zeros(8, 8), self.observation(rng)
+        with pytest.raises(NonFiniteResult, match="not finite"):
+            for _ in range(40):
+                state = apply_update(state, associative_gradient(state, obs),
+                                     beta)
+                recall_error(state, [obs])
+
+    @pytest.mark.parametrize("beta", [1e10, 1e200])
+    def test_stream_step_raises(self, beta, monkeypatch):
+        monkeypatch.setattr("streamstab.state_update.score_frame",
+                            lambda *args: beta)
+        rng = np.random.default_rng(12)
+        state, obs = MemoryState.zeros(8, 8), self.observation(rng)
+        pose = Pose(np.zeros(3), Quaternion.identity(), 0.0)
+        img = GrayImage(rng.uniform(size=(8, 8)))
+        with pytest.raises(NonFiniteResult, match="not finite"):
+            for _ in range(40):
+                state, _ = stream_step(state, pose, pose, img, obs)
+
+    def test_each_raises_on_its_own_result(self):
+        obs = Observation(np.ones(2), np.ones(2))
+        huge = MemoryState(np.full((2, 2), 1e308))
+        with pytest.raises(NonFiniteResult, match="gradient"):
+            associative_gradient(huge, obs)
+        with pytest.raises(NonFiniteResult, match="state"):
+            apply_update(huge, np.full((2, 2), -1.0), 1e308)
+        with pytest.raises(NonFiniteResult, match="recall error"):
+            recall_error(huge, [obs])
+
+    def test_finite_large_state_kept(self):
+        state = MemoryState(np.full((2, 2), 1e150))
+        obs = Observation(np.array([1.0, 0.0]), np.ones(2))
+        assert recall_error(state, [obs]) == pytest.approx(1e150)
