@@ -25,8 +25,13 @@ from .losses import (LossWeights, loss_acc, loss_ate, loss_pose, loss_rpe,
 from .metrics import (DepthEvalMode, metric_ate, metric_depth, metric_recon,
                       metric_rpe)
 from .simulate import simulate_stream
-from .spatial import BilateralConfig, Intrinsics, bilateral_depth, depth_to_points
+from .spatial import BilateralConfig, Intrinsics, bilateral_depth, refine_cloud
 from .stabilization import OneEuroConfig, stabilize_trajectory
+
+
+def _text(path) -> str:
+    """The text of the file at `path`, read as UTF-8 whatever the locale."""
+    return Path(path).read_text(encoding="utf-8")
 
 
 def _read_config(args: argparse.Namespace) -> dict:
@@ -39,8 +44,7 @@ def _read_config(args: argparse.Namespace) -> dict:
     values = {}
     # lines end at \n only (read_text maps \r\n and \r to it), and only ASCII
     # whitespace is stripped, as the file readers do; not str.splitlines/strip
-    for lineno, line in enumerate(
-            Path(args.config).read_text().split("\n"), start=1):
+    for lineno, line in enumerate(_text(args.config).split("\n"), start=1):
         line = line.strip(string.whitespace)
         if not line or line.startswith("#"):
             continue
@@ -130,10 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="high-pass radius in pixels (default min(H,W)//8)")
     p.add_argument("--epsilon", type=positive, default=ScoreConfig.epsilon,
                    help="ratio denominator epsilon (default %(default)s)")
-    p.add_argument("--clip-max", type=nonneg, dest="clip_max",
-                   default=ScoreConfig.clip_max,
+    p.add_argument("--clip-max", type=nonneg, default=ScoreConfig.clip_max,
                    help="weight clip (default %(default)s)")
-    p.add_argument("--initial-weight", type=nonneg, dest="initial_weight",
+    p.add_argument("--initial-weight", type=nonneg,
                    default=ScoreConfig.initial_weight,
                    help="weight of the first frame (default %(default)s)")
 
@@ -143,8 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="outfile", required=True)
     p.add_argument("--fmin", type=positive, default=OneEuroConfig.f_min,
                    help="minimum cutoff frequency in Hz (default %(default)s)")
-    p.add_argument("--beta-gain", type=nonneg, dest="beta_gain",
-                   default=OneEuroConfig.beta_gain,
+    p.add_argument("--beta-gain", type=nonneg, default=OneEuroConfig.beta_gain,
                    help="cutoff gain per unit speed (default %(default)s)")
 
     p = _add_command(subs, "refine", _cmd_refine, "bilateral depth refinement")
@@ -171,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--prefix-frames", type=_number(int, 1),
-                   dest="prefix_frames",
                    help="evaluate only the first k frames")
     p.add_argument("--align", choices=["se3", "sim3"], default="se3",
                    help="ATE alignment class (default %(default)s)")
@@ -187,8 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
                      "point-cloud reconstruction metrics")
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
-    p.add_argument("--k-normals", type=_number(int, 1), dest="k_normals",
-                   default=16,
+    p.add_argument("--k-normals", type=_number(int, 1), default=16,
                    help="neighbors for normal estimation (default %(default)s)")
 
     p = _add_command(subs, "eval-loss", _cmd_eval_loss,
@@ -211,8 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
                      "synthetic memory-state stream")
     p.add_argument("--frames", type=_number(int, 1), default=100,
                    help="steps to run (default %(default)s)")
-    p.add_argument("--state-dim", type=_number(int, 1, high=4096),
-                   dest="state_dim", default=64,
+    p.add_argument("--state-dim", type=_number(int, 1, high=4096), default=64,
                    help="state dimension, at most 4096 (default %(default)s)")
     p.add_argument("--seed", type=_number(int, 0), default=0,
                    help="RNG seed (default %(default)s)")
@@ -224,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_score(args):
-    traj = read_trajectory_tum(Path(args.traj).read_text())
+    traj = read_trajectory_tum(_text(args.traj))
     frame_files = sorted(Path(args.frames).glob("*.pgm"))
     if len(frame_files) != len(traj):
         raise CountMismatch(
@@ -244,9 +243,10 @@ def _cmd_score(args):
 
 
 def _cmd_stabilize(args) -> None:
-    traj = read_trajectory_tum(Path(args.infile).read_text())
+    traj = read_trajectory_tum(_text(args.infile))
     cfg = OneEuroConfig(f_min=args.fmin, beta_gain=args.beta_gain)
-    Path(args.outfile).write_text(write_trajectory_tum(stabilize_trajectory(traj, cfg)))
+    Path(args.outfile).write_text(
+        write_trajectory_tum(stabilize_trajectory(traj, cfg)), encoding="utf-8")
 
 
 def _cmd_refine(args) -> None:
@@ -261,17 +261,15 @@ def _cmd_refine(args) -> None:
     depth_map = read_pfm(Path(args.infile).read_bytes())
     cfg = BilateralConfig(window=args.window, sigma_s=args.sigma_s,
                           sigma_r=args.sigma_r)
-    refined = bilateral_depth(depth_map, cfg)
     if out.suffix.lower() == ".pfm":
-        out.write_bytes(write_pfm(refined))
+        out.write_bytes(write_pfm(bilateral_depth(depth_map, cfg)))
     else:
-        out.write_bytes(write_ply_ascii(depth_to_points(refined, intr)))
+        out.write_bytes(write_ply_ascii(refine_cloud(depth_map, intr, cfg)))
 
 
-def _load_pair(args):
-    pred = read_trajectory_tum(Path(args.pred).read_text())
-    gt = read_trajectory_tum(Path(args.gt).read_text())
-    return pred, gt
+def _load_pair(args, read=read_trajectory_tum, load=_text):
+    """`read` of the --pred and of the --gt file, as `load` gives them."""
+    return read(load(Path(args.pred))), read(load(Path(args.gt)))
 
 
 def _cmd_eval_traj(args):
@@ -280,6 +278,7 @@ def _cmd_eval_traj(args):
     if k is not None and k > shortest:
         print(f"warning: --prefix-frames {k} exceeds trajectory length "
               f"{shortest}; clamping", file=sys.stderr)
+        k = shortest
     pred, gt = pred[:k], gt[:k]
     ate = metric_ate(pred, gt, with_scale=args.align == "sim3")
     rpe_trans, rpe_rot = metric_rpe(pred, gt)
@@ -287,14 +286,12 @@ def _cmd_eval_traj(args):
 
 
 def _cmd_eval_depth(args):
-    pred = read_pfm(Path(args.pred).read_bytes())
-    gt = read_pfm(Path(args.gt).read_bytes())
+    pred, gt = _load_pair(args, read_pfm, Path.read_bytes)
     return "abs_rel,delta_125", [metric_depth(pred, gt, DepthEvalMode(args.mode))]
 
 
 def _cmd_eval_recon(args):
-    pred = read_ply_ascii(Path(args.pred).read_bytes())
-    gt = read_ply_ascii(Path(args.gt).read_bytes())
+    pred, gt = _load_pair(args, read_ply_ascii, Path.read_bytes)
     return "acc,comp,nc", [metric_recon(pred, gt, k_normals=args.k_normals)]
 
 

@@ -4,7 +4,7 @@ Everything derives from ToolkitError so callers can catch the whole family;
 parse-time failures additionally carry the offending line number.
 """
 
-import math
+import numpy as np
 
 
 class ToolkitError(ValueError):
@@ -21,10 +21,10 @@ class NonFiniteResult(ToolkitError):
     diverges."""
 
     @classmethod
-    def check(cls, value: float, what: str) -> float:
-        """`value`, a weighted sum, unless a term took it past the range."""
-        if not math.isfinite(value):
-            raise cls(f"{what} is not finite: a weighted term overflows")
+    def check(cls, value, what: str, cause: str = "a weighted term overflows"):
+        """`value`, a number or an array, if all of it is finite."""
+        if not np.isfinite(value).all():
+            raise cls(f"{what} is not finite: {cause}")
         return value
 
 

@@ -64,24 +64,21 @@ def _integer(token: bytes, message: str, line: int | None = None) -> int:
     raise ParseError(message, line=line)
 
 
-def _decimal_table(table: np.ndarray, data: bytes, start: int = 0):
-    """Fill `table` with the rows of data[start:]: its non-blank lines, each
-    to be as many finite decimal fields (`_decimals`) as the table has
-    columns. `_PLY_BLOCK_LINES` lines go to each np.array call, and only a
-    block that fails is read again one row at a time. Returns None when the
-    rows fill the table; else the index of the first row that is bad,
-    missing or past the table's end, with every row before it in the table,
-    and that row's floats (None when a field is not a number)."""
-    # a BytesIO made from bytes shares their buffer, so its lines are cut
-    # straight from the payload and no list of them is ever held
-    lines, filled = io.BytesIO(data), 0
-    lines.seek(start)
-    while (pos := lines.tell()) < len(data):
-        rows = [fields for fields in
-                map(bytes.split, islice(lines, _PLY_BLOCK_LINES)) if fields]
+def _decimal_table(table: np.ndarray, lines):
+    """Fill `table` with the rows of `lines`, an iterator of byte lines:
+    its non-blank lines, each to be as many finite decimal fields
+    (`_decimals`) as the table has columns. `_PLY_BLOCK_LINES` lines go to
+    each np.array call, and only a block that fails is read again one row at
+    a time. Returns None when the rows fill the table; else the index of the
+    first row that is bad, missing or past the table's end, with every row
+    before it in the table, and that row's floats (None when a field is not
+    a number)."""
+    filled = 0
+    while block := list(islice(lines, _PLY_BLOCK_LINES)):
+        rows = [fields for fields in map(bytes.split, block) if fields]
         part = table[filled:filled + len(rows)]
         try:  # np.array reads `1_0` as 10, as float does
-            if len(part) < len(rows) or data.find(b"_", pos, lines.tell()) >= 0:
+            if len(part) < len(rows) or b"_" in b"".join(block):
                 raise ValueError
             part[:] = np.array(rows, dtype=float).reshape(part.shape)
         except ValueError:  # a ragged, short, extra or non-numeric row
@@ -116,7 +113,7 @@ def read_trajectory_tum(text: str) -> Trajectory:
     lines = [b"" if line[:1] == b"#" else line for line in map(
         bytes.strip, _lf(text.encode("utf-8", "surrogatepass")).split(b"\n"))]
     table = np.empty((len(lines) - lines.count(b""), 8))
-    bad = _decimal_table(table, b"\n".join(lines))
+    bad = _decimal_table(table, iter(lines))
     ts = table[:len(table) if bad is None else bad[0], 0]
     # the rows before a bad one are checked first, as a line-by-line read does
     late = np.flatnonzero(ts[1:] <= ts[:-1])
@@ -295,7 +292,7 @@ def read_ply_ascii(data: bytes) -> PointSet:
     # make no table that the lines cannot fill
     table = (np.empty((n_vertices, width))
              if n_vertices <= data.count(b"\n", start) + 1 else None)
-    bad = (0, None) if table is None else _decimal_table(table, data, start)
+    bad = (0, None) if table is None else _decimal_table(table, stream)
     if bad is not None:  # a count that is not n_vertices, then the bad line
         stream.seek(start)
         n_rows = sum(1 for line in stream if line.split())

@@ -38,23 +38,21 @@ class Observation(NamedTuple):
     value: np.ndarray  # (n,) floats, stored under the key
 
 
-def _finite(values, what: str):
-    """`values` if all of them are finite; else NonFiniteResult."""
-    if not np.isfinite(values).all():
-        raise NonFiniteResult(f"memory {what} is not finite: it diverges")
-    return values
-
-
-def associative_gradient(state: MemoryState, obs: Observation) -> np.ndarray:
-    """Gradient of 0.5 * ||S k - v||^2 with respect to S (delta rule)."""
+def _residual(state: MemoryState, obs: Observation) -> np.ndarray:
+    """S k - v, the recall residual of one stored pair."""
     n, c = state.values.shape
     if obs.key.shape[0] != c or obs.value.shape[0] != n:
         raise DimensionMismatch(
             f"observation ({obs.value.shape[0]}, {obs.key.shape[0]}) does not "
             f"match state ({n}, {c})")
+    return state.values @ obs.key - obs.value
+
+
+def associative_gradient(state: MemoryState, obs: Observation) -> np.ndarray:
+    """Gradient of 0.5 * ||S k - v||^2 with respect to S (delta rule)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = state.values @ obs.key - obs.value
-        return _finite(np.outer(residual, obs.key), "gradient")
+        return NonFiniteResult.check(np.outer(_residual(state, obs), obs.key),
+                                     "memory gradient", "it diverges")
 
 
 def apply_update(state: MemoryState, gradient: np.ndarray, beta: float) -> MemoryState:
@@ -63,7 +61,8 @@ def apply_update(state: MemoryState, gradient: np.ndarray, beta: float) -> Memor
     if gradient.shape != state.values.shape:
         raise DimensionMismatch("gradient shape does not match state")
     with np.errstate(over="ignore", invalid="ignore"):
-        return MemoryState(_finite(state.values - beta * gradient, "state"))
+        return MemoryState(NonFiniteResult.check(
+            state.values - beta * gradient, "memory state", "it diverges"))
 
 
 def stream_step(state: MemoryState, prev: Pose | None, cur: Pose, img: GrayImage,
@@ -82,6 +81,7 @@ def recall_error(state: MemoryState, observations: list[Observation]) -> float:
     errs = []
     with np.errstate(over="ignore", invalid="ignore"):
         for obs in observations:
-            residual = np.linalg.norm(state.values @ obs.key - obs.value)
+            residual = np.linalg.norm(_residual(state, obs))
             errs.append(residual / max(np.linalg.norm(obs.value), 1e-12))
-        return float(_finite(np.mean(errs), "recall error"))
+        return float(NonFiniteResult.check(np.mean(errs), "memory recall error",
+                                           "it diverges"))

@@ -2,6 +2,8 @@ import ast
 import io
 import math
 import re
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -460,6 +462,20 @@ class TestEval:
         assert err == ("warning: --prefix-frames 50 exceeds trajectory "
                        "length 5; clamping\n")
         assert out.splitlines()[1].startswith("5,")
+
+    def test_prefix_frames_clamped_to_shorter_trajectory(self, capsys,
+                                                         tmp_path):
+        # the warning said "clamping", then the unequal prefixes were exit 3
+        rng = np.random.default_rng(14)
+        pred, gt = tmp_path / "p.txt", tmp_path / "g.txt"
+        pred.write_text(write_trajectory_tum(random_trajectory(rng, 12)))
+        gt.write_text(write_trajectory_tum(random_trajectory(rng, 8)))
+        argv = ["eval-traj", "--pred", str(pred), "--gt", str(gt)]
+        code, out, err = run(capsys, argv + ["--prefix-frames", "20"])
+        assert (code, err) == (0, "warning: --prefix-frames 20 exceeds "
+                                  "trajectory length 8; clamping\n")
+        assert out.splitlines()[1].startswith("8,")
+        assert run(capsys, argv + ["--prefix-frames", "8"]) == (0, out, "")
 
     def test_non_positive_prefix_frames_usage_error(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -1088,6 +1104,29 @@ class TestNonUtf8Text:
         assert code == 2
         assert out == ""
         assert "decode" in err
+
+
+class TestUtf8Text:
+    # each text read and write names UTF-8, so no EncodingWarning is raised:
+    # the locale's encoding would decide what a text file means
+    @pytest.mark.parametrize("argv", [
+        ["stabilize", "--in", "noisy.txt", "--out", "o.txt", "--config",
+         "s.cfg"],
+        ["eval-traj", "--pred", "noisy.txt", "--gt", "clean.txt", "--config",
+         "e.cfg"],
+        ["eval-loss", "--pred", "noisy.txt", "--gt", "clean.txt"],
+        ["score", "--traj", "noisy.txt", "--frames", "frames"],
+    ], ids=lambda argv: argv[0])
+    def test_no_default_encoding(self, tmp_path, argv):
+        _write_fixtures(tmp_path)
+        (tmp_path / "s.cfg").write_text("fmin = 2\n", encoding="utf-8")
+        (tmp_path / "e.cfg").write_text("prefix-frames = 6\n",
+                                        encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding",
+             "-W", "error::EncodingWarning", "-m", "streamstab", *argv],
+            cwd=tmp_path, capture_output=True)
+        assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 # values that probe each flag's type, range and arithmetic: NaN, the

@@ -145,6 +145,13 @@ class TestRecallError:
         with pytest.raises(EmptySet):
             recall_error(MemoryState.zeros(2, 2), [])
 
+    def test_mismatched_observation_rejected(self):
+        # the same shape check as associative_gradient, not NumPy's matmul
+        obs = [Observation(np.ones(2), np.ones(2))]
+        with pytest.raises(DimensionMismatch, match=r"\(2, 2\) does not "
+                                                    r"match state \(2, 3\)"):
+            recall_error(MemoryState(np.zeros((2, 3))), obs)
+
     def test_latest_write_exact_over_stream(self):
         rng = np.random.default_rng(10)
         state = MemoryState.zeros(64, 64)
