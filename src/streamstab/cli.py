@@ -59,7 +59,7 @@ def _read_config(args: argparse.Namespace) -> dict:
         value = value.strip(string.whitespace)
         try:
             value = flag.type(value) if flag.type else value
-        except (ValueError, argparse.ArgumentTypeError) as exc:
+        except argparse.ArgumentTypeError as exc:
             raise ParseError(f"invalid value for {key}: {exc}", line=lineno)
         if flag.choices is not None and value not in flag.choices:
             raise ParseError(
@@ -330,7 +330,7 @@ def main(argv=None) -> int:
             print(header)
             for row in rows:
                 print(format_rows([row], sep=","), end="")
-    except (ToolkitError, ValueError, OSError, MemoryError) as exc:
+    except (ToolkitError, UnicodeDecodeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         usage = (ParseError, CountMismatch, OSError, UnicodeDecodeError)
         return 2 if isinstance(exc, usage) else 3

@@ -12,7 +12,8 @@ class ToolkitError(ValueError):
 
 
 class InvalidValue(ToolkitError):
-    """A valid depth or a confidence that is not finite and positive."""
+    """A value outside its domain: a depth, confidence, filter setting or
+    intrinsic, a timestamp order or a neighbour count."""
 
 
 class NonFiniteResult(ToolkitError):

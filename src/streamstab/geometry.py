@@ -113,11 +113,11 @@ class Trajectory:
         self.q = np.array(q, dtype=float).reshape(-1, 4)
         self.ts = np.array(ts, dtype=float).reshape(-1)
         if not len(self.t) == len(self.q) == len(self.ts):
-            raise ValueError("t, q and ts need one row per pose")
+            raise LengthMismatch("t, q and ts need one row per pose")
         bad = np.flatnonzero(~(self.ts[1:] > self.ts[:-1]))
         if bad.size:
             a, b = self.ts[bad[0]:bad[0] + 2].tolist()
-            raise ValueError(
+            raise InvalidValue(
                 f"timestamps must be strictly increasing ({a} -> {b})")
         for a in (self.t, self.q, self.ts):
             a.flags.writeable = False
@@ -171,7 +171,7 @@ def quat_normalize(q: Quaternion) -> Quaternion:
 
 
 def _require_unit(q: Quaternion, name: str = "quaternion"):
-    if abs(q.norm() - 1.0) > _UNIT_TOL:
+    if not abs(q.norm() - 1.0) <= _UNIT_TOL:  # NaN fails too
         raise NonUnitQuaternion(f"{name} has norm {q.norm()}, expected 1")
 
 

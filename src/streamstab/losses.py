@@ -19,6 +19,8 @@ from .errors import (EmptyList, EmptyTrajectory, LengthMismatch,
                      TooShort)
 from .geometry import PointSet, Trajectory, pair_length
 
+_OVERFLOW = "a translation's norm or difference overflows"
+
 
 @dataclass(frozen=True)
 class LossWeights:
@@ -35,7 +37,9 @@ def scale_normalizer(vectors) -> float:
     v = np.asarray(vectors, dtype=float).reshape(-1, 3)
     if v.shape[0] == 0:
         raise EmptyList("scale_normalizer needs at least one vector")
-    return max(float(np.mean(np.linalg.norm(v, axis=1))), 1e-8)
+    with np.errstate(over="ignore"):
+        return NonFiniteResult.check(max(float(np.mean(np.linalg.norm(
+            v, axis=1))), 1e-8), "scale normalizer", _OVERFLOW)
 
 
 def loss_conf(pred: PointSet, gt: PointSet, alpha: float = 0.2) -> float:
@@ -96,13 +100,14 @@ def loss_rpe(pred: Trajectory, gt: Trajectory) -> float:
     n = pair_length(pred, gt)
     if n < 2:
         raise TooShort("loss_rpe needs at least 2 poses")
-    dtp = np.diff(pred.t, axis=0)
-    dtg = np.diff(gt.t, axis=0)
     dqp = np.diff(hemisphere_align(pred.q), axis=0)
     dqg = np.diff(hemisphere_align(gt.q), axis=0)
-    terms = (np.linalg.norm(dtp - dtg, axis=1)
-             + np.linalg.norm(dqp - dqg, axis=1))
-    return float(np.mean(terms))
+    with np.errstate(over="ignore", invalid="ignore"):
+        dt = np.diff(pred.t, axis=0) - np.diff(gt.t, axis=0)
+        terms = (np.linalg.norm(dt, axis=1)
+                 + np.linalg.norm(dqp - dqg, axis=1))
+        return NonFiniteResult.check(float(np.mean(terms)), "RPE loss",
+                                     _OVERFLOW)
 
 
 def loss_acc(pred: Trajectory) -> float:
@@ -110,10 +115,12 @@ def loss_acc(pred: Trajectory) -> float:
     n = len(pred)
     if n < 3:
         raise TooShort("loss_acc needs at least 3 poses")
-    d2t = np.diff(pred.t, n=2, axis=0)
     d2q = np.diff(hemisphere_align(pred.q), n=2, axis=0)
-    terms = np.linalg.norm(d2t, axis=1) + np.linalg.norm(d2q, axis=1)
-    return float(np.mean(terms))
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2t = np.diff(pred.t, n=2, axis=0)
+        terms = np.linalg.norm(d2t, axis=1) + np.linalg.norm(d2q, axis=1)
+        return NonFiniteResult.check(float(np.mean(terms)),
+                                     "acceleration loss", _OVERFLOW)
 
 
 def loss_pose(pred: Trajectory, gt: Trajectory, w: LossWeights = LossWeights()) -> float:

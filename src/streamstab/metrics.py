@@ -14,14 +14,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (DegenerateConfiguration, LengthMismatch,
-                     NoOverlappingValidity, NonFinitePoints, ShapeMismatch,
-                     TooFewPoints, TooShort)
+from .errors import (DegenerateConfiguration, InvalidValue, LengthMismatch,
+                     NoOverlappingValidity, NonFinitePoints, NonFiniteResult,
+                     ShapeMismatch, TooFewPoints, TooShort)
 from .geometry import (PointSet, Trajectory, median, pair_length,
                        quat_to_matrix, squared)
 from .spatial import DepthMap
 
 _NORMALS_BLOCK = 4096  # points per batched SVD in _tree_normals
+_OUT_OF_RANGE = "the coordinates' scale is outside float's range"
 
 
 class Similarity3(NamedTuple):
@@ -56,25 +57,29 @@ def umeyama_align(src, dst, with_scale: bool = True) -> Similarity3:
     if n < 3:
         raise DegenerateConfiguration("alignment needs at least 3 points")
 
-    mu_src = src.mean(axis=0)
-    mu_dst = dst.mean(axis=0)
-    src_c = src - mu_src
-    dst_c = dst - mu_dst
-    cov = dst_c.T @ src_c / n
-    u, d, vt = np.linalg.svd(cov)
-    if d[1] < 1e-12 * max(d[0], 1e-300):
-        raise DegenerateConfiguration("points are collinear or coincident")
-    s = np.eye(3)
-    if np.linalg.det(u) * np.linalg.det(vt) < 0:
-        s[2, 2] = -1.0
-    rotation = u @ s @ vt
-    if with_scale:
-        var_src = np.mean(np.sum(src_c ** 2, axis=1))
-        scale = float(np.trace(np.diag(d) @ s) / var_src)
-    else:
-        scale = 1.0
-    translation = mu_dst - scale * rotation @ mu_src
-    return Similarity3(scale, rotation, translation)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mu_src = src.mean(axis=0)
+        mu_dst = dst.mean(axis=0)
+        src_c = src - mu_src
+        dst_c = dst - mu_dst
+        cov = dst_c.T @ src_c / n
+        u, d, vt = np.linalg.svd(NonFiniteResult.check(
+            cov, "alignment cross-covariance", _OUT_OF_RANGE))
+        if d[1] < 1e-12 * max(d[0], 1e-300):
+            raise DegenerateConfiguration("points are collinear or coincident")
+        s = np.eye(3)
+        if np.linalg.det(u) * np.linalg.det(vt) < 0:
+            s[2, 2] = -1.0
+        rotation = u @ s @ vt
+        if with_scale:  # an inf variance would make the scale 0
+            var_src = NonFiniteResult.check(np.mean(np.sum(
+                src_c ** 2, axis=1)), "alignment variance", _OUT_OF_RANGE)
+            scale = float(np.trace(np.diag(d) @ s) / var_src)
+        else:
+            scale = 1.0
+        translation = mu_dst - scale * rotation @ mu_src
+    return Similarity3(scale, rotation, NonFiniteResult.check(
+        translation, "alignment translation", _OUT_OF_RANGE))
 
 
 def metric_ate(pred: Trajectory, gt: Trajectory, with_scale: bool = False) -> float:
@@ -82,8 +87,10 @@ def metric_ate(pred: Trajectory, gt: Trajectory, with_scale: bool = False) -> fl
     pair_length(pred, gt)
     tp, tg = pred.t, gt.t
     transform = umeyama_align(tp, tg, with_scale=with_scale)
-    residuals = transform.apply(tp) - tg
-    return float(np.sqrt(np.mean(np.sum(residuals ** 2, axis=1))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = transform.apply(tp) - tg
+        return NonFiniteResult.check(float(np.sqrt(np.mean(np.sum(
+            residuals ** 2, axis=1)))), "ATE", _OUT_OF_RANGE)
 
 
 def _se3(r: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -107,21 +114,22 @@ def metric_rpe(pred: Trajectory, gt: Trajectory) -> tuple[float, float]:
     n = pair_length(pred, gt)
     if n < 2:
         raise TooShort("RPE needs at least 2 poses")
-    mp, mg = (_se3(quat_to_matrix(x.q), x.t) for x in (pred, gt))
-    err = _relative(_relative(mg[:-1], mg[1:]), _relative(mp[:-1], mp[1:]))
-    trans_sq = np.sum(err[:, :3, 3] ** 2, axis=1)
-    r = err[:, :3, :3]
-    # atan2 form is well conditioned near the identity, unlike acos
-    sin_angle = 0.5 * np.sqrt(squared(r[:, 2, 1] - r[:, 1, 2])
-                              + squared(r[:, 0, 2] - r[:, 2, 0])
-                              + squared(r[:, 1, 0] - r[:, 0, 1]))
-    cos_angle = (np.trace(r, axis1=1, axis2=2) - 1.0) / 2.0
-    # math.atan2, not np.arctan2: the two differ in the last bit on some inputs
-    angle = np.array(list(map(math.atan2, sin_angle.tolist(),
-                              cos_angle.tolist())))
-    rpe_trans = math.sqrt(float(np.mean(trans_sq)))
-    rpe_rot = math.degrees(math.sqrt(float(np.mean(squared(angle)))))
-    return rpe_trans, rpe_rot
+    with np.errstate(over="ignore", invalid="ignore"):  # checked at the end
+        mp, mg = (_se3(quat_to_matrix(x.q), x.t) for x in (pred, gt))
+        err = _relative(_relative(mg[:-1], mg[1:]), _relative(mp[:-1], mp[1:]))
+        trans_sq = np.sum(err[:, :3, 3] ** 2, axis=1)
+        r = err[:, :3, :3]
+        # atan2 form is well conditioned near the identity, unlike acos
+        sin_angle = 0.5 * np.sqrt(squared(r[:, 2, 1] - r[:, 1, 2])
+                                  + squared(r[:, 0, 2] - r[:, 2, 0])
+                                  + squared(r[:, 1, 0] - r[:, 0, 1]))
+        cos_angle = (np.trace(r, axis1=1, axis2=2) - 1.0) / 2.0
+        # math.atan2, not np.arctan2: they differ in the last bit on some inputs
+        angle = np.array(list(map(math.atan2, sin_angle.tolist(),
+                                  cos_angle.tolist())))
+        rpe_trans = math.sqrt(float(np.mean(trans_sq)))
+        rpe_rot = math.degrees(math.sqrt(float(np.mean(squared(angle)))))
+    return NonFiniteResult.check((rpe_trans, rpe_rot), "RPE", _OUT_OF_RANGE)
 
 
 def metric_depth(pred: DepthMap, gt: DepthMap,
@@ -156,12 +164,19 @@ def metric_depth(pred: DepthMap, gt: DepthMap,
     return abs_rel, delta
 
 
-def _kdtree(points: np.ndarray):
-    """KD-tree over one cloud; a non-finite coordinate is rejected."""
-    if not np.isfinite(points).all():
+def _kdtrees(k: int, *clouds: np.ndarray) -> list:
+    """A KD-tree over each cloud. Rejected: a non-finite coordinate, a sum of
+    k + 1 coordinates (a neighbourhood's mean) past float's range, and an inf
+    squared distance between points, at which a query returns index n."""
+    if not all(np.isfinite(c).all() for c in clouds):
         raise NonFinitePoints("point cloud has a non-finite coordinate")
+    lo = np.min([c.min(axis=0) for c in clouds], axis=0)
+    hi = np.max([c.max(axis=0) for c in clouds], axis=0)
+    with np.errstate(over="ignore"):
+        NonFiniteResult.check((np.sum((hi - lo) ** 2), (k + 1) * max(
+            hi.max(), -lo.min())), "point cloud extent", _OUT_OF_RANGE)
     from scipy.spatial import cKDTree  # lazy: importing SciPy costs ~0.5 s
-    return cKDTree(points)
+    return [cKDTree(c) for c in clouds]
 
 
 def _tree_normals(tree, k: int, at: np.ndarray) -> np.ndarray:
@@ -169,7 +184,7 @@ def _tree_normals(tree, k: int, at: np.ndarray) -> np.ndarray:
     that cloud's nearest-neighbour queries; one batched SVD per block of
     points keeps temporaries O(block * k)."""
     if k < 1:
-        raise ValueError(f"normal estimation needs k >= 1, got {k}")
+        raise InvalidValue(f"normal estimation needs k >= 1, got {k}")
     pts = tree.data
     normals = np.empty_like(at)
     for start in range(0, at.shape[0], _NORMALS_BLOCK):
@@ -192,7 +207,7 @@ def estimate_normals(points: np.ndarray, k: int = 16) -> np.ndarray:
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     if pts.shape[0] < k + 1:
         raise TooFewPoints(f"normal estimation needs at least {k + 1} points")
-    return _tree_normals(_kdtree(pts), k, pts)
+    return _tree_normals(*_kdtrees(k, pts), k, pts)
 
 
 def metric_recon(pred: PointSet, gt: PointSet, k_normals: int = 16
@@ -206,7 +221,7 @@ def metric_recon(pred: PointSet, gt: PointSet, k_normals: int = 16
     p, g = pred.points, gt.points
     if min(p.shape[0], g.shape[0]) < k_normals + 1:
         raise TooFewPoints(f"reconstruction metrics need > {k_normals} points")
-    tree_p, tree_g = _kdtree(p), _kdtree(g)
+    tree_p, tree_g = _kdtrees(k_normals, p, g)
     dist_pg, idx_pg = tree_g.query(p)
     acc = float(np.mean(dist_pg))
     comp = float(np.mean(tree_p.query(g)[0]))

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateConfiguration, InvalidValue, NonFiniteResult,
-                     NoValidPixels)
+                     NoValidPixels, ShapeMismatch)
 from .geometry import PointSet, median
 
 _STRIP_ROWS = 64  # rows per strip
@@ -63,7 +63,7 @@ class DepthMap:
         d = np.asarray(self.depths, dtype=float)
         v = np.asarray(self.valid, dtype=bool)
         if d.shape != v.shape or d.ndim != 2:
-            raise ValueError("depths and valid must be matching 2D arrays")
+            raise ShapeMismatch("depths and valid must be matching 2D arrays")
         if (v > ((d > 0) & (d < math.inf))).any():  # NaN fails both tests
             raise InvalidValue("valid depths must be finite and positive")
         object.__setattr__(self, "depths", d)
@@ -83,14 +83,14 @@ class BilateralConfig:
 
     def __post_init__(self):
         if self.window < 0:
-            raise ValueError(f"window must be at least 0, got {self.window}")
+            raise InvalidValue(f"window must be at least 0, got {self.window}")
         if not (math.isfinite(self.sigma_s) and self.sigma_s > 0):
-            raise ValueError(f"sigma_s must be finite and positive, "
-                             f"got {self.sigma_s}")
+            raise InvalidValue(f"sigma_s must be finite and positive, "
+                               f"got {self.sigma_s}")
         if self.sigma_r is not None and not (math.isfinite(self.sigma_r)
                                              and self.sigma_r > 0):
-            raise ValueError(f"sigma_r must be finite and positive, "
-                             f"got {self.sigma_r}")
+            raise InvalidValue(f"sigma_r must be finite and positive, "
+                               f"got {self.sigma_r}")
 
     def effective_sigma_r(self, depth_map: DepthMap) -> float:
         if self.sigma_r is not None:
@@ -110,9 +110,9 @@ class Intrinsics:
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.fx, self.fy, self.cx, self.cy))):
-            raise ValueError("intrinsics must be finite")
+            raise InvalidValue("intrinsics must be finite")
         if self.fx <= 0 or self.fy <= 0:
-            raise ValueError("focal lengths must be positive")
+            raise InvalidValue("focal lengths must be positive")
 
 
 def bilateral_depth(depth_map: DepthMap, cfg: BilateralConfig = BilateralConfig()) -> DepthMap:

@@ -1254,3 +1254,91 @@ def test_stdout_written_only_by_main():
               if isinstance(node, ast.Attribute) and id(node) not in in_main
               and ast.unparse(node) == "sys.stdout"]
     assert stdout == []
+
+
+def test_value_error_neither_caught_by_main_nor_raised_in_src():
+    # every input error is a ToolkitError raised at its precondition, so
+    # main names no ValueError, and one from a defect ends in a traceback.
+    # Only the readers' internal signalling in _decimals and _decimal_table
+    # raises a bare ValueError, which the readers turn into a ParseError
+    src = Path(cli.__file__).parent
+    tree = ast.parse((src / "cli.py").read_text(encoding="utf-8"))
+    main_def, = [node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "main"]
+    caught = [ast.unparse(name) for handler in ast.walk(main_def)
+              if isinstance(handler, ast.ExceptHandler)
+              for name in (handler.type.elts
+                           if isinstance(handler.type, ast.Tuple)
+                           else [handler.type])]
+    assert "ToolkitError" in caught and "ValueError" not in caught
+    stray = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        signalling = {id(node) for func in ast.walk(tree)
+                      if isinstance(func, ast.FunctionDef)
+                      and path.name == "io_formats.py"
+                      and func.name in ("_decimals", "_decimal_table")
+                      for node in ast.walk(func)}
+        stray += [(path.name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Raise) and node.exc is not None
+                  and ast.unparse(node.exc).split("(")[0] == "ValueError"
+                  and id(node) not in signalling]
+    assert stray == []
+
+
+def test_bare_value_error_from_a_defect_is_a_traceback(monkeypatch, tmp_path):
+    def defect(args):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(cli, "_cmd_eval_depth", defect)
+    with pytest.raises(ValueError, match="broadcast") as excinfo:
+        main(["eval-depth", "--pred", str(tmp_path / "p.pfm"),
+              "--gt", str(tmp_path / "g.pfm")])
+    assert excinfo.type is ValueError
+
+
+@pytest.fixture(scope="module")
+def overflow_dir(tmp_path_factory):
+    """Seeded trajectories and clouds whose coordinates' squares or products
+    are past float's range (or, at 1e-170, whose variance underflows)."""
+    root = tmp_path_factory.mktemp("overflow")
+    rng = np.random.default_rng(2100)
+    n = 12
+    identity = [[1.0, 0.0, 0.0, 0.0]] * n
+    alternating = np.zeros((n, 3))
+    alternating[:, 0] = 1.7e308 * (-1.0) ** np.arange(n)
+    for name, t in [("big154a", rng.standard_normal((n, 3)) * 1e154),
+                    ("big154b", rng.standard_normal((n, 3)) * 1e154),
+                    ("big160", rng.standard_normal((n, 3)) * 1e160),
+                    ("tiny170", rng.standard_normal((n, 3)) * 1e-170),
+                    ("unit", rng.standard_normal((n, 3))),
+                    ("alt308", alternating)]:
+        traj = Trajectory.from_arrays(t, identity, np.arange(n) / 30.0)
+        (root / f"{name}.txt").write_text(write_trajectory_tum(traj))
+    for name, pts in [("c154a", rng.standard_normal((40, 3)) * 1e154),
+                      ("c154b", rng.standard_normal((40, 3)) * 1e154),
+                      ("near_p", rng.standard_normal((40, 3)) + 1e154),
+                      ("near_m", rng.standard_normal((40, 3)) - 1e154),
+                      ("top", np.full((40, 3), 1.7e308))]:
+        (root / f"{name}.ply").write_bytes(write_ply_ascii(PointSet(pts)))
+    return root
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval-traj", "--pred", "{root}/big154a.txt", "--gt", "{root}/big154b.txt"],
+    ["eval-traj", "--pred", "{root}/big160.txt", "--gt", "{root}/unit.txt"],
+    ["eval-traj", "--pred", "{root}/big160.txt", "--gt", "{root}/unit.txt",
+     "--align", "sim3"],
+    ["eval-traj", "--pred", "{root}/tiny170.txt", "--gt", "{root}/unit.txt",
+     "--align", "sim3"],
+    ["eval-loss", "--pred", "{root}/alt308.txt", "--gt", "{root}/unit.txt"],
+    ["eval-recon", "--pred", "{root}/c154a.ply", "--gt", "{root}/c154b.ply"],
+    ["eval-recon", "--pred", "{root}/near_p.ply", "--gt", "{root}/near_m.ply"],
+    ["eval-recon", "--pred", "{root}/top.ply", "--gt", "{root}/top.ply"]])
+def test_out_of_range_coordinates_exit_3(capsys, overflow_dir, argv):
+    # exit 3 was a LinAlgError caught as a ValueError, an IndexError
+    # traceback, `inf` or `nan` on stdout, or a number from a scale of 0
+    _check_main(overflow_dir, argv)
+    code, out, err = run(capsys, [a.format(root=overflow_dir) for a in argv])
+    assert (code, out) == (3, "")
+    assert re.fullmatch(r"error: [^\n]* is not finite: [^\n]*\n", err), err

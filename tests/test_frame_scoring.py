@@ -7,7 +7,8 @@ from streamstab import (GrayImage, Pose, Quaternion, ScoreConfig,
                         adaptive_update_weight, dft2_magnitude_centered,
                         highfreq_ratio, motion_score, quality_score,
                         score_frame, score_terms, to_grayscale)
-from streamstab.errors import EmptyImage, NegativeMagnitude, NonFiniteResult
+from streamstab.errors import (EmptyImage, NegativeMagnitude, NonFiniteResult,
+                               NonUnitQuaternion)
 from streamstab.frame_scoring import _outside_disk
 from streamstab.geometry import quat_to_matrix
 
@@ -289,3 +290,11 @@ class TestScoreFrame:
         a2 = Pose(rm @ a.t + offset, rot.multiply(a.q), 0.0)
         b2 = Pose(rm @ b.t + offset, rot.multiply(b.q), 1.0)
         assert score_frame(a2, b2, img) == pytest.approx(base, abs=1e-9)
+
+
+def test_nan_quaternion_weight_is_an_error():
+    # it scored weight 0.0: its geodesic angle read 0, as for no rotation
+    prev = Pose(np.zeros(3), Quaternion.identity(), 0.0)
+    cur = Pose(np.zeros(3), Quaternion(math.nan, 0.0, 0.0, 0.0), 1.0)
+    with pytest.raises(NonUnitQuaternion):
+        score_frame(prev, cur, GrayImage(np.full((8, 8), 0.5)))

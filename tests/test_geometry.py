@@ -5,7 +5,8 @@ import pytest
 
 from streamstab import (Pose, Quaternion, Trajectory, quat_geodesic_angle,
                         quat_normalize, relative_pose, slerp)
-from streamstab.errors import InvalidGamma, NonUnitQuaternion, ZeroQuaternion
+from streamstab.errors import (InvalidGamma, InvalidValue, LengthMismatch,
+                               NonUnitQuaternion, ZeroQuaternion)
 
 from conftest import quat_power, random_unit_quat
 
@@ -158,3 +159,25 @@ class TestTrajectoryFromArrays:
     def test_timestamps_strictly_increasing(self, ts, step):
         with pytest.raises(ValueError, match=f"strictly increasing \\({step}\\)"):
             Trajectory.from_arrays(np.zeros((3, 3)), [[1.0, 0, 0, 0]] * 3, ts)
+
+
+class TestTrajectoryErrorTypes:
+    def test_rows_per_pose_is_length_mismatch(self):
+        with pytest.raises(LengthMismatch, match="one row per pose"):
+            Trajectory.from_arrays(np.zeros((3, 3)), [[1.0, 0, 0, 0]] * 3,
+                                   [0.0, 1.0])
+
+    def test_timestamp_order_is_invalid_value(self):
+        with pytest.raises(InvalidValue, match="strictly increasing"):
+            Trajectory.from_arrays(np.zeros((2, 3)), [[1.0, 0, 0, 0]] * 2,
+                                   [1.0, 1.0])
+
+
+@pytest.mark.parametrize("q", [Quaternion(math.nan, 0.0, 0.0, 0.0),
+                               Quaternion(1.0, 0.0, math.nan, 0.0)])
+def test_nan_quaternion_is_not_unit(q):
+    # abs(nan - 1) > tol is False: a NaN norm must fail the test, not pass it
+    with pytest.raises(NonUnitQuaternion, match="norm nan"):
+        quat_geodesic_angle(q, Quaternion.identity())
+    with pytest.raises(NonUnitQuaternion, match="norm nan"):
+        quat_geodesic_angle(Quaternion.identity(), q)

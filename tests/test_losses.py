@@ -436,3 +436,30 @@ class TestGradPoseTranslations:
             want = grad_loop_oracle(pred, gt, w)
             got = grad_pose_translations(pred, gt, w)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestOverflow:
+    """Translations whose norms or differences overflow are a NonFiniteResult,
+    without a RuntimeWarning (warnings are errors here)."""
+
+    def _alternating(self, x: float, n: int = 12) -> Trajectory:
+        t = np.zeros((n, 3))
+        t[:, 0] = x * (-1.0) ** np.arange(n)
+        return Trajectory.from_arrays(t, [[1.0, 0.0, 0.0, 0.0]] * n,
+                                      np.arange(n, dtype=float))
+
+    def test_norm_overflow(self):
+        pred = self._alternating(1.7e308)
+        with pytest.raises(NonFiniteResult, match="scale normalizer"):
+            scale_normalizer(pred.t)
+        with pytest.raises(NonFiniteResult, match="scale normalizer"):
+            loss_pose(pred, straight_line(12))
+
+    def test_difference_overflow(self):
+        # each norm is finite, but each step's squared length is not
+        pred = self._alternating(1.3e154)
+        assert math.isfinite(scale_normalizer(pred.t))
+        with pytest.raises(NonFiniteResult, match="RPE loss"):
+            loss_rpe(pred, straight_line(12))
+        with pytest.raises(NonFiniteResult, match="acceleration loss"):
+            loss_acc(pred)

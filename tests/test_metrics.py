@@ -7,9 +7,10 @@ import pytest
 from streamstab import (DepthEvalMode, DepthMap, PointSet, Pose, Quaternion,
                         Trajectory, metric_ate, metric_depth, metric_recon,
                         metric_rpe, umeyama_align)
-from streamstab.errors import (DegenerateConfiguration, LengthMismatch,
-                               NoOverlappingValidity, ShapeMismatch,
-                               ToolkitError, TooFewPoints, TooShort)
+from streamstab.errors import (DegenerateConfiguration, InvalidValue,
+                               LengthMismatch, NoOverlappingValidity,
+                               NonFiniteResult, ShapeMismatch, ToolkitError,
+                               TooFewPoints, TooShort)
 from streamstab.geometry import quat_to_matrix
 from streamstab.metrics import estimate_normals
 
@@ -475,3 +476,74 @@ class TestEstimateNormals:
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
             estimate_normals(np.zeros((16, 3)), 16)
+
+
+def _scaled(traj: Trajectory, scale: float) -> Trajectory:
+    return Trajectory.from_arrays(traj.t * scale, traj.q, traj.ts)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_non_positive_k_is_invalid_value(k):
+    pts = np.random.default_rng(19).standard_normal((40, 3))
+    with pytest.raises(InvalidValue, match="k >= 1"):
+        estimate_normals(pts, k)
+
+
+class TestOutOfRange:
+    """Coordinates whose products leave float's range are a NonFiniteResult,
+    with no RuntimeWarning (warnings are errors here) and no inf, NaN or
+    index past the cloud."""
+
+    def test_cross_covariance_overflow(self):
+        # NumPy's SVD raised LinAlgError("SVD did not converge") here
+        rng = np.random.default_rng(30)
+        src, dst = rng.standard_normal((2, 12, 3)) * 1e154
+        for with_scale in (False, True):
+            with pytest.raises(NonFiniteResult, match="cross-covariance"):
+                umeyama_align(src, dst, with_scale=with_scale)
+
+    def test_variance_overflow_is_not_scale_0(self):
+        rng = np.random.default_rng(31)
+        src, dst = rng.standard_normal((12, 3)) * 1e160, rng.standard_normal((12, 3))
+        with pytest.raises(NonFiniteResult, match="alignment variance"):
+            umeyama_align(src, dst)
+        assert umeyama_align(src, dst, with_scale=False).scale == 1.0
+
+    @pytest.mark.parametrize("align", ["se3", "sim3"])
+    def test_huge_pred_against_unit_gt(self, align):
+        rng = np.random.default_rng(32)
+        pred, gt = _scaled(random_trajectory(rng, 12), 1e160), random_trajectory(rng, 12)
+        with pytest.raises(NonFiniteResult):
+            metric_ate(pred, gt, with_scale=align == "sim3")
+        with pytest.raises(NonFiniteResult, match="RPE"):
+            metric_rpe(pred, gt)
+
+    def test_scale_past_range_is_not_nan(self):
+        # the variance of a 1e-170 spread underflows to 0, so the scale is inf
+        rng = np.random.default_rng(33)
+        pred, gt = _scaled(random_trajectory(rng, 12), 1e-170), random_trajectory(rng, 12)
+        with pytest.raises(NonFiniteResult, match="alignment translation"):
+            umeyama_align(pred.t, gt.t)
+        with pytest.raises(NonFiniteResult, match="alignment translation"):
+            metric_ate(pred, gt, with_scale=True)
+        assert math.isfinite(metric_ate(pred, gt))
+
+    @pytest.mark.parametrize("offset, spread", [(0.0, 1e154), (1e154, 1.0),
+                                                (1.7e308, 0.0)])
+    def test_recon_extent_or_neighbourhood_sum(self, offset, spread):
+        # a squared distance past float's range made cKDTree return index n;
+        # 17 coincident points at 1.7e308 overflow their mean
+        rng = np.random.default_rng(34)
+        pred = rng.standard_normal((40, 3)) * spread + offset
+        gt = rng.standard_normal((40, 3)) * spread - offset
+        if spread == 0.0:
+            gt = pred
+        with pytest.raises(NonFiniteResult, match="point cloud extent"):
+            metric_recon(PointSet(pred), PointSet(gt))
+        with pytest.raises(NonFiniteResult, match="point cloud extent"):
+            estimate_normals(np.vstack([pred, gt]))
+
+    def test_coincident_points_within_range(self):
+        # 17 * 1e307 is below float's largest value: nothing overflows
+        pts = PointSet(np.full((40, 3), 1e307))
+        assert metric_recon(pts, pts) == (0.0, 0.0, 1.0)

@@ -10,7 +10,7 @@ import pytest
 from streamstab import (BilateralConfig, DepthMap, Intrinsics,
                         bilateral_depth, depth_to_points, refine_cloud, spatial)
 from streamstab.errors import (DegenerateConfiguration, InvalidValue,
-                               NonFiniteResult, NoValidPixels)
+                               NonFiniteResult, NoValidPixels, ShapeMismatch)
 
 STRIP = spatial._STRIP_ROWS
 
@@ -731,3 +731,27 @@ class TestRefineCloud:
         refined = refine_cloud(dm, intr, BilateralConfig(sigma_r=0.1))
         raw = depth_to_points(dm, intr)
         assert np.max(np.abs(refined.points - raw.points)) < 1e-6
+
+
+class TestErrorTypes:
+    """Each precondition of the filter's and the camera's types raises its
+    named ToolkitError subclass."""
+
+    @pytest.mark.parametrize("field, value", [("window", -1),
+                                              ("sigma_s", 0.0),
+                                              ("sigma_r", np.nan)])
+    def test_bilateral_config_is_invalid_value(self, field, value):
+        with pytest.raises(InvalidValue, match=field):
+            BilateralConfig(**{field: value})
+
+    def test_non_finite_intrinsics_is_invalid_value(self):
+        with pytest.raises(InvalidValue, match="finite"):
+            Intrinsics(10.0, 10.0, np.inf, 2.0)
+
+    def test_focal_length_is_invalid_value(self):
+        with pytest.raises(InvalidValue, match="focal lengths"):
+            Intrinsics(0.0, 10.0, 2.0, 2.0)
+
+    def test_mask_shape_is_shape_mismatch(self):
+        with pytest.raises(ShapeMismatch, match="matching 2D arrays"):
+            DepthMap(np.full((3, 4), 2.0), np.ones((4, 3), dtype=bool))
