@@ -18,8 +18,8 @@ class InvalidValue(ToolkitError):
 
 class NonFiniteResult(ToolkitError):
     """A result past float's range: a motion score or loss whose weighted
-    terms overflow, a back-projected point, or a memory state that
-    diverges."""
+    terms overflow, a back-projected point, a quaternion's norm, or a memory
+    state that diverges."""
 
     @classmethod
     def check(cls, value, what: str, cause: str = "a weighted term overflows"):

@@ -13,21 +13,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyImage, NegativeMagnitude, NonFiniteResult
-from .geometry import Pose, relative_pose
-
-
-@dataclass(frozen=True)
-class GrayImage:
-    """H x W grayscale raster with values in [0, 1]."""
-
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        px = np.asarray(self.pixels, dtype=float)
-        if px.ndim != 2 or px.size == 0:
-            raise EmptyImage("grayscale image must be a nonempty 2D raster")
-        object.__setattr__(self, "pixels", px)
+from .errors import (DegenerateConfiguration, EmptyImage, NegativeMagnitude,
+                     NonFiniteResult)
+from .geometry import GrayImage, Pose, relative_pose
 
 
 @dataclass(frozen=True)
@@ -92,13 +80,19 @@ def highfreq_ratio(mags: np.ndarray, radius: float,
     """Fraction of centered spectral magnitude outside the disk of `radius`."""
     mask = _outside_disk(*mags.shape, radius)
     total = float(mags.sum())
-    return float(mags[mask].sum()) / (total + epsilon)
+    try:
+        return float(mags[mask].sum()) / (total + epsilon)
+    except ZeroDivisionError:
+        raise DegenerateConfiguration("spectrum and epsilon sum to 0") from None
 
 
 def quality_score(ratio: float) -> float:
     """Sigmoid image-quality score of the high-frequency ratio: gain 20,
-    midpoint 0.1."""
-    return 1.0 / (1.0 + math.exp(-20.0 * (ratio - 0.1)))
+    midpoint 0.1; 0.0, its limit, below about -35.4, where exp overflows."""
+    try:
+        return 1.0 / (1.0 + math.exp(-20.0 * (ratio - 0.1)))
+    except OverflowError:
+        return 0.0
 
 
 def motion_score(delta_x: float, delta_q: float, w1: float, w2: float) -> float:

@@ -1,4 +1,4 @@
-"""Quaternion and pose primitives shared by every other module.
+"""Value types and primitives shared by every other module.
 
 Quaternions are scalar-first (w, x, y, z) internally; the file I/O layer
 converts to/from on-disk conventions. All operations are pure functions on
@@ -14,8 +14,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (InvalidGamma, InvalidValue, LengthMismatch,
-                     NonUnitQuaternion, ZeroQuaternion)
+from .errors import (EmptyImage, InvalidGamma, InvalidValue, LengthMismatch,
+                     NonFiniteResult, NonUnitQuaternion, ShapeMismatch,
+                     ZeroQuaternion)
 
 _UNIT_TOL = 1e-6
 
@@ -33,7 +34,10 @@ class Quaternion(NamedTuple):
         return Quaternion(1.0, 0.0, 0.0, 0.0)
 
     def norm(self) -> float:
-        return math.sqrt(self.w ** 2 + self.x ** 2 + self.y ** 2 + self.z ** 2)
+        try:
+            return math.sqrt(self.w ** 2 + self.x ** 2 + self.y ** 2 + self.z ** 2)
+        except OverflowError:  # a component's square: past about 1.34e154
+            return math.inf
 
     def dot(self, other: "Quaternion") -> float:
         return (self.w * other.w + self.x * other.x
@@ -163,10 +167,46 @@ class PointSet:
         return self.points.shape[0]
 
 
+@dataclass(frozen=True)
+class GrayImage:
+    """H x W grayscale raster with values in [0, 1]."""
+
+    pixels: np.ndarray
+
+    def __post_init__(self):
+        px = np.asarray(self.pixels, dtype=float)
+        if px.ndim != 2 or px.size == 0:
+            raise EmptyImage("grayscale image must be a nonempty 2D raster")
+        object.__setattr__(self, "pixels", px)
+
+
+@dataclass(frozen=True)
+class DepthMap:
+    depths: np.ndarray  # (H, W) scene units; finite and > 0 where valid
+    valid: np.ndarray   # (H, W) bool
+
+    def __post_init__(self):
+        d = np.asarray(self.depths, dtype=float)
+        v = np.asarray(self.valid, dtype=bool)
+        if d.shape != v.shape or d.ndim != 2:
+            raise ShapeMismatch("depths and valid must be matching 2D arrays")
+        if (v > ((d > 0) & (d < math.inf))).any():  # NaN fails both tests
+            raise InvalidValue("valid depths must be finite and positive")
+        object.__setattr__(self, "depths", d)
+        object.__setattr__(self, "valid", v)
+
+    @staticmethod
+    def from_depths(depths) -> "DepthMap":
+        d = np.asarray(depths, dtype=float)
+        return DepthMap(d, np.isfinite(d) & (d > 0))
+
+
 def quat_normalize(q: Quaternion) -> Quaternion:
     n = q.norm()
     if n < 1e-12:
         raise ZeroQuaternion("cannot normalize a zero quaternion")
+    if n == math.inf:
+        raise NonFiniteResult("quaternion norm overflows")
     return Quaternion(q.w / n, q.x / n, q.y / n, q.z / n)
 
 

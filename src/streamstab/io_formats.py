@@ -17,9 +17,7 @@ import numpy as np
 
 from .errors import (InvalidValue, MissingProperty, NonMonotonicTimestamps,
                      ParseError, UnsupportedMagic)
-from .frame_scoring import GrayImage
-from .geometry import PointSet, Trajectory, squared
-from .spatial import DepthMap
+from .geometry import DepthMap, GrayImage, PointSet, Trajectory, squared
 
 # lines per np.array call in the TUM and PLY readers, and vertex lines per
 # format_rows call in the PLY writer: a whole cloud's split fields would take

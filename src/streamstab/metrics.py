@@ -17,9 +17,8 @@ import numpy as np
 from .errors import (DegenerateConfiguration, InvalidValue, LengthMismatch,
                      NoOverlappingValidity, NonFinitePoints, NonFiniteResult,
                      ShapeMismatch, TooFewPoints, TooShort)
-from .geometry import (PointSet, Trajectory, median, pair_length,
+from .geometry import (DepthMap, PointSet, Trajectory, median, pair_length,
                        quat_to_matrix, squared)
-from .spatial import DepthMap
 
 _NORMALS_BLOCK = 4096  # points per batched SVD in _tree_normals
 _OUT_OF_RANGE = "the coordinates' scale is outside float's range"

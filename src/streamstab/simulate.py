@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NonFiniteResult
-from .frame_scoring import GrayImage, score_frame
-from .geometry import Pose, Quaternion, quat_normalize
+from .frame_scoring import score_frame
+from .geometry import GrayImage, Pose, Quaternion, quat_normalize
 from .state_update import (MemoryState, Observation, apply_update,
                            associative_gradient, recall_error)
 

@@ -44,35 +44,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateConfiguration, InvalidValue, NonFiniteResult,
-                     NoValidPixels, ShapeMismatch)
-from .geometry import PointSet, median
+                     NoValidPixels)
+from .geometry import DepthMap, PointSet, median
 
 _STRIP_ROWS = 64  # rows per strip
 # row bands, one per thread: the caller's and at most one worker's, within
 # the CPUs this process may run on (sched_getaffinity is Linux-only)
 _MAX_BANDS = min(2, len(os.sched_getaffinity(0))
                  if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
-
-
-@dataclass(frozen=True)
-class DepthMap:
-    depths: np.ndarray  # (H, W) scene units; finite and > 0 where valid
-    valid: np.ndarray   # (H, W) bool
-
-    def __post_init__(self):
-        d = np.asarray(self.depths, dtype=float)
-        v = np.asarray(self.valid, dtype=bool)
-        if d.shape != v.shape or d.ndim != 2:
-            raise ShapeMismatch("depths and valid must be matching 2D arrays")
-        if (v > ((d > 0) & (d < math.inf))).any():  # NaN fails both tests
-            raise InvalidValue("valid depths must be finite and positive")
-        object.__setattr__(self, "depths", d)
-        object.__setattr__(self, "valid", v)
-
-    @staticmethod
-    def from_depths(depths) -> "DepthMap":
-        d = np.asarray(depths, dtype=float)
-        return DepthMap(d, np.isfinite(d) & (d > 0))
 
 
 @dataclass(frozen=True)

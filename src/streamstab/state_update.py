@@ -14,8 +14,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, EmptySet, NonFiniteResult
-from .frame_scoring import GrayImage, ScoreConfig, score_frame
-from .geometry import Pose
+from .frame_scoring import ScoreConfig, score_frame
+from .geometry import GrayImage, Pose
 
 
 @dataclass(frozen=True)

@@ -1286,6 +1286,29 @@ def test_value_error_neither_caught_by_main_nor_raised_in_src():
     assert stray == []
 
 
+def test_only_the_pipelines_import_algorithm_modules():
+    # values (errors, geometry) at the bottom, algorithms above them: only the
+    # stream step, the simulator and the CLI compose algorithm modules, and
+    # the package's __init__ and __main__ re-export them
+    src = Path(cli.__file__).parent
+    composers = {"state_update.py", "simulate.py", "cli.py",
+                 "__init__.py", "__main__.py"}
+    stray = []
+    for path in sorted(src.glob("*.py")):
+        if path.name in composers:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = ["." * node.level + (node.module or "")
+                    for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        imported += [alias.name for node in ast.walk(tree)
+                     if isinstance(node, ast.Import) for alias in node.names]
+        stray += [(path.name, name) for name in imported
+                  if name.startswith((".", "streamstab"))
+                  and name.lstrip(".").removeprefix("streamstab.")
+                  not in ("errors", "geometry")]
+    assert stray == []
+
+
 def test_bare_value_error_from_a_defect_is_a_traceback(monkeypatch, tmp_path):
     def defect(args):
         raise ValueError("operands could not be broadcast together")

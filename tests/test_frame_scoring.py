@@ -7,7 +7,8 @@ from streamstab import (GrayImage, Pose, Quaternion, ScoreConfig,
                         adaptive_update_weight, dft2_magnitude_centered,
                         highfreq_ratio, motion_score, quality_score,
                         score_frame, score_terms, to_grayscale)
-from streamstab.errors import (EmptyImage, NegativeMagnitude, NonFiniteResult,
+from streamstab.errors import (DegenerateConfiguration, EmptyImage,
+                               NegativeMagnitude, NonFiniteResult,
                                NonUnitQuaternion)
 from streamstab.frame_scoring import _outside_disk
 from streamstab.geometry import quat_to_matrix
@@ -297,4 +298,32 @@ def test_nan_quaternion_weight_is_an_error():
     prev = Pose(np.zeros(3), Quaternion.identity(), 0.0)
     cur = Pose(np.zeros(3), Quaternion(math.nan, 0.0, 0.0, 0.0), 1.0)
     with pytest.raises(NonUnitQuaternion):
+        score_frame(prev, cur, GrayImage(np.full((8, 8), 0.5)))
+
+
+def test_quality_score_past_exp_range_is_its_limit():
+    # math.exp overflowed below a ratio of about -35.4
+    assert quality_score(-40.0) == 0.0
+    assert quality_score(-1e300) == 0.0
+    ratio = -35.38  # the least ratio tried whose exp is finite keeps its bits
+    assert quality_score(ratio) == 1.0 / (1.0 + math.exp(-20.0 * (ratio - 0.1))) > 0.0
+
+
+def test_highfreq_ratio_of_zero_sum_is_degenerate():
+    with pytest.raises(DegenerateConfiguration, match="sum to 0"):
+        highfreq_ratio(np.zeros((4, 4)), 1.0, 0.0)
+
+
+def test_black_frame_without_epsilon_is_degenerate():
+    prev = Pose(np.zeros(3), Quaternion.identity(), 0.0)
+    cur = Pose(np.ones(3), Quaternion.identity(), 1.0)
+    with pytest.raises(DegenerateConfiguration, match="sum to 0"):
+        score_frame(prev, cur, GrayImage(np.zeros((16, 16))),
+                    ScoreConfig(epsilon=0.0))
+
+
+def test_overflowing_quaternion_weight_is_not_unit():
+    prev = Pose(np.zeros(3), Quaternion.identity(), 0.0)
+    cur = Pose(np.zeros(3), Quaternion(1e200, 0.0, 0.0, 0.0), 1.0)
+    with pytest.raises(NonUnitQuaternion, match="norm inf"):
         score_frame(prev, cur, GrayImage(np.full((8, 8), 0.5)))

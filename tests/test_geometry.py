@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from streamstab import (Pose, Quaternion, Trajectory, quat_geodesic_angle,
-                        quat_normalize, relative_pose, slerp)
+import streamstab
+from streamstab import (Pose, Quaternion, Trajectory, frame_scoring, geometry,
+                        quat_geodesic_angle, quat_normalize, relative_pose,
+                        slerp, spatial)
 from streamstab.errors import (InvalidGamma, InvalidValue, LengthMismatch,
-                               NonUnitQuaternion, ZeroQuaternion)
+                               NonFiniteResult, NonUnitQuaternion,
+                               ZeroQuaternion)
 
 from conftest import quat_power, random_unit_quat
 
@@ -181,3 +184,35 @@ def test_nan_quaternion_is_not_unit(q):
         quat_geodesic_angle(q, Quaternion.identity())
     with pytest.raises(NonUnitQuaternion, match="norm nan"):
         quat_geodesic_angle(Quaternion.identity(), q)
+
+
+def test_value_types_have_one_class_each():
+    # geometry defines them; the package and the algorithm modules that take
+    # them name the same class
+    assert streamstab.DepthMap is spatial.DepthMap is geometry.DepthMap
+    assert streamstab.GrayImage is frame_scoring.GrayImage is geometry.GrayImage
+
+
+# a component whose square, a Python float's ** 2, raised OverflowError
+OVERFLOWING = Quaternion(1e200, 0.0, 0.0, 0.0)
+
+
+def test_overflowing_norm_is_inf():
+    assert OVERFLOWING.norm() == math.inf
+    assert Quaternion(1e150, 0.0, 0.0, 0.0).norm() == math.sqrt(1e150 ** 2)
+
+
+@pytest.mark.parametrize("normalize", [
+    quat_normalize,
+    lambda q: slerp(Quaternion.identity(), q, 0.5),
+    lambda q: slerp(q, Quaternion.identity(), 0.5)])
+def test_overflowing_norm_is_non_finite_result(normalize):
+    with pytest.raises(NonFiniteResult, match="quaternion norm overflows"):
+        normalize(OVERFLOWING)
+
+
+def test_overflowing_norm_is_not_unit():
+    with pytest.raises(NonUnitQuaternion, match="norm inf"):
+        quat_geodesic_angle(OVERFLOWING, Quaternion.identity())
+    with pytest.raises(NonUnitQuaternion, match="norm inf"):
+        quat_geodesic_angle(Quaternion.identity(), OVERFLOWING)

@@ -7,7 +7,7 @@ from streamstab import (FilterState, GrayImage, OneEuroConfig, Pose,
                         Quaternion, Trajectory, cutoff_freq, filter_step,
                         loss_acc, quat_normalize, score_terms, slerp,
                         smoothing_alpha, stabilize_trajectory)
-from streamstab.errors import InvalidGamma, NonPositiveDt
+from streamstab.errors import InvalidGamma, NonFiniteResult, NonPositiveDt
 
 from conftest import awkward_trajectory, random_unit_quat
 
@@ -354,3 +354,12 @@ def test_printed_values_make_no_blas_call(monkeypatch):
         slerp(a, b, gamma)
         slerp(a, a, gamma)
     score_terms(poses[0], poses[1], img)
+
+
+def test_filter_step_on_overflowing_norm_is_non_finite_result():
+    raw = Pose(np.zeros(3), Quaternion(1e200, 0.0, 0.0, 0.0), 1.0)
+    start = Pose(np.zeros(3), Quaternion.identity(), 0.0)
+    first, _ = filter_step(FilterState(), start, OneEuroConfig())
+    for state in (FilterState(), first):
+        with pytest.raises(NonFiniteResult, match="quaternion norm overflows"):
+            filter_step(state, raw, OneEuroConfig())

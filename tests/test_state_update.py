@@ -6,7 +6,8 @@ import pytest
 from streamstab import (GrayImage, MemoryState, Observation, Pose, Quaternion,
                         apply_update, associative_gradient, recall_error,
                         stream_step)
-from streamstab.errors import DimensionMismatch, EmptySet, NonFiniteResult
+from streamstab.errors import (DimensionMismatch, EmptySet, NonFiniteResult,
+                               NonUnitQuaternion)
 
 
 def recall_loss(values: np.ndarray, key: np.ndarray, value: np.ndarray) -> float:
@@ -236,3 +237,12 @@ class TestDivergence:
         state = MemoryState(np.full((2, 2), 1e150))
         obs = Observation(np.array([1.0, 0.0]), np.ones(2))
         assert recall_error(state, [obs]) == pytest.approx(1e150)
+
+
+def test_stream_step_on_overflowing_quaternion_is_not_unit():
+    state = MemoryState(np.zeros((2, 2)))
+    obs = Observation(np.array([1.0, 0.0]), np.ones(2))
+    prev = Pose(np.zeros(3), Quaternion.identity(), 0.0)
+    cur = Pose(np.zeros(3), Quaternion(1e200, 0.0, 0.0, 0.0), 1.0)
+    with pytest.raises(NonUnitQuaternion, match="norm inf"):
+        stream_step(state, prev, cur, GrayImage(np.full((8, 8), 0.5)), obs)
