@@ -34,10 +34,8 @@ class Quaternion(NamedTuple):
         return Quaternion(1.0, 0.0, 0.0, 0.0)
 
     def norm(self) -> float:
-        try:
-            return math.sqrt(self.w ** 2 + self.x ** 2 + self.y ** 2 + self.z ** 2)
-        except OverflowError:  # a component's square: past about 1.34e154
-            return math.inf
+        return math.sqrt(self.w * self.w + self.x * self.x
+                         + self.y * self.y + self.z * self.z)
 
     def dot(self, other: "Quaternion") -> float:
         return (self.w * other.w + self.x * other.x
@@ -58,12 +56,6 @@ class Quaternion(NamedTuple):
             w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
             w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
         )
-
-
-def squared(a) -> np.ndarray:
-    """Elementwise a ** 2 through C pow, as Python's float ** 2 computes it;
-    a * a differs from it in the last bit on about 0.1% of inputs."""
-    return np.float_power(a, 2.0)
 
 
 def median(x: np.ndarray) -> float:
@@ -205,8 +197,9 @@ def quat_normalize(q: Quaternion) -> Quaternion:
     n = q.norm()
     if n < 1e-12:
         raise ZeroQuaternion("cannot normalize a zero quaternion")
-    if n == math.inf:
-        raise NonFiniteResult("quaternion norm overflows")
+    if not n < math.inf:  # NaN fails too
+        raise NonFiniteResult("quaternion norm overflows" if n == math.inf
+                              else "quaternion has a NaN component")
     return Quaternion(q.w / n, q.x / n, q.y / n, q.z / n)
 
 

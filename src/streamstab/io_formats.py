@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (InvalidValue, MissingProperty, NonMonotonicTimestamps,
                      ParseError, UnsupportedMagic)
-from .geometry import DepthMap, GrayImage, PointSet, Trajectory, squared
+from .geometry import DepthMap, GrayImage, PointSet, Trajectory
 
 # lines per np.array call in the TUM and PLY readers, and vertex lines per
 # format_rows call in the PLY writer: a whole cloud's split fields would take
@@ -130,7 +130,7 @@ def read_trajectory_tum(text: str) -> Trajectory:
     # Quaternion.norm's sum in its order, so that q / norm matches
     # quat_normalize bit for bit; a norm past 1.8e308 is an error below
     with np.errstate(over="ignore"):
-        norm = np.sqrt(sum(map(squared, q.T)))
+        norm = np.sqrt(sum(map(np.square, q.T)))
     bad = np.flatnonzero((norm < 1e-12) | (norm == np.inf))
     if bad.size:
         i = bad[0]
@@ -315,9 +315,9 @@ def write_ply_ascii(cloud: PointSet) -> bytes:
     conf = cloud.confidences
     header = ["ply", "format ascii 1.0",
               f"element vertex {len(cloud)}",
-              "property float x", "property float y", "property float z"]
+              "property double x", "property double y", "property double z"]
     if conf is not None:
-        header.append("property float confidence")
+        header.append("property double confidence")
     header.append("end_header")
     # each block goes into the buffer as soon as it is formatted, and
     # getvalue() hands that buffer over: no list of the encoded blocks and

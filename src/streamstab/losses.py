@@ -61,7 +61,7 @@ def loss_rgb(pred: np.ndarray, gt: np.ndarray) -> float:
     gt = np.asarray(gt, dtype=float)
     if pred.shape != gt.shape:
         raise ShapeMismatch("rasters must have the same shape")
-    return float(np.sum((pred - gt) ** 2))
+    return float(np.sum(np.square(pred - gt)))
 
 
 def hemisphere_align(quats: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from .errors import (DegenerateConfiguration, InvalidValue, LengthMismatch,
                      NoOverlappingValidity, NonFinitePoints, NonFiniteResult,
                      ShapeMismatch, TooFewPoints, TooShort)
 from .geometry import (DepthMap, PointSet, Trajectory, median, pair_length,
-                       quat_to_matrix, squared)
+                       quat_to_matrix)
 
 _NORMALS_BLOCK = 4096  # points per batched SVD in _tree_normals
 _OUT_OF_RANGE = "the coordinates' scale is outside float's range"
@@ -72,7 +72,7 @@ def umeyama_align(src, dst, with_scale: bool = True) -> Similarity3:
         rotation = u @ s @ vt
         if with_scale:  # an inf variance would make the scale 0
             var_src = NonFiniteResult.check(np.mean(np.sum(
-                src_c ** 2, axis=1)), "alignment variance", _OUT_OF_RANGE)
+                np.square(src_c), axis=1)), "alignment variance", _OUT_OF_RANGE)
             scale = float(np.trace(np.diag(d) @ s) / var_src)
         else:
             scale = 1.0
@@ -89,7 +89,7 @@ def metric_ate(pred: Trajectory, gt: Trajectory, with_scale: bool = False) -> fl
     with np.errstate(over="ignore", invalid="ignore"):
         residuals = transform.apply(tp) - tg
         return NonFiniteResult.check(float(np.sqrt(np.mean(np.sum(
-            residuals ** 2, axis=1)))), "ATE", _OUT_OF_RANGE)
+            np.square(residuals), axis=1)))), "ATE", _OUT_OF_RANGE)
 
 
 def _se3(r: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -116,18 +116,18 @@ def metric_rpe(pred: Trajectory, gt: Trajectory) -> tuple[float, float]:
     with np.errstate(over="ignore", invalid="ignore"):  # checked at the end
         mp, mg = (_se3(quat_to_matrix(x.q), x.t) for x in (pred, gt))
         err = _relative(_relative(mg[:-1], mg[1:]), _relative(mp[:-1], mp[1:]))
-        trans_sq = np.sum(err[:, :3, 3] ** 2, axis=1)
+        trans_sq = np.sum(np.square(err[:, :3, 3]), axis=1)
         r = err[:, :3, :3]
         # atan2 form is well conditioned near the identity, unlike acos
-        sin_angle = 0.5 * np.sqrt(squared(r[:, 2, 1] - r[:, 1, 2])
-                                  + squared(r[:, 0, 2] - r[:, 2, 0])
-                                  + squared(r[:, 1, 0] - r[:, 0, 1]))
+        sin_angle = 0.5 * np.sqrt(np.square(r[:, 2, 1] - r[:, 1, 2])
+                                  + np.square(r[:, 0, 2] - r[:, 2, 0])
+                                  + np.square(r[:, 1, 0] - r[:, 0, 1]))
         cos_angle = (np.trace(r, axis1=1, axis2=2) - 1.0) / 2.0
         # math.atan2, not np.arctan2: they differ in the last bit on some inputs
         angle = np.array(list(map(math.atan2, sin_angle.tolist(),
                                   cos_angle.tolist())))
         rpe_trans = math.sqrt(float(np.mean(trans_sq)))
-        rpe_rot = math.degrees(math.sqrt(float(np.mean(squared(angle)))))
+        rpe_rot = math.degrees(math.sqrt(float(np.mean(np.square(angle)))))
     return NonFiniteResult.check((rpe_trans, rpe_rot), "RPE", _OUT_OF_RANGE)
 
 
@@ -172,7 +172,7 @@ def _kdtrees(k: int, *clouds: np.ndarray) -> list:
     lo = np.min([c.min(axis=0) for c in clouds], axis=0)
     hi = np.max([c.max(axis=0) for c in clouds], axis=0)
     with np.errstate(over="ignore"):
-        NonFiniteResult.check((np.sum((hi - lo) ** 2), (k + 1) * max(
+        NonFiniteResult.check((np.sum(np.square(hi - lo)), (k + 1) * max(
             hi.max(), -lo.min())), "point cloud extent", _OUT_OF_RANGE)
     from scipy.spatial import cKDTree  # lazy: importing SciPy costs ~0.5 s
     return [cKDTree(c) for c in clouds]

@@ -118,7 +118,7 @@ def bilateral_depth(depth_map: DepthMap, cfg: BilateralConfig = BilateralConfig(
     d = depth_map.depths
     valid = depth_map.valid
     sigma_r = cfg.effective_sigma_r(depth_map)
-    neg_two_var = -_twice_square(sigma_r)
+    neg_two_var = -2.0 * (sigma_r * sigma_r)
     if not neg_two_var:  # a zero difference over it would be 0 / -0, NaN
         raise DegenerateConfiguration(
             f"sigma_r {sigma_r!r} is too small: 2 * sigma_r**2 underflows to 0")
@@ -142,7 +142,7 @@ def bilateral_depth(depth_map: DepthMap, cfg: BilateralConfig = BilateralConfig(
     # (< 0), spatial weight s and range exponent floor: exp(floor) * s is
     # about e**least, unless s is below that itself
     pairs = []
-    two_var_s = _twice_square(cfg.sigma_s)  # 0.0 gives each s its limit 0.0
+    two_var_s = 2.0 * (cfg.sigma_s * cfg.sigma_s)  # 0.0: each s is its limit
     for dy in range(-w, 1):
         for dx in range(-w, w + 1 if dy else 0):
             s = np.exp(-(dy * dy + dx * dx) / two_var_s) if two_var_s else 0.0
@@ -213,12 +213,6 @@ def bilateral_depth(depth_map: DepthMap, cfg: BilateralConfig = BilateralConfig(
         _in_parallel(lambda: band(strips[:cut], *bufs[0]),
                      lambda: band(strips[cut:], *bufs[1]))
     return DepthMap(out, np.array(valid, copy=True))
-
-
-def _twice_square(sigma: float) -> float:
-    """2 * sigma**2: inf from 1e154 on, where Python's ** may raise
-    OverflowError and 2 * sigma**2 is past the float range anyway."""
-    return 2.0 * sigma ** 2 if sigma < 1e154 else math.inf
 
 
 def _in_parallel(upper, lower) -> None:

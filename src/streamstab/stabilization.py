@@ -34,11 +34,16 @@ class FilterState(NamedTuple):
 
 
 def smoothing_alpha(f: float, dt: float) -> float:
-    """First-order low-pass smoothing factor for cutoff f over interval dt."""
+    """First-order low-pass smoothing factor for cutoff f over interval dt;
+    1.0, its limit, where 2 pi f dt overflows."""
     if dt <= 0:
         raise NonPositiveDt(f"dt must be positive, got {dt}")
-    x = 2.0 * math.pi * f * dt
-    return x / (x + 1.0)
+    return _alpha(2.0 * math.pi * f * dt)
+
+
+def _alpha(x: float) -> float:
+    """x / (x + 1), or its limit 1.0 where x is inf."""
+    return 1.0 if x == math.inf else x / (x + 1.0)
 
 
 def cutoff_freq(cfg: OneEuroConfig, speed: float) -> float:
@@ -58,13 +63,13 @@ def _step(state: FilterState, t, q: Quaternion, ts: float,
         dt = _DEFAULT_DT
     dx, dy, dz = (u - v for u, v in zip(t, state.last_t))
     dist = math.sqrt(dx * dx + dy * dy + dz * dz)
-    alpha = smoothing_alpha(cutoff_freq(cfg, dist / dt), dt)
-    if math.isnan(alpha):  # 2 pi f dt overflowed: inf / inf
+    x = 2.0 * math.pi * cutoff_freq(cfg, dist / dt) * dt  # as smoothing_alpha
+    if not x < math.inf:  # inf, or NaN from 0 * inf in cutoff_freq
         # the same x as 2 pi (f_min dt + beta_gain dist), in which the speed
-        # dist / dt does not overflow; alpha tends to 1.0 where x does
+        # dist / dt does not overflow
         x = 2.0 * math.pi * (cfg.f_min * dt
                              + (cfg.beta_gain * dist if cfg.beta_gain else 0.0))
-        alpha = x / (x + 1.0) if x < math.inf else 1.0
+    alpha = _alpha(x)
     t = tuple(alpha * u + (1.0 - alpha) * v for u, v in zip(t, state.last_t))
     return FilterState(t, slerp(state.last_q, q, alpha), ts)
 

@@ -54,13 +54,14 @@ def run(capsys, argv):
 # checks outside refine; flag values are checked while argv is parsed, before
 # any file is read
 _FLAG_ARGV = {
-    **dict.fromkeys(["--fmin", "--beta-gain", "--default-dt"],
+    **dict.fromkeys(["--fmin", "--beta-gain"],
                     ["stabilize", "--in", "t.txt", "--out", "o.txt"]),
     **dict.fromkeys(["--wa", "--wr", "--ws", "--lambda1", "--lambda2",
                      "--lambda3", "--conf-loss", "--rgb-loss"],
                     ["eval-loss", "--pred", "t.txt", "--gt", "t.txt"]),
     **dict.fromkeys(["--frames", "--state-dim", "--seed", "--policy"],
                     ["simulate"]),
+    "--k-normals": ["eval-recon", "--pred", "c.ply", "--gt", "c.ply"],
     **dict.fromkeys(["--w1", "--w2", "--radius", "--epsilon", "--clip-max",
                      "--initial-weight"],
                     ["score", "--traj", "t.txt", "--frames", "f"]),
@@ -284,7 +285,7 @@ class TestRefine:
         ("--cy", ["nan", "inf", "-inf", "x"]),
         ("--fmin", ["0", "-1", "nan", "inf", "x"]),
         ("--beta-gain", ["-0.1", "nan", "inf", "x"]),
-        ("--default-dt", ["0.1"]),
+        ("--k-normals", ["0", "-1", "1.5", "nan", "x"]),
         ("--wa", ["nan", "inf", "x"]),
         ("--wr", ["nan", "-inf"]),
         ("--ws", ["nan", "inf"]),
@@ -884,6 +885,23 @@ class TestConfigFile:
         assert code == 2
         assert "bogus" in err
 
+    def test_unknown_flag_usage_error_unknown_key_parse_error(self, capsys,
+                                                              tmp_path):
+        # a flag that stabilize does not take (it once took --default-dt) is
+        # argparse's exit 2; in a config file it is a ParseError on its line
+        argv = ["stabilize", "--in", "t.txt", "--out", "o.txt"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--default-dt", "0.1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --default-dt 0.1" in \
+            capsys.readouterr().err
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("# settings\ndefault_dt=0.1\n")
+        code, out, err = run(capsys, argv + ["--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert err == ("error: line 2: unknown config key 'default_dt' "
+                       "for stabilize\n")
+
     def test_int_key_typed_by_flag(self, capsys, tmp_path):
         rng = np.random.default_rng(5)
         path = tmp_path / "t.txt"
@@ -910,7 +928,7 @@ class TestConfigFile:
         (["eval-recon", "--pred", "c.ply", "--gt", "c.ply"], "k_normals=0"),
         (["stabilize", "--in", "t.txt", "--out", "o.txt"], "fmin=inf"),
         (["stabilize", "--in", "t.txt", "--out", "o.txt"], "beta_gain=-1"),
-        (["stabilize", "--in", "t.txt", "--out", "o.txt"], "default_dt=0.1"),
+        (["stabilize", "--in", "t.txt", "--out", "o.txt"], "fmin=0"),
         (["eval-loss", "--pred", "t.txt", "--gt", "t.txt"], "wa=nan"),
         (["eval-loss", "--pred", "t.txt", "--gt", "t.txt"], "rgb_loss=inf"),
         (["simulate"], "frames=-3"),
@@ -1254,6 +1272,25 @@ def test_stdout_written_only_by_main():
               if isinstance(node, ast.Attribute) and id(node) not in in_main
               and ast.unparse(node) == "sys.stdout"]
     assert stdout == []
+
+
+def test_every_square_in_src_is_a_product():
+    # a Python float's ** 2 and np.float_power call libm's pow, which on some
+    # inputs differs from x * x in the last bit, and by platform; so every
+    # square is x * x or np.square, which IEEE rounds the same way everywhere
+    src = Path(cli.__file__).parent
+    stray = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            exponent = (node.right if isinstance(node, ast.BinOp) else
+                        node.value if isinstance(node, ast.AugAssign) else None)
+            if (isinstance(getattr(node, "op", None), ast.Pow)
+                    and isinstance(exponent, ast.Constant)
+                    and exponent.value == 2) or "float_power" in (
+                        getattr(node, "id", None), getattr(node, "attr", None)):
+                stray.append((path.name, node.lineno))
+    assert stray == []
 
 
 def test_value_error_neither_caught_by_main_nor_raised_in_src():

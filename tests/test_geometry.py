@@ -193,13 +193,13 @@ def test_value_types_have_one_class_each():
     assert streamstab.GrayImage is frame_scoring.GrayImage is geometry.GrayImage
 
 
-# a component whose square, a Python float's ** 2, raised OverflowError
+# a component whose square overflows (Python's ** 2 raised OverflowError)
 OVERFLOWING = Quaternion(1e200, 0.0, 0.0, 0.0)
 
 
 def test_overflowing_norm_is_inf():
     assert OVERFLOWING.norm() == math.inf
-    assert Quaternion(1e150, 0.0, 0.0, 0.0).norm() == math.sqrt(1e150 ** 2)
+    assert Quaternion(1e150, 0.0, 0.0, 0.0).norm() == math.sqrt(1e150 * 1e150)
 
 
 @pytest.mark.parametrize("normalize", [
@@ -209,6 +209,18 @@ def test_overflowing_norm_is_inf():
 def test_overflowing_norm_is_non_finite_result(normalize):
     with pytest.raises(NonFiniteResult, match="quaternion norm overflows"):
         normalize(OVERFLOWING)
+
+
+@pytest.mark.parametrize("q", [Quaternion(math.nan, 0.0, 0.0, 0.0),
+                               Quaternion(1.0, 0.0, math.nan, 0.0)])
+@pytest.mark.parametrize("normalize", [
+    quat_normalize,
+    lambda q: slerp(Quaternion.identity(), q, 0.5),
+    lambda q: slerp(q, Quaternion.identity(), 0.0)])
+def test_nan_norm_is_non_finite_result(normalize, q):
+    # a NaN norm passed both checks, and the result was all NaN
+    with pytest.raises(NonFiniteResult, match="NaN component"):
+        normalize(q)
 
 
 def test_overflowing_norm_is_not_unit():

@@ -708,8 +708,8 @@ class TestPly:
         points[3] = [-0.0, 0.0, 1e300]
         conf = rng.uniform(0.1, 2.0, size=50)
         lines = ["ply", "format ascii 1.0", "element vertex 50",
-                 "property float x", "property float y", "property float z",
-                 "property float confidence", "end_header"]
+                 "property double x", "property double y", "property double z",
+                 "property double confidence", "end_header"]
         lines += [" ".join("%.17g" % v for v in (*p, c))
                   for p, c in zip(points, conf)]
         expected = ("\n".join(lines) + "\n").encode("ascii")
@@ -741,8 +741,8 @@ class TestPly:
 
     def test_empty_cloud_header_only(self):
         data = write_ply_ascii(PointSet(np.zeros((0, 3))))
-        assert data.endswith(b"element vertex 0\nproperty float x\n"
-                             b"property float y\nproperty float z\n"
+        assert data.endswith(b"element vertex 0\nproperty double x\n"
+                             b"property double y\nproperty double z\n"
                              b"end_header\n")
 
     def test_blocks_and_blank_lines_round_trip(self, monkeypatch):

@@ -68,20 +68,21 @@ def _se3_inv_loop(m):
     return out
 
 
-def rpe_loop_oracle(pred, gt):
-    """metric_rpe one step at a time, from one 4x4 matrix per pose."""
+def rpe_loop_oracle(pred, gt, square=lambda x: x * x):
+    """metric_rpe one step at a time, from one 4x4 matrix per pose; every
+    square is `square` of a float, a product unless a test passes pow."""
     trans_sq, rot_sq = [], []
     for i in range(1, len(pred)):
         rel_pred = _se3_inv_loop(_se3_loop(pred[i - 1])) @ _se3_loop(pred[i])
         rel_gt = _se3_inv_loop(_se3_loop(gt[i - 1])) @ _se3_loop(gt[i])
         err = _se3_inv_loop(rel_gt) @ rel_pred
-        trans_sq.append(float(np.sum(err[:3, 3] ** 2)))
-        r = err[:3, :3]
-        sin_angle = 0.5 * math.sqrt((r[2, 1] - r[1, 2]) ** 2
-                                    + (r[0, 2] - r[2, 0]) ** 2
-                                    + (r[1, 0] - r[0, 1]) ** 2)
-        cos_angle = (np.trace(r) - 1.0) / 2.0
-        rot_sq.append(math.atan2(sin_angle, cos_angle) ** 2)
+        trans_sq.append(sum(map(square, err[:3, 3].tolist())))
+        r = err[:3, :3].tolist()
+        sin_angle = 0.5 * math.sqrt(square(r[2][1] - r[1][2])
+                                    + square(r[0][2] - r[2][0])
+                                    + square(r[1][0] - r[0][1]))
+        cos_angle = (np.trace(err[:3, :3]) - 1.0) / 2.0
+        rot_sq.append(square(math.atan2(sin_angle, cos_angle)))
     return (math.sqrt(float(np.mean(trans_sq))),
             math.degrees(math.sqrt(float(np.mean(rot_sq)))))
 
@@ -242,9 +243,10 @@ class TestMetricRpe:
                 for pred in (make(rng, n), gt, near):
                     assert metric_rpe(pred, gt) == rpe_loop_oracle(pred, gt)
 
-    def test_one_step_squared_with_pow(self):
+    def test_one_step_squared_as_product(self):
         # rpe_rot of this step changes in its last digit when the squares of
-        # the rotation's skew terms are x * x instead of Python's x ** 2
+        # the rotation's skew terms are Python's x ** 2, libm's pow, instead
+        # of x * x: metric_rpe squares by product on every platform
         t = [[-0.852, -0.071, -1.244], [-0.998, 0.361, -0.691],
              [-0.325, -1.922, 1.254], [-0.542, -0.106, 0.765]]
         q = [[-0.08557405492593166, -0.0965450876087434,
@@ -258,6 +260,8 @@ class TestMetricRpe:
         pred = Trajectory.from_arrays(t[:2], q[:2], [0.0, 1.0])
         gt = Trajectory.from_arrays(t[2:], q[2:], [0.0, 1.0])
         assert metric_rpe(pred, gt) == rpe_loop_oracle(pred, gt)
+        assert metric_rpe(pred, gt) != rpe_loop_oracle(
+            pred, gt, square=lambda x: x ** 2)
 
 
 class TestMetricDepth:

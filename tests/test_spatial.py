@@ -30,8 +30,9 @@ def _shifted(d, valid, dy, dx):
 
 
 def _weight(cfg, sigma_r, dy, dx, cd, nd, nv):
-    spatial = np.exp(-(dy * dy + dx * dx) / (2.0 * cfg.sigma_s ** 2))
-    rng = np.exp(-((cd - nd) ** 2) / (2.0 * sigma_r ** 2))
+    sigma_s = cfg.sigma_s
+    spatial = np.exp(-(dy * dy + dx * dx) / (2.0 * (sigma_s * sigma_s)))
+    rng = np.exp(-np.square(cd - nd) / (2.0 * (sigma_r * sigma_r)))
     return np.where(nv, spatial * rng, 0.0)
 
 
@@ -106,7 +107,8 @@ def gaussian_blur_oracle(depths, valid, window, sigma_s):
                 for dx in range(-window, window + 1):
                     ny, nx = y + dy, x + dx
                     if 0 <= ny < h and 0 <= nx < w and valid[ny, nx]:
-                        wgt = np.exp(-(dy * dy + dx * dx) / (2 * sigma_s ** 2))
+                        wgt = np.exp(-(dy * dy + dx * dx)
+                                     / (2 * (sigma_s * sigma_s)))
                         wsum += wgt
                         vsum += wgt * depths[ny, nx]
             out[y, x] = vsum / wsum

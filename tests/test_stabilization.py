@@ -106,6 +106,12 @@ class TestSmoothingAlpha:
         with pytest.raises(NonPositiveDt):
             smoothing_alpha(1.0, 0.0)
 
+    @pytest.mark.parametrize("f, dt", [(1e308, 10.0), (math.inf, 1.0),
+                                       (1.0, math.inf)])
+    def test_limit_where_two_pi_f_dt_overflows(self, f, dt):
+        # 2 pi f dt overflowed to inf, and inf / inf made alpha NaN
+        assert smoothing_alpha(f, dt) == 1.0
+
     def test_range(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
@@ -363,3 +369,19 @@ def test_filter_step_on_overflowing_norm_is_non_finite_result():
     for state in (FilterState(), first):
         with pytest.raises(NonFiniteResult, match="quaternion norm overflows"):
             filter_step(state, raw, OneEuroConfig())
+
+
+def test_nan_quaternion_is_non_finite_result():
+    # a NaN norm passed quat_normalize's zero and overflow checks, so every
+    # rotation from the NaN row on was NaN
+    raw = Pose(np.zeros(3), Quaternion(1.0, math.nan, 0.0, 0.0), 1.0)
+    start = Pose(np.zeros(3), Quaternion.identity(), 0.0)
+    first, _ = filter_step(FilterState(), start, OneEuroConfig())
+    for state in (FilterState(), first):
+        with pytest.raises(NonFiniteResult, match="NaN component"):
+            filter_step(state, raw, OneEuroConfig())
+    q = np.tile([1.0, 0.0, 0.0, 0.0], (4, 1))
+    q[2, 3] = math.nan
+    traj = Trajectory.from_arrays(np.zeros((4, 3)), q, np.arange(4.0))
+    with pytest.raises(NonFiniteResult, match="NaN component"):
+        stabilize_trajectory(traj)
