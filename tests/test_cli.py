@@ -54,7 +54,7 @@ def run(capsys, argv):
 # checks outside refine; flag values are checked while argv is parsed, before
 # any file is read
 _FLAG_ARGV = {
-    **dict.fromkeys(["--fmin", "--beta-gain"],
+    **dict.fromkeys(["--fmin", "--beta-gain", "--default-dt"],
                     ["stabilize", "--in", "t.txt", "--out", "o.txt"]),
     **dict.fromkeys(["--wa", "--wr", "--ws", "--lambda1", "--lambda2",
                      "--lambda3", "--conf-loss", "--rgb-loss"],
@@ -285,7 +285,7 @@ class TestRefine:
         ("--cy", ["nan", "inf", "-inf", "x"]),
         ("--fmin", ["0", "-1", "nan", "inf", "x"]),
         ("--beta-gain", ["-0.1", "nan", "inf", "x"]),
-        ("--k-normals", ["0", "-1", "1.5", "nan", "x"]),
+        ("--default-dt", ["0.1"]),
         ("--wa", ["nan", "inf", "x"]),
         ("--wr", ["nan", "-inf"]),
         ("--ws", ["nan", "inf"]),
@@ -306,6 +306,7 @@ class TestRefine:
         ("--epsilon", ["0", "-0.0", "-1e-8", "nan", "inf", "x"]),
         ("--clip-max", ["-1", "nan", "inf"]),
         ("--initial-weight", ["-1", "nan", "inf"]),
+        ("--k-normals", ["0", "-1", "1.5", "nan", "x"]),
     ])
     def test_out_of_range_flag_usage_error(self, capsys, tmp_path, flag,
                                            values):
@@ -928,7 +929,7 @@ class TestConfigFile:
         (["eval-recon", "--pred", "c.ply", "--gt", "c.ply"], "k_normals=0"),
         (["stabilize", "--in", "t.txt", "--out", "o.txt"], "fmin=inf"),
         (["stabilize", "--in", "t.txt", "--out", "o.txt"], "beta_gain=-1"),
-        (["stabilize", "--in", "t.txt", "--out", "o.txt"], "fmin=0"),
+        (["stabilize", "--in", "t.txt", "--out", "o.txt"], "default_dt=0.1"),
         (["eval-loss", "--pred", "t.txt", "--gt", "t.txt"], "wa=nan"),
         (["eval-loss", "--pred", "t.txt", "--gt", "t.txt"], "rgb_loss=inf"),
         (["simulate"], "frames=-3"),
@@ -945,6 +946,7 @@ class TestConfigFile:
         (["simulate"], "seed=1_0"),
         (["simulate"], "frames=\u0663"),
         (["simulate"], "frames=3\x1c"),
+        (["stabilize", "--in", "t.txt", "--out", "o.txt"], "fmin=0"),
     ])
     def test_bad_value_parse_error_with_line(self, capsys, tmp_path,
                                              command, line):
