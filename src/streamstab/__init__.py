@@ -12,12 +12,13 @@ from .losses import (LossWeights, grad_pose_translations, loss_acc, loss_ate,
                      scale_normalizer)
 from .metrics import (DepthEvalMode, Similarity3, metric_ate, metric_depth,
                       metric_recon, metric_rpe, umeyama_align)
+from .simulate import stream_step
 from .spatial import (BilateralConfig, Intrinsics, bilateral_depth,
                       depth_to_points, refine_cloud)
 from .stabilization import (FilterState, OneEuroConfig, cutoff_freq,
                             filter_step, smoothing_alpha,
                             stabilize_trajectory)
 from .state_update import (MemoryState, Observation, apply_update,
-                           associative_gradient, recall_error, stream_step)
+                           associative_gradient, recall_error)
 
 __version__ = "0.1.0"

@@ -124,12 +124,12 @@ def loss_acc(pred: Trajectory) -> float:
 
 
 def loss_pose(pred: Trajectory, gt: Trajectory, w: LossWeights = LossWeights()) -> float:
-    """Weighted sum of the ATE, RPE, and acceleration terms; a term of
-    weight 0 is skipped, and so is the length it needs."""
+    """Weighted sum of the ATE, RPE and acceleration terms; a term of weight
+    0 is skipped with the length it needs, any other weight scales it."""
     total = w.w_a * loss_ate(pred, gt)
-    if w.w_r > 0:
+    if w.w_r:
         total += w.w_r * loss_rpe(pred, gt)
-    if w.w_s > 0:
+    if w.w_s:
         total += w.w_s * loss_acc(pred)
     return NonFiniteResult.check(total, "pose loss")
 
@@ -155,24 +155,24 @@ def grad_pose_translations(pred: Trajectory, gt: Trajectory,
     what a finite-difference check with frozen normalizers verifies.
     """
     n = pair_length(pred, gt)
-    if w.w_r > 0 and n < 2:
+    if w.w_r and n < 2:
         raise TooShort("RPE term needs at least 2 poses")
-    if w.w_s > 0 and n < 3:
+    if w.w_s and n < 3:
         raise TooShort("acceleration term needs at least 3 poses")
     tp, tg = pred.t, gt.t
     grad = np.zeros_like(tp)
 
-    if w.w_a > 0:
+    if w.w_a:
         sp, sg = scale_normalizer(tp), scale_normalizer(tg)
         grad += w.w_a * _unit_rows(tp / sp - tg / sg) / (sp * n)
 
-    if w.w_r > 0:
+    if w.w_r:
         step = np.diff(tp, axis=0) - np.diff(tg, axis=0)
         v = w.w_r * _unit_rows(step) / (n - 1)
         grad[1:] += v
         grad[:-1] -= v
 
-    if w.w_s > 0:
+    if w.w_s:
         u = w.w_s * _unit_rows(np.diff(tp, n=2, axis=0)) / (n - 2)
         grad[2:] += u
         grad[1:-1] -= 2.0 * u

@@ -1,8 +1,9 @@
-"""Synthetic stream generator for studying the memory-state dynamics.
+"""The stream pipeline: score a frame, then write the memory with that weight.
 
-Drives the fast-weight state with random unit keys and random values along a
-seeded random-walk trajectory, so forgetting and the adaptive learning-rate
-weight can be inspected without any real data.
+stream_step is one such step. simulate_stream drives the fast-weight state
+with random unit keys and random values along a seeded random-walk
+trajectory, so forgetting and the adaptive learning-rate weight can be
+inspected without any real data.
 """
 
 from __future__ import annotations
@@ -10,10 +11,19 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NonFiniteResult
-from .frame_scoring import score_frame
+from .frame_scoring import ScoreConfig, score_frame
 from .geometry import GrayImage, Pose, Quaternion, quat_normalize
 from .state_update import (MemoryState, Observation, apply_update,
                            associative_gradient, recall_error)
+
+
+def stream_step(state: MemoryState, prev: Pose | None, cur: Pose, img: GrayImage,
+                obs: Observation, cfg: ScoreConfig = ScoreConfig()
+                ) -> tuple[MemoryState, float]:
+    """Score the frame and write the observation with the resulting weight."""
+    beta = score_frame(prev, cur, img, cfg)
+    new_state = apply_update(state, associative_gradient(state, obs), beta)
+    return new_state, beta
 
 
 def simulate_stream(frames: int, state_dim: int, seed: int,

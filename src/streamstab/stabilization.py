@@ -66,8 +66,8 @@ def _step(state: FilterState, t, q: Quaternion, ts: float,
     x = 2.0 * math.pi * cutoff_freq(cfg, dist / dt) * dt  # as smoothing_alpha
     if not x < math.inf:  # inf, or NaN from 0 * inf in cutoff_freq
         # the same x as 2 pi (f_min dt + beta_gain dist), in which the speed
-        # dist / dt does not overflow
-        x = 2.0 * math.pi * (cfg.f_min * dt
+        # dist / dt does not overflow; a zero factor gives 0, not 0 * inf
+        x = 2.0 * math.pi * ((cfg.f_min * dt if cfg.f_min else 0.0)
                              + (cfg.beta_gain * dist if cfg.beta_gain else 0.0))
     alpha = _alpha(x)
     t = tuple(alpha * u + (1.0 - alpha) * v for u, v in zip(t, state.last_t))

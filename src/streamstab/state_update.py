@@ -1,9 +1,9 @@
 """Fast-weight memory state updated once per frame.
 
 The state is an n x c linear associative memory written with delta-rule
-gradient steps; the per-frame learning rate comes from frame_scoring. A
-learning rate far from (0, 2) makes the state grow without bound: a gradient,
-state or recall error that is not finite is a NonFiniteResult.
+gradient steps of any learning rate; simulate.stream_step takes it from the
+frame score. A rate far from (0, 2) makes the state grow without bound: a
+gradient, state or recall error that is not finite is a NonFiniteResult.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, EmptySet, NonFiniteResult
-from .frame_scoring import ScoreConfig, score_frame
-from .geometry import GrayImage, Pose
 
 
 @dataclass(frozen=True)
@@ -63,15 +61,6 @@ def apply_update(state: MemoryState, gradient: np.ndarray, beta: float) -> Memor
     with np.errstate(over="ignore", invalid="ignore"):
         return MemoryState(NonFiniteResult.check(
             state.values - beta * gradient, "memory state", "it diverges"))
-
-
-def stream_step(state: MemoryState, prev: Pose | None, cur: Pose, img: GrayImage,
-                obs: Observation, cfg: ScoreConfig = ScoreConfig()
-                ) -> tuple[MemoryState, float]:
-    """Score the frame and write the observation with the resulting weight."""
-    beta = score_frame(prev, cur, img, cfg)
-    new_state = apply_update(state, associative_gradient(state, obs), beta)
-    return new_state, beta
 
 
 def recall_error(state: MemoryState, observations: list[Observation]) -> float:

@@ -673,6 +673,24 @@ class TestEval:
         assert all(abs(v) < 1e-9 for v in values)
 
 
+    @pytest.mark.parametrize("flag", ["--wa", "--wr", "--ws"])
+    def test_eval_loss_negative_weight_scales_its_term(self, capsys, tmp_path,
+                                                       flag):
+        # a term of negative weight was dropped: --wr -1 printed --wr 0's pose
+        rng = np.random.default_rng(15)
+        pred, gt = tmp_path / "p.txt", tmp_path / "g.txt"
+        pred.write_text(write_trajectory_tum(random_trajectory(rng, 6)))
+        gt.write_text(write_trajectory_tum(random_trajectory(rng, 6)))
+        weights = {"--wa": 1.0, "--wr": 1.0, "--ws": 1.0, flag: -1.0}
+        code, out, err = run(capsys, ["eval-loss", "--pred", str(pred),
+                                      "--gt", str(gt), flag, "-1"])
+        assert (code, err) == (0, "")
+        ate, rpe, acc, pose, _, _, total = (
+            float(v) for v in out.splitlines()[1].split(","))
+        assert pose == (ate * weights["--wa"] + rpe * weights["--wr"]
+                        + acc * weights["--ws"])
+        assert total == pose
+
     @pytest.mark.parametrize("flags, name", [
         (["--ws", "1e308"], "pose"), (["--wa", "1e308", "--wr", "1e308"], "pose"),
         (["--conf-loss", "1e308", "--lambda1", "2"], "total")])
@@ -1327,11 +1345,10 @@ def test_value_error_neither_caught_by_main_nor_raised_in_src():
 
 def test_only_the_pipelines_import_algorithm_modules():
     # values (errors, geometry) at the bottom, algorithms above them: only the
-    # stream step, the simulator and the CLI compose algorithm modules, and
-    # the package's __init__ and __main__ re-export them
+    # stream pipeline and the CLI compose algorithm modules, and the
+    # package's __init__ and __main__ re-export them
     src = Path(cli.__file__).parent
-    composers = {"state_update.py", "simulate.py", "cli.py",
-                 "__init__.py", "__main__.py"}
+    composers = {"simulate.py", "cli.py", "__init__.py", "__main__.py"}
     stray = []
     for path in sorted(src.glob("*.py")):
         if path.name in composers:

@@ -166,37 +166,39 @@ def _cells(name: str, data: bytes) -> list:
     return re.split(rb"[\s,]+", data.strip())
 
 
-def cell_diff(name: str, old: bytes, new: bytes) -> tuple[int, float, float]:
-    """(changed cells, largest |new - old|, largest |new - old| / |old|)
-    between two versions of a golden file. A changed cell that is not a
-    number, or that one version lacks, counts as an infinite change."""
+def cell_diff(name: str, old: bytes, new: bytes
+              ) -> tuple[int, int, float, float]:
+    """(changed numeric cells, changed text cells, largest |new - old|,
+    largest |new - old| / |old|) between two versions of a golden file. A
+    changed cell that is not a number in both versions, or that one version
+    lacks, is a text cell; the largest changes are over numeric cells."""
     a, b = _cells(name, old), _cells(name, new)
-    changed = abs(len(a) - len(b))
-    largest = largest_rel = math.inf if changed else 0.0
+    numeric, text = 0, abs(len(a) - len(b))
+    largest = largest_rel = 0.0
     for x, y in zip(a, b):
         if x == y:
             continue
-        changed += 1
         try:
             x, y = float(x), float(y)
         except ValueError:
-            largest = largest_rel = math.inf
+            text += 1
             continue
+        numeric += 1
         delta = abs(y - x)
         largest = max(largest, delta)
         largest_rel = max(largest_rel, delta / abs(x) if x else math.inf)
-    return changed, largest, largest_rel
+    return numeric, text, largest, largest_rel
 
 
 def test_cell_diff():
     old = b"i,r\n0,0.5,x\n1,2\n"
-    assert cell_diff("a.stdout", old, old) == (0, 0.0, 0.0)
+    assert cell_diff("a.stdout", old, old) == (0, 0, 0.0, 0.0)
     assert cell_diff("a.stdout", old, b"i,r\n0,0.5000001,x\n1,2\n") == (
-        1, abs(0.5000001 - 0.5), abs(0.5000001 - 0.5) / 0.5)
+        1, 0, abs(0.5000001 - 0.5), abs(0.5000001 - 0.5) / 0.5)
     assert cell_diff("a.stdout", old, b"i,r\n0,0.5,y\n1,3\n") == (
-        2, math.inf, math.inf)
+        1, 1, 1.0, 0.5)
     assert cell_diff("a.stdout", old, b"i,r\n0,0.5,x\n1\n") == (
-        1, math.inf, math.inf)
+        0, 1, 0.0, 0.0)
 
 
 def test_cli_matches_golden(tmp_path):
@@ -258,10 +260,11 @@ if __name__ == "__main__":
             data = outputs.get(name, b"")
             if data != old:
                 differs = True
-                changed, largest, largest_rel = cell_diff(name, old, data)
-                print(f"{name}: {changed} cells changed, largest |delta| "
-                      f"{largest:.3g}, largest relative |delta| "
-                      f"{largest_rel:.3g}")
+                numeric, text, largest, largest_rel = cell_diff(name, old,
+                                                                data)
+                print(f"{name}: {numeric} numeric cells changed, largest "
+                      f"|delta| {largest:.3g}, largest relative |delta| "
+                      f"{largest_rel:.3g}; {text} text cells changed")
         sys.exit(1 if differs else 0)
     else:
         GOLDEN.mkdir(exist_ok=True)

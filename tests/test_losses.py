@@ -46,19 +46,19 @@ def grad_loop_oracle(pred, gt, w):
     tp, tg = pred.t, gt.t
     n = len(tp)
     grad = np.zeros_like(tp)
-    if w.w_a > 0:
+    if w.w_a != 0:
         sp, sg = scale_normalizer(tp), scale_normalizer(tg)
         for t in range(n):
             u = _safe_unit(tp[t] / sp - tg[t] / sg)
             grad[t] += w.w_a * u / (sp * n)
-    if w.w_r > 0:
+    if w.w_r != 0:
         dtp = np.diff(tp, axis=0)
         dtg = np.diff(tg, axis=0)
         for t in range(n - 1):
             v = _safe_unit(dtp[t] - dtg[t])
             grad[t + 1] += w.w_r * v / (n - 1)
             grad[t] -= w.w_r * v / (n - 1)
-    if w.w_s > 0:
+    if w.w_s != 0:
         d2 = np.diff(tp, n=2, axis=0)
         for t in range(n - 2):
             u = _safe_unit(d2[t])
@@ -404,8 +404,18 @@ class TestGradPoseTranslations:
         assert (after - base) / h == pytest.approx(grad[0, 0], abs=1e-5)
 
     def test_matches_finite_differences(self):
+        self.check_finite_differences(LossWeights(1.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("weights", [(-1.0, 1.0, 1.0), (1.0, -1.0, 1.0),
+                                         (1.0, 1.0, -1.0), (-0.3, -2.0, 0.7)])
+    def test_negative_weights_match_finite_differences(self, weights):
+        # a negative weight scales its term: a term of weight <= 0 was
+        # dropped from the gradient while loss_pose kept the ATE term
+        self.check_finite_differences(LossWeights(*weights))
+
+    @staticmethod
+    def check_finite_differences(w):
         rng = np.random.default_rng(11)
-        w = LossWeights(1.0, 1.0, 1.0)
         h = 1e-5
         for _ in range(20):
             pred = random_trajectory(rng, 10)
@@ -429,7 +439,9 @@ class TestGradPoseTranslations:
 
     @pytest.mark.parametrize("weights", [(1.0, 1.0, 1.0), (1.0, 0.0, 0.0),
                                          (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
-                                         (0.3, 2.0, 0.7)])
+                                         (0.3, 2.0, 0.7), (-1.0, 0.0, 0.0),
+                                         (0.0, -1.0, 0.0), (0.0, 0.0, -1.0),
+                                         (-0.3, 2.0, -0.7)])
     def test_matches_loop_oracle(self, weights):
         w = LossWeights(*weights)
         for pred, gt in oracle_pairs():

@@ -174,6 +174,17 @@ class TestFilterStep:
         _, out = filter_step(state, Pose(np.array([dist, 0, 0]), e, dt), cfg)
         assert out.t[0] / dist == pytest.approx(alpha, rel=1e-15, abs=0.0)
 
+    def test_alpha_where_dt_overflows_and_fmin_is_zero(self):
+        # dt = 1e308 - (-1e308) is inf and f_min * dt was 0 * inf, NaN: an
+        # InvalidGamma; with f_min 0, x = 2 pi beta_gain dist = pi
+        e = Quaternion.identity()
+        cfg = OneEuroConfig(f_min=0.0, beta_gain=0.5)
+        state, _ = filter_step(FilterState(), Pose(np.zeros(3), e, -1e308),
+                               cfg)
+        _, out = filter_step(state, Pose(np.array([1.0, 0, 0]), e, 1e308), cfg)
+        assert out.t[0] == pytest.approx(math.pi / (math.pi + 1), rel=1e-15,
+                                         abs=0.0)
+
     def test_pinned_alpha_midpoint(self):
         e = Quaternion.identity()
         h = math.sqrt(0.5)

@@ -128,6 +128,15 @@ class TestStreamStep:
         assert beta > 0
         assert np.allclose(out.values, values)
 
+    def test_lives_with_the_stream_pipeline(self):
+        # the memory layer composes no algorithm module: scoring a frame and
+        # then writing it is the stream pipeline's step
+        import streamstab
+        import streamstab.simulate
+        import streamstab.state_update
+        assert streamstab.stream_step is streamstab.simulate.stream_step
+        assert not hasattr(streamstab.state_update, "stream_step")
+
 
 class TestRecallError:
     def test_exact_recall_zero(self):
@@ -213,7 +222,7 @@ class TestDivergence:
 
     @pytest.mark.parametrize("beta", [1e10, 1e200])
     def test_stream_step_raises(self, beta, monkeypatch):
-        monkeypatch.setattr("streamstab.state_update.score_frame",
+        monkeypatch.setattr("streamstab.simulate.score_frame",
                             lambda *args: beta)
         rng = np.random.default_rng(12)
         state, obs = MemoryState.zeros(8, 8), self.observation(rng)
