@@ -68,8 +68,17 @@ def median(x: np.ndarray) -> float:
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    """Rotation matrices (..., 3, 3) of scalar-first unit quaternions (..., 4)."""
+    """Rotation matrices (..., 3, 3) of scalar-first unit quaternions (..., 4).
+
+    A row whose norm is not within _UNIT_TOL of 1, NaN included, raises
+    NonUnitQuaternion, as one Quaternion does in _require_unit."""
     w, x, y, z = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    with np.errstate(over="ignore"):
+        norm = np.sqrt(w * w + x * x + y * y + z * z).reshape(-1)
+    bad = np.flatnonzero(~(np.abs(norm - 1.0) <= _UNIT_TOL))
+    if bad.size:
+        raise NonUnitQuaternion(
+            f"quaternion row {bad[0]} has norm {norm[bad[0]]}, expected 1")
     return np.stack([
         1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
         2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),

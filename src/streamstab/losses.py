@@ -52,7 +52,9 @@ def loss_conf(pred: PointSet, gt: PointSet, alpha: float = 0.2) -> float:
     s_gt = scale_normalizer(gt.points)
     residuals = np.linalg.norm(pred.points / s_pred - gt.points / s_gt, axis=1)
     conf = pred.confidences
-    return float(np.sum(conf * residuals - alpha * np.log(conf)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return NonFiniteResult.check(float(np.sum(
+            conf * residuals - alpha * np.log(conf))), "confidence loss")
 
 
 def loss_rgb(pred: np.ndarray, gt: np.ndarray) -> float:
@@ -61,7 +63,10 @@ def loss_rgb(pred: np.ndarray, gt: np.ndarray) -> float:
     gt = np.asarray(gt, dtype=float)
     if pred.shape != gt.shape:
         raise ShapeMismatch("rasters must have the same shape")
-    return float(np.sum(np.square(pred - gt)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return NonFiniteResult.check(float(np.sum(np.square(pred - gt))),
+                                     "RGB loss", "a raster value is not finite"
+                                     " or its squared difference overflows")
 
 
 def hemisphere_align(quats: np.ndarray) -> np.ndarray:
@@ -90,9 +95,12 @@ def loss_ate(pred: Trajectory, gt: Trajectory) -> float:
         raise EmptyTrajectory("loss_ate needs at least one pose")
     tp, tg = pred.t, gt.t
     sp, sg = scale_normalizer(tp), scale_normalizer(tg)
-    trans = np.linalg.norm(tp / sp - tg / sg, axis=1)
-    qdots = np.minimum(np.abs(np.sum(pred.q * gt.q, axis=1)), 1.0)
-    return float(np.mean(trans + (1.0 - qdots)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        trans = np.linalg.norm(tp / sp - tg / sg, axis=1)
+        qdots = np.minimum(np.abs(np.sum(pred.q * gt.q, axis=1)), 1.0)
+        return NonFiniteResult.check(float(np.mean(trans + (1.0 - qdots))),
+                                     "ATE loss", "a quaternion is not finite"
+                                     " or its product overflows")
 
 
 def loss_rpe(pred: Trajectory, gt: Trajectory) -> float:

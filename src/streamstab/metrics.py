@@ -66,14 +66,13 @@ def umeyama_align(src, dst, with_scale: bool = True) -> Similarity3:
             cov, "alignment cross-covariance", _OUT_OF_RANGE))
         if d[1] < 1e-12 * max(d[0], 1e-300):
             raise DegenerateConfiguration("points are collinear or coincident")
-        s = np.eye(3)
-        if np.linalg.det(u) * np.linalg.det(vt) < 0:
-            s[2, 2] = -1.0
-        rotation = u @ s @ vt
+        if np.linalg.det(u) * np.linalg.det(vt) < 0:  # a reflection
+            u[:, 2], d[2] = -u[:, 2], -d[2]
+        rotation = u @ vt
         if with_scale:  # an inf variance would make the scale 0
             var_src = NonFiniteResult.check(np.mean(np.sum(
                 np.square(src_c), axis=1)), "alignment variance", _OUT_OF_RANGE)
-            scale = float(np.trace(np.diag(d) @ s) / var_src)
+            scale = float(np.sum(d) / var_src)
         else:
             scale = 1.0
         translation = mu_dst - scale * rotation @ mu_src
@@ -92,17 +91,12 @@ def metric_ate(pred: Trajectory, gt: Trajectory, with_scale: bool = False) -> fl
             np.square(residuals), axis=1)))), "ATE", _OUT_OF_RANGE)
 
 
-def _se3(r: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """(N, 4, 4) rigid transforms of rotations (N, 3, 3), translations (N, 3)."""
-    m = np.zeros((len(r), 4, 4))
-    m[:, :3, :3], m[:, :3, 3], m[:, 3, 3] = r, t, 1.0
-    return m
-
-
-def _relative(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """inv(a) @ b for stacks of rigid (N, 4, 4) transforms."""
-    rt = a[:, :3, :3].transpose(0, 2, 1)
-    return _se3(rt, (-rt @ a[:, :3, 3:])[:, :, 0]) @ b
+def _relative(ra: np.ndarray, ta: np.ndarray, rb: np.ndarray,
+              tb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """inv(a) @ b for stacks of rigid motions a = (ra, ta), b = (rb, tb):
+    rotations (N, 3, 3) and translations (N, 3)."""
+    rt = ra.transpose(0, 2, 1)
+    return rt @ rb, (rt @ tb[:, :, None] - rt @ ta[:, :, None])[:, :, 0]
 
 
 def metric_rpe(pred: Trajectory, gt: Trajectory) -> tuple[float, float]:
@@ -114,10 +108,10 @@ def metric_rpe(pred: Trajectory, gt: Trajectory) -> tuple[float, float]:
     if n < 2:
         raise TooShort("RPE needs at least 2 poses")
     with np.errstate(over="ignore", invalid="ignore"):  # checked at the end
-        mp, mg = (_se3(quat_to_matrix(x.q), x.t) for x in (pred, gt))
-        err = _relative(_relative(mg[:-1], mg[1:]), _relative(mp[:-1], mp[1:]))
-        trans_sq = np.sum(np.square(err[:, :3, 3]), axis=1)
-        r = err[:, :3, :3]
+        rp, rg = quat_to_matrix(pred.q), quat_to_matrix(gt.q)
+        r, t = _relative(*_relative(rg[:-1], gt.t[:-1], rg[1:], gt.t[1:]),
+                         *_relative(rp[:-1], pred.t[:-1], rp[1:], pred.t[1:]))
+        trans_sq = np.sum(np.square(t), axis=1)
         # atan2 form is well conditioned near the identity, unlike acos
         sin_angle = 0.5 * np.sqrt(np.square(r[:, 2, 1] - r[:, 1, 2])
                                   + np.square(r[:, 0, 2] - r[:, 2, 0])

@@ -228,3 +228,24 @@ def test_overflowing_norm_is_not_unit():
         quat_geodesic_angle(OVERFLOWING, Quaternion.identity())
     with pytest.raises(NonUnitQuaternion, match="norm inf"):
         quat_geodesic_angle(Quaternion.identity(), OVERFLOWING)
+
+
+# a row that is not a unit quaternion, and the norm quat_to_matrix reports
+@pytest.mark.parametrize("row, norm", [([1.0, 1.0, 1.0, 1.0], "2.0"),
+                                       ([0.0, 0.0, 0.0, 0.0], "0.0"),
+                                       ([1.0, math.nan, 0.0, 0.0], "nan"),
+                                       ([1e200, 0.0, 0.0, 0.0], "inf")])
+def test_quat_to_matrix_rejects_non_unit_row(row, norm):
+    # the matrix of a non-unit row is not a rotation: RPE read it silently
+    q = np.tile([0.5, 0.5, 0.5, 0.5], (5, 1))
+    q[3] = row
+    with pytest.raises(NonUnitQuaternion, match=f"^quaternion row 3 has norm "
+                                                f"{norm}, expected 1$"):
+        geometry.quat_to_matrix(q)
+    with pytest.raises(NonUnitQuaternion, match="row 0"):
+        geometry.quat_to_matrix(row)
+
+
+def test_quat_to_matrix_takes_rows_within_unit_tolerance():
+    q = np.array([[1.0 + 9e-7, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0 - 9e-7]])
+    assert geometry.quat_to_matrix(q).shape == (2, 3, 3)

@@ -148,6 +148,12 @@ class TestLossConf:
             loss_conf(PointSet(np.ones((2, 3)), np.ones(2)),
                       PointSet(np.ones((3, 3))), 0.2)
 
+    def test_overflowing_weighted_residual(self):
+        # a residual above 1.8 times a confidence of 1e308 overflows
+        pts = np.random.default_rng(38).standard_normal((4, 3))
+        with pytest.raises(NonFiniteResult, match="^confidence loss"):
+            loss_conf(PointSet(pts, np.full(4, 1e308)), PointSet(-pts))
+
     @pytest.mark.parametrize("conf", [[1.0, 0.0, -1.0], [1.0, math.nan, 1.0],
                                       [1.0, math.inf, 1.0], [1.0, 1.0, -0.0],
                                       [1.0, 1.0], [1.0, 1.0, 1.0, 1.0]])
@@ -179,6 +185,12 @@ class TestLossRgb:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             loss_rgb(np.zeros((2, 2)), np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("pred, gt", [([1e200], [-1e200]),
+                                          ([math.nan], [0.0])])
+    def test_non_finite(self, pred, gt):
+        with pytest.raises(NonFiniteResult, match="^RGB loss"):
+            loss_rgb(pred, gt)
 
 
 @pytest.mark.parametrize("func", [loss_ate, loss_rpe, loss_pose,
@@ -229,6 +241,16 @@ class TestLossAte:
             base = loss_ate(pred, gt)
             scaled = Trajectory([Pose(7.3 * p.t, p.q, p.timestamp) for p in pred])
             assert loss_ate(scaled, gt) == pytest.approx(base, abs=1e-9)
+
+    def test_nan_quaternion(self):
+        # from_arrays does not check quaternions; the loss was nan
+        gt = random_trajectory(np.random.default_rng(39), 5)
+        q = gt.q.copy()
+        q[2, 1] = math.nan
+        pred = Trajectory.from_arrays(gt.t, q, gt.ts)
+        for pair in ((pred, gt), (gt, pred)):
+            with pytest.raises(NonFiniteResult, match="^ATE loss"):
+                loss_ate(*pair)
 
 
 class TestHemisphereAlign:

@@ -9,8 +9,9 @@ from streamstab import (DepthEvalMode, DepthMap, PointSet, Pose, Quaternion,
                         metric_rpe, umeyama_align)
 from streamstab.errors import (DegenerateConfiguration, InvalidValue,
                                LengthMismatch, NoOverlappingValidity,
-                               NonFiniteResult, ShapeMismatch, ToolkitError,
-                               TooFewPoints, TooShort)
+                               NonFiniteResult, NonUnitQuaternion,
+                               ShapeMismatch, ToolkitError, TooFewPoints,
+                               TooShort)
 from streamstab.geometry import quat_to_matrix
 from streamstab.metrics import estimate_normals
 
@@ -87,6 +88,23 @@ def rpe_loop_oracle(pred, gt, square=lambda x: x * x):
             math.degrees(math.sqrt(float(np.mean(rot_sq)))))
 
 
+def umeyama_eye_diag_oracle(src, dst, with_scale):
+    """umeyama_align with the reflection as s = diag(1, 1, -1) in u @ s @ vt
+    and the scale as trace(diag(d) @ s) / var (the old form); returns the
+    scale, rotation and translation, and whether the reflection was taken."""
+    mu_src, mu_dst = src.mean(axis=0), dst.mean(axis=0)
+    src_c, dst_c = src - mu_src, dst - mu_dst
+    u, d, vt = np.linalg.svd(dst_c.T @ src_c / len(src))
+    s = np.eye(3)
+    if np.linalg.det(u) * np.linalg.det(vt) < 0:
+        s[2, 2] = -1.0
+    rotation = u @ s @ vt
+    scale = (float(np.trace(np.diag(d) @ s)
+                   / np.mean(np.sum(np.square(src_c), axis=1)))
+             if with_scale else 1.0)
+    return scale, rotation, mu_dst - scale * rotation @ mu_src, s[2, 2] < 0
+
+
 def brute_force_recon(pred_pts, gt_pts, k_normals=16):
     """Nested-loop nearest-neighbor oracle for acc/comp/nc."""
     def nn(query, ref):
@@ -158,6 +176,27 @@ class TestUmeyama:
             res_aligned = np.sum((sim.apply(src) - dst) ** 2)
             res_identity = np.sum((src - dst) ** 2)
             assert res_aligned <= res_identity + 1e-9
+
+    @pytest.mark.parametrize("with_scale", [False, True])
+    def test_matches_eye_diag_oracle_bit_for_bit(self, with_scale):
+        # mirrored sets take the reflection branch, random sets either
+        rng = np.random.default_rng(35)
+        reflected = {False: 0, True: 0}
+        for i in range(400):
+            src = rng.standard_normal((int(rng.integers(3, 40)), 3))
+            mirrored = i % 2 == 1
+            dst = (src * [1, 1, -1] + 0.05 * rng.standard_normal(src.shape)
+                   if mirrored else rng.standard_normal(src.shape))
+            sim = umeyama_align(src, dst, with_scale)
+            scale, rotation, translation, flip = umeyama_eye_diag_oracle(
+                src, dst, with_scale)
+            assert sim.scale == scale
+            assert np.array_equal(sim.rotation, rotation)
+            assert np.array_equal(sim.translation, translation)
+            reflected[mirrored] += flip
+        # three points are planar, and a planar set's mirror image is also a
+        # rotation of it
+        assert reflected[True] > 180 and 0 < reflected[False] < 200
 
 
 class TestMetricAte:
@@ -262,6 +301,30 @@ class TestMetricRpe:
         assert metric_rpe(pred, gt) == rpe_loop_oracle(pred, gt)
         assert metric_rpe(pred, gt) != rpe_loop_oracle(
             pred, gt, square=lambda x: x ** 2)
+
+    @pytest.mark.parametrize("row, norm", [([1.0, 1.0, 1.0, 1.0], "2.0"),
+                                           ([0.0, 0.0, 0.0, 0.0], "0.0"),
+                                           ([1.0, math.nan, 0.0, 0.0], "nan"),
+                                           ([1e200, 0.0, 0.0, 0.0], "inf")])
+    def test_non_unit_quaternion_row(self, row, norm):
+        # from_arrays does not normalise: a non-unit row read as a rotation
+        # gave a wrong RPE, not an error
+        gt = random_trajectory(np.random.default_rng(36), 6)
+        q = gt.q.copy()
+        q[3] = row
+        pred = Trajectory.from_arrays(gt.t, q, gt.ts)
+        for pair in ((pred, gt), (gt, pred)):
+            with pytest.raises(NonUnitQuaternion,
+                               match=f"row 3 has norm {norm}, expected 1"):
+                metric_rpe(*pair)
+
+    def test_doubled_quaternions(self):
+        # 2q holds the rotations of q, but its matrices are not rotations:
+        # the RPE read a nonzero error, not (0, 0)
+        gt = random_trajectory(np.random.default_rng(37), 6)
+        pred = Trajectory.from_arrays(gt.t, 2.0 * gt.q, gt.ts)
+        with pytest.raises(NonUnitQuaternion, match="row 0 has norm"):
+            metric_rpe(pred, gt)
 
 
 class TestMetricDepth:
