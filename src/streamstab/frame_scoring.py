@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import (DegenerateConfiguration, EmptyImage, NegativeMagnitude,
                      NonFiniteResult)
-from .geometry import GrayImage, Pose, relative_pose
+from .geometry import GrayImage, Pose, _halves, relative_pose
 
 
 @dataclass(frozen=True)
@@ -46,21 +46,36 @@ def dft2_magnitude_centered(img: GrayImage) -> np.ndarray:
     """Magnitude of the 2D DFT, zero frequency shifted to the center
     (DC sits at (H//2, W//2)).
 
-    Built from the half spectrum of `rfft2`: the columns left of centre are
-    mirrored from it by Hermitian symmetry, |X[r, -k]| = |X[-r, k]|.
+    Built from the half spectrum of `rfft2` (columns k = 0 .. W//2), made in
+    its two passes, rfft along the rows, then fft along the columns, each
+    split in halves between the caller and the worker: every line sees the
+    same arithmetic. The columns left of centre are mirrored from it by
+    Hermitian symmetry, |X[r, -k]| = |X[-r, k]|.
     """
-    h, w = img.pixels.shape
-    half = np.abs(np.fft.rfft2(img.pixels))  # columns k = 0 .. w // 2
+    px = img.pixels
+    h, w = px.shape
     r0, c = h // 2, w // 2  # centred row and column of DC
+    spec = np.empty((h, c + 1), complex)
+    half = np.empty(spec.shape)
     full = np.empty((h, w))
-    # k >= 0: rows rolled by r0, as fftshift does
-    full[r0:, c:] = half[:h - r0, :w - c]
-    full[:r0, c:] = half[h - r0:, :w - c]
-    # k = -1 .. -c, read right to left from the centre: row i holds
-    # frequency i - r0, so its mirror is row -(i - r0) of the half spectrum
-    left = full[:, :c][:, ::-1]
-    left[:r0 + 1] = half[r0::-1, 1:c + 1]
-    left[r0 + 1:] = half[:r0:-1, 1:c + 1]
+    left = full[:, :c][:, ::-1]  # column j holds k = -(j + 1)
+
+    def columns(k0, k1):
+        np.fft.fft(spec[:, k0:k1], axis=0, out=spec[:, k0:k1])  # in place
+        np.abs(spec[:, k0:k1], out=half[:, k0:k1])
+        # k >= 0: rows rolled by r0, as fftshift does
+        kr = min(k1, w - c)
+        full[r0:, c + k0:c + kr] = half[:h - r0, k0:kr]
+        full[:r0, c + k0:c + kr] = half[h - r0:, k0:kr]
+        # k = -1 .. -c: row i holds frequency i - r0, so its mirror is row
+        # -(i - r0) of the half spectrum
+        kl = max(k0, 1)
+        left[:r0 + 1, kl - 1:k1 - 1] = half[r0::-1, kl:k1]
+        left[r0 + 1:, kl - 1:k1 - 1] = half[:r0:-1, kl:k1]
+
+    _halves(lambda i0, i1: np.fft.rfft(px[i0:i1], axis=1, out=spec[i0:i1]),
+            h, h)
+    _halves(columns, c + 1, h)
     return full
 
 

@@ -3,11 +3,18 @@
 Quaternions are scalar-first (w, x, y, z) internally; the file I/O layer
 converts to/from on-disk conventions. All operations are pure functions on
 immutable values.
+
+The process's one worker thread, which the array stages split their work
+with, lives here too, so that every module above can reach it.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import queue
+import threading
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -41,21 +48,8 @@ class Quaternion(NamedTuple):
         return (self.w * other.w + self.x * other.x
                 + self.y * other.y + self.z * other.z)
 
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
     def __neg__(self) -> "Quaternion":
         return Quaternion(-self.w, -self.x, -self.y, -self.z)
-
-    def multiply(self, other: "Quaternion") -> "Quaternion":
-        w1, x1, y1, z1 = self.w, self.x, self.y, self.z
-        w2, x2, y2, z2 = other.w, other.x, other.y, other.z
-        return Quaternion(
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        )
 
 
 def median(x: np.ndarray) -> float:
@@ -253,3 +247,83 @@ def relative_pose(prev: Pose, cur: Pose) -> tuple[np.ndarray, float]:
     delta_t = cur.t - prev.t
     delta_angle = quat_geodesic_angle(prev.q, cur.q)
     return delta_t, delta_angle
+
+
+# -- the worker thread ------------------------------------------------------
+
+# a split runs both halves in the caller below this many rows, where handing
+# one half to the worker costs more than it saves
+_SPLIT_ROWS = 64
+# threads a split may use: the caller's and at most one worker's, within the
+# CPUs this process may run on (sched_getaffinity is Linux-only)
+_THREADS = min(2, len(os.sched_getaffinity(0))
+               if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+_worker = None  # (pid, thread id, job queue), started on first use
+_worker_start = threading.Lock()
+
+
+def _serve(jobs: queue.SimpleQueue) -> None:
+    while True:
+        context, job, done = jobs.get()
+        context.run(job)
+        # drop the finished job, and the buffers its closure holds, before
+        # its caller goes on
+        del context, job
+        done.release()
+
+
+def _in_parallel(upper, lower) -> None:
+    """Run `lower` on the process's one worker thread, in a copy of the
+    caller's context (so np.errstate holds there too), while the caller runs
+    `upper`; an exception of the worker is raised again in the caller once
+    both have finished. Each call waits on its own lock, so concurrent
+    callers queue their jobs. The worker starts on first use, and again in a
+    forked child; a call made on the worker runs both in the caller."""
+    global _worker
+    if _worker is None or _worker[0] != os.getpid():
+        with _worker_start:
+            if _worker is None or _worker[0] != os.getpid():
+                jobs = queue.SimpleQueue()
+                thread = threading.Thread(target=_serve, args=(jobs,),
+                                          name="streamstab-worker", daemon=True)
+                thread.start()
+                _worker = (os.getpid(), thread.ident, jobs)
+    _, ident, jobs = _worker
+    if threading.get_ident() == ident:
+        upper()
+        lower()
+        return
+    errors = []
+
+    def job():
+        try:
+            lower()
+        except BaseException as exc:
+            errors.append(exc)
+
+    done = threading.Lock()
+    done.acquire()
+    jobs.put((contextvars.copy_context(), job, done))
+    try:
+        upper()
+    finally:
+        done.acquire()
+    if errors:
+        raise errors[0]
+
+
+def _split(first, second, rows: int) -> None:
+    """first() in the caller while the worker runs second(), for an array of
+    `rows` rows on two CPUs; else both in the caller, in that order."""
+    if rows < _SPLIT_ROWS or _THREADS < 2:
+        first()
+        second()
+    else:
+        _in_parallel(first, second)
+
+
+def _halves(run, n: int, rows: int) -> None:
+    """run(0, n // 2) and run(n // 2, n), split as _split splits them; each
+    half writes only its own part of buffers the caller allocated."""
+    m = n // 2
+    _split(lambda: run(0, m), lambda: run(m, n), rows)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (InvalidValue, MissingProperty, NonMonotonicTimestamps,
                      ParseError, UnsupportedMagic)
-from .geometry import DepthMap, GrayImage, PointSet, Trajectory
+from .geometry import DepthMap, GrayImage, PointSet, Trajectory, _halves
 
 # lines per np.array call in the TUM and PLY readers, and vertex lines per
 # format_rows call in the PLY writer: a whole cloud's split fields would take
@@ -230,10 +230,23 @@ def read_pfm(data: bytes) -> DepthMap:
         raise ParseError("invalid PFM dimensions or scale")
     payload = _payload(data, offset, width * height * 4, "PFM")
     endian = "<" if scale < 0 else ">"
-    depths = np.frombuffer(payload, dtype=endian + "f4").astype(float)
-    depths = depths.reshape(height, width)[::-1]  # PFM rows are bottom-up
-    valid = np.isfinite(depths) & (depths > 0)
-    depths = np.where(valid, depths, 0.0)
+    raw = np.frombuffer(payload, dtype=endian + "f4").reshape(height, width)
+    raw = raw[::-1]  # PFM rows are bottom-up
+    # cast, tested and zeroed by row halves, into arrays the caller allocates
+    depths = np.empty((height, width))
+    valid = np.empty((height, width), dtype=bool)
+    invalid = np.empty_like(valid)
+
+    def rows(r0, r1):
+        d, ok, bad = depths[r0:r1], valid[r0:r1], invalid[r0:r1]
+        np.copyto(d, raw[r0:r1])
+        np.less(d, math.inf, out=bad)  # finite and > 0: NaN fails both
+        np.greater(d, 0.0, out=ok)
+        np.logical_and(ok, bad, out=ok)
+        np.logical_not(ok, out=bad)
+        np.copyto(d, 0.0, where=bad)
+
+    _halves(rows, height, height)
     return DepthMap(depths, valid)
 
 

@@ -108,9 +108,9 @@ def loss_rpe(pred: Trajectory, gt: Trajectory) -> float:
     n = pair_length(pred, gt)
     if n < 2:
         raise TooShort("loss_rpe needs at least 2 poses")
-    dqp = np.diff(hemisphere_align(pred.q), axis=0)
-    dqg = np.diff(hemisphere_align(gt.q), axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
+        dqp = np.diff(hemisphere_align(pred.q), axis=0)
+        dqg = np.diff(hemisphere_align(gt.q), axis=0)
         dt = np.diff(pred.t, axis=0) - np.diff(gt.t, axis=0)
         terms = (np.linalg.norm(dt, axis=1)
                  + np.linalg.norm(dqp - dqg, axis=1))
@@ -123,8 +123,8 @@ def loss_acc(pred: Trajectory) -> float:
     n = len(pred)
     if n < 3:
         raise TooShort("loss_acc needs at least 3 poses")
-    d2q = np.diff(hemisphere_align(pred.q), n=2, axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
+        d2q = np.diff(hemisphere_align(pred.q), n=2, axis=0)
         d2t = np.diff(pred.t, n=2, axis=0)
         terms = np.linalg.norm(d2t, axis=1) + np.linalg.norm(d2q, axis=1)
         return NonFiniteResult.check(float(np.mean(terms)),
@@ -150,8 +150,10 @@ def loss_total(conf: float, rgb: float, pose: float,
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:
-    """Rows of v scaled to unit length; a zero row stays zero (subgradient)."""
+    """Rows of v scaled to unit length; a zero row stays zero (subgradient).
+    A row whose norm is not finite raises NonFiniteResult."""
     norm = np.linalg.norm(v, axis=1, keepdims=True)
+    NonFiniteResult.check(norm, "pose-loss gradient", _OVERFLOW)
     return np.divide(v, norm, out=np.zeros_like(v), where=norm != 0.0)
 
 
@@ -174,16 +176,19 @@ def grad_pose_translations(pred: Trajectory, gt: Trajectory,
         sp, sg = scale_normalizer(tp), scale_normalizer(tg)
         grad += w.w_a * _unit_rows(tp / sp - tg / sg) / (sp * n)
 
-    if w.w_r:
-        step = np.diff(tp, axis=0) - np.diff(tg, axis=0)
-        v = w.w_r * _unit_rows(step) / (n - 1)
-        grad[1:] += v
-        grad[:-1] -= v
+    # a difference or norm past float's range, or a NaN, is caught by
+    # _unit_rows, as scale_normalizer catches it when w_a > 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        if w.w_r:
+            step = np.diff(tp, axis=0) - np.diff(tg, axis=0)
+            v = w.w_r * _unit_rows(step) / (n - 1)
+            grad[1:] += v
+            grad[:-1] -= v
 
-    if w.w_s:
-        u = w.w_s * _unit_rows(np.diff(tp, n=2, axis=0)) / (n - 2)
-        grad[2:] += u
-        grad[1:-1] -= 2.0 * u
-        grad[:-2] += u
+        if w.w_s:
+            u = w.w_s * _unit_rows(np.diff(tp, n=2, axis=0)) / (n - 2)
+            grad[2:] += u
+            grad[1:-1] -= 2.0 * u
+            grad[:-2] += u
 
     return grad

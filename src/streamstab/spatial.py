@@ -19,12 +19,17 @@ both pixels while it is still in cache. Each pixel starts from its centre
 (weight sum W = 1.0, term sum S = 0.0) and adds weight * (neighbour - depth)
 to S, and a valid depth v becomes v + S / W.
 
-The strips are cut into two bands of rows at a strip boundary: the lower
-band runs on one worker thread while the caller runs the upper one, so a
-frame uses up to two CPUs. The worker count is min(2, the CPUs this process
-may run on, the strips); nothing sets it. The caller allocates both bands'
-buffers, and a fault in the worker (an exception, a floating-point error
-under the caller's np.errstate) is raised in the caller.
+The work is shared with the process's one worker thread (geometry), which
+every split stage uses: read_pfm and the spectrum of score_frame split their
+rows or columns in halves with it, and depth_to_points its three columns.
+Here the worker builds the padded copy and the output while the caller finds
+sigma_r; then the strips are cut into two bands of rows at a strip boundary,
+and the lower band runs on the worker while the caller runs the upper one.
+The band count is min(2, the CPUs this process may run on, the strips);
+nothing sets it, and a map of fewer than 64 rows stays on the caller. The
+caller allocates every buffer, and a fault in the worker (an exception, a
+floating-point error under the caller's np.errstate) is raised in the
+caller. Every output is byte-identical whatever the number of threads.
 
 Each pixel sums its centre first, then o and -o for each pair in order, with
 the same arithmetic as a plain per-offset loop in that order, whatever the
@@ -35,23 +40,18 @@ not depend on the number of strips or bands.
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (DegenerateConfiguration, InvalidValue, NonFiniteResult,
                      NoValidPixels)
-from .geometry import DepthMap, PointSet, median
+from .geometry import (_THREADS, DepthMap, PointSet, _in_parallel, _split,
+                       median)
 
 _STRIP_ROWS = 64  # rows per strip
-# row bands, one per thread: the caller's and at most one worker's, within
-# the CPUs this process may run on (sched_getaffinity is Linux-only)
-_MAX_BANDS = min(2, len(os.sched_getaffinity(0))
-                 if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+_MAX_BANDS = _THREADS  # row bands, one per thread
 
 
 @dataclass(frozen=True)
@@ -117,22 +117,30 @@ def bilateral_depth(depth_map: DepthMap, cfg: BilateralConfig = BilateralConfig(
         raise NoValidPixels("depth map has no valid pixels")
     d = depth_map.depths
     valid = depth_map.valid
-    sigma_r = cfg.effective_sigma_r(depth_map)
-    neg_two_var = -2.0 * (sigma_r * sigma_r)
-    if not neg_two_var:  # a zero difference over it would be 0 / -0, NaN
-        raise DegenerateConfiguration(
-            f"sigma_r {sigma_r!r} is too small: 2 * sigma_r**2 underflows to 0")
     h, wid = d.shape
     # an offset past the map adds exactly 0.0 to both sums, so clamping the
     # window keeps the bits and bounds the padding
     w = min(cfg.window, max(h, wid) - 1)
     pw = wid + 2 * w  # padded row length
 
-    # a padded flat copy of the depths, 0.0 at invalid and padding pixels;
-    # offset (dy, dx) is a flat shift of dy*pw + dx
+    # a padded flat copy of the depths, 0.0 at invalid and padding pixels
+    # (offset (dy, dx) is a flat shift of dy*pw + dx), and the output, made
+    # on the worker while the caller finds sigma_r
     values = np.zeros((h + 2 * w, pw))
-    np.copyto(values[w:w + h, w:w + wid], d, where=valid)
+    out = np.empty_like(d)
+    sigma = []
+
+    def copies():
+        np.copyto(values[w:w + h, w:w + wid], d, where=valid)
+        np.copyto(out, d)
+
+    _split(lambda: sigma.append(cfg.effective_sigma_r(depth_map)), copies, h)
+    sigma_r, = sigma
     values = values.ravel()
+    neg_two_var = -2.0 * (sigma_r * sigma_r)
+    if not neg_two_var:  # a zero difference over it would be 0 / -0, NaN
+        raise DegenerateConfiguration(
+            f"sigma_r {sigma_r!r} is too small: 2 * sigma_r**2 underflows to 0")
 
     # the least weight e**least, as the docstring gives it; e**0 where
     # 2 sigma_r**2 overflows, so that each range weight is its limit 1.0
@@ -196,7 +204,6 @@ def bilateral_depth(depth_map: DepthMap, cfg: BilateralConfig = BilateralConfig(
             np.divide(shift, weight_sum[:r1 - r0, :wid], out=shift)
             np.add(d[r0:r1], shift, out=out[r0:r1], where=valid[r0:r1])
 
-    out = np.array(d, copy=True)
     strips = range(0, h, rows)
     # the caller allocates every band's buffers (a worker's allocations would
     # go to another malloc arena); the lower band runs on a worker thread
@@ -215,50 +222,34 @@ def bilateral_depth(depth_map: DepthMap, cfg: BilateralConfig = BilateralConfig(
     return DepthMap(out, np.array(valid, copy=True))
 
 
-def _in_parallel(upper, lower) -> None:
-    """Run `lower` on a worker thread in a copy of the caller's context (so
-    np.errstate holds there too) while the caller runs `upper`; an exception
-    of the worker is raised again in the caller after the join."""
-    errors = []
-
-    def work():
-        try:
-            lower()
-        except BaseException as exc:
-            errors.append(exc)
-
-    worker = threading.Thread(target=contextvars.copy_context().run,
-                              args=(work,))
-    worker.start()
-    try:
-        upper()
-    finally:
-        worker.join()
-    if errors:
-        raise errors[0]
-
-
 def depth_to_points(depth_map: DepthMap, intrinsics: Intrinsics) -> PointSet:
     """Back-project valid pixels through a pinhole model, row-major order."""
     valid = depth_map.valid
     h, w = valid.shape
     points = np.empty((np.count_nonzero(valid), 3))
     # (u - cx) * z / fx and (v - cy) * z / fy: each product on its contiguous
-    # gathered copy, each quotient straight into its strided column; x goes
-    # before y is gathered, so the two copies can share one block
+    # gathered copy, each quotient straight into its strided column. The
+    # caller makes every gathered copy (a gather allocates, and the worker
+    # allocates nothing); the worker writes the z and x columns while the
+    # caller gathers y and writes its column
     z = depth_map.depths[valid]
-    points[:, 2] = z
     try:  # a point past float's range: an overflow flag, which costs no pass
         with np.errstate(over="raise"):
             x = np.broadcast_to(np.arange(w, dtype=float) - intrinsics.cx,
                                 (h, w))[valid]
             x *= z
-            np.divide(x, intrinsics.fx, out=points[:, 0])
-            del x
-            y = np.broadcast_to((np.arange(h, dtype=float)
-                                 - intrinsics.cy)[:, None], (h, w))[valid]
-            y *= z
-            np.divide(y, intrinsics.fy, out=points[:, 1])
+
+            def y_column():
+                y = np.broadcast_to((np.arange(h, dtype=float)
+                                     - intrinsics.cy)[:, None], (h, w))[valid]
+                y *= z
+                np.divide(y, intrinsics.fy, out=points[:, 1])
+
+            def z_x_columns():
+                points[:, 2] = z
+                np.divide(x, intrinsics.fx, out=points[:, 0])
+
+            _split(y_column, z_x_columns, h)
     except FloatingPointError:
         raise NonFiniteResult("a back-projected point is past float's range: "
                               "the intrinsics are out of scale with the depths")

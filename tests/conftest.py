@@ -30,6 +30,21 @@ def random_unit_quat(rng) -> Quaternion:
     return quat_normalize(Quaternion(*rng.standard_normal(4)))
 
 
+def quat_conjugate(q: Quaternion) -> Quaternion:
+    """Oracle: the inverse rotation of a unit quaternion."""
+    return Quaternion(q.w, -q.x, -q.y, -q.z)
+
+
+def quat_multiply(a: Quaternion, b: Quaternion) -> Quaternion:
+    """Oracle: the Hamilton product a b, the rotation b then a."""
+    return Quaternion(
+        a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
+        a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
+        a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x,
+        a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w,
+    )
+
+
 def quat_power(q: Quaternion, gamma: float) -> Quaternion:
     """Oracle: q**gamma for a unit quaternion via axis-angle."""
     w = min(1.0, max(-1.0, q.w))

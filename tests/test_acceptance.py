@@ -27,7 +27,8 @@ from streamstab.io_formats import (write_pfm, write_pgm, write_ply_ascii,
 from streamstab.geometry import quat_to_matrix
 from streamstab.losses import scale_normalizer
 
-from conftest import quat_power, random_trajectory, random_unit_quat
+from conftest import (quat_conjugate, quat_multiply, quat_power,
+                      random_trajectory, random_unit_quat)
 from test_frame_scoring import checkerboard, naive_dft2_magnitude_centered
 from test_losses import frozen_scale_pose_loss, straight_line
 from test_metrics import brute_force_recon, rot_z
@@ -254,10 +255,10 @@ def test_criterion_12_slerp_oracle():
         b = random_unit_quat(rng)
         for gamma in (0.0, 0.25, 0.5, 0.75, 1.0):
             got = np.array(slerp(a, b, gamma), dtype=float)
-            rel = a.conjugate().multiply(b)
+            rel = quat_multiply(quat_conjugate(a), b)
             if rel.w < 0:  # same hemisphere convention as slerp
                 rel = -rel
-            oracle = np.array(a.multiply(quat_power(rel, gamma)), dtype=float)
+            oracle = np.array(quat_multiply(a, quat_power(rel, gamma)), dtype=float)
             err = min(np.max(np.abs(got - oracle)),
                       np.max(np.abs(got + oracle)))
             assert err < 1e-9

@@ -1294,6 +1294,25 @@ def test_stdout_written_only_by_main():
     assert stdout == []
 
 
+def test_threads_started_only_by_the_worker_helper():
+    # one persistent worker serves every split; a thread started per call
+    # costs more than the half it runs
+    src = Path(cli.__file__).parent
+    stray, helper_starts = [], 0
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        helper = {id(node) for func in ast.walk(tree)
+                  if isinstance(func, ast.FunctionDef)
+                  and (path.name, func.name) == ("geometry.py", "_in_parallel")
+                  for node in ast.walk(func)}
+        starts = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and ast.unparse(node.func).endswith("Thread")]
+        helper_starts += sum(id(node) in helper for node in starts)
+        stray += [(path.name, node.lineno) for node in starts
+                  if id(node) not in helper]
+    assert stray == [] and helper_starts == 1
+
+
 def test_every_square_in_src_is_a_product():
     # a Python float's ** 2 and np.float_power call libm's pow, which on some
     # inputs differs from x * x in the last bit, and by platform; so every

@@ -11,9 +11,9 @@ from streamstab.errors import (DegenerateConfiguration, EmptyImage,
                                NegativeMagnitude, NonFiniteResult,
                                NonUnitQuaternion)
 from streamstab.frame_scoring import _outside_disk
-from streamstab.geometry import quat_to_matrix
+from streamstab.geometry import _SPLIT_ROWS, quat_to_matrix
 
-from conftest import random_unit_quat
+from conftest import quat_multiply, random_unit_quat
 
 
 def naive_dft2_magnitude_centered(pixels: np.ndarray) -> np.ndarray:
@@ -34,6 +34,22 @@ def fft2_magnitude_oracle(pixels: np.ndarray) -> np.ndarray:
     """The full-spectrum magnitude, centred by fftshift; the spectrum was
     computed this way before it was mirrored from rfft2."""
     return np.abs(np.fft.fftshift(np.fft.fft2(pixels)))
+
+
+def rfft2_mirror_oracle(pixels: np.ndarray) -> np.ndarray:
+    """The centred spectrum as one serial np.fft.rfft2 and np.abs, with the
+    columns left of centre mirrored from it: the code before each pass was
+    split between the caller and the worker thread."""
+    h, w = pixels.shape
+    half = np.abs(np.fft.rfft2(pixels))
+    r0, c = h // 2, w // 2
+    full = np.empty((h, w))
+    full[r0:, c:] = half[:h - r0, :w - c]
+    full[:r0, c:] = half[h - r0:, :w - c]
+    left = full[:, :c][:, ::-1]
+    left[:r0 + 1] = half[r0::-1, 1:c + 1]
+    left[r0 + 1:] = half[:r0:-1, 1:c + 1]
+    return full
 
 
 def outside_disk_oracle(h: int, w: int, radius: float) -> np.ndarray:
@@ -110,6 +126,25 @@ class TestDft:
             lhs = np.sum(px ** 2) * px.size
             rhs = np.sum(spec ** 2)
             assert abs(lhs - rhs) / rhs < 1e-9
+
+
+class TestSpectrumSplit:
+    """The rfft and fft passes, split in halves between the caller and the
+    worker thread, against one serial rfft2, bit for bit."""
+
+    @pytest.mark.parametrize("shape", [
+        (1, 1), (1, 7), (7, 1), (2, 2), (31, 33), (384, 512),
+        # one row either side of the size floor, and widths whose column
+        # halves are empty or one column
+        (_SPLIT_ROWS - 1, 9), (_SPLIT_ROWS, 1), (_SPLIT_ROWS, 2),
+        (_SPLIT_ROWS + 1, 3), (2 * _SPLIT_ROWS + 1, 64)])
+    def test_bit_identical(self, monkeypatch, shape):
+        monkeypatch.setattr("streamstab.geometry._THREADS", 2)
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+        for scale in (1.0, 1e-300, 1e300):
+            px = rng.uniform(size=shape) * scale
+            assert np.array_equal(dft2_magnitude_centered(GrayImage(px)),
+                                  rfft2_mirror_oracle(px))
 
 
 class TestHalfSpectrumMirror:
@@ -288,8 +323,8 @@ class TestScoreFrame:
         offset = rng.standard_normal(3)
         rot = random_unit_quat(rng)
         rm = quat_to_matrix(rot)
-        a2 = Pose(rm @ a.t + offset, rot.multiply(a.q), 0.0)
-        b2 = Pose(rm @ b.t + offset, rot.multiply(b.q), 1.0)
+        a2 = Pose(rm @ a.t + offset, quat_multiply(rot, a.q), 0.0)
+        b2 = Pose(rm @ b.t + offset, quat_multiply(rot, b.q), 1.0)
         assert score_frame(a2, b2, img) == pytest.approx(base, abs=1e-9)
 
 

@@ -1,4 +1,8 @@
 import math
+import multiprocessing
+import threading
+import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -11,7 +15,8 @@ from streamstab.errors import (InvalidGamma, InvalidValue, LengthMismatch,
                                NonFiniteResult, NonUnitQuaternion,
                                ZeroQuaternion)
 
-from conftest import quat_power, random_unit_quat
+from conftest import (quat_conjugate, quat_multiply, quat_power,
+                      random_unit_quat)
 
 
 class TestNormalize:
@@ -98,9 +103,9 @@ class TestSlerp:
             a, b = random_unit_quat(rng), random_unit_quat(rng)
             if a.dot(b) < 0:
                 b = -b
-            rel = a.conjugate().multiply(b)
+            rel = quat_multiply(quat_conjugate(a), b)
             for gamma in (0.0, 0.25, 0.5, 0.75, 1.0):
-                expected = a.multiply(quat_power(rel, gamma))
+                expected = quat_multiply(a, quat_power(rel, gamma))
                 got = slerp(a, b, gamma)
                 got, expected = (np.array(x, dtype=float) for x in (got, expected))
                 assert np.allclose(got, expected, atol=1e-9) \
@@ -249,3 +254,87 @@ def test_quat_to_matrix_rejects_non_unit_row(row, norm):
 def test_quat_to_matrix_takes_rows_within_unit_tolerance():
     q = np.array([[1.0 + 9e-7, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0 - 9e-7]])
     assert geometry.quat_to_matrix(q).shape == (2, 3, 3)
+
+
+def _split_results():
+    """A bilateral-filtered map and a frame weight, each past the row count
+    below which a split stays on the caller."""
+    rng = np.random.default_rng(31)
+    rows = 2 * geometry._SPLIT_ROWS + 3
+    dm = geometry.DepthMap.from_depths(rng.uniform(1.0, 3.0, (rows, 45)))
+    img = geometry.GrayImage(rng.uniform(size=(rows, 40)))
+    a = Pose(np.zeros(3), Quaternion.identity(), 0.0)
+    b = Pose(np.full(3, 0.01), Quaternion.identity(), 1.0)
+    return (spatial.bilateral_depth(dm).depths,
+            frame_scoring.score_frame(a, b, img))
+
+
+def _child_results(conn):
+    depths, weight = _split_results()
+    conn.send((depths, weight, geometry._worker[0]))
+    conn.close()
+
+
+class TestWorker:
+    """The process's one worker thread, which every split shares."""
+
+    def test_twenty_calls_share_one_thread(self):
+        geometry._in_parallel(lambda: None, lambda: None)  # started
+        threads = threading.active_count()
+        idents = []
+        for _ in range(20):
+            geometry._in_parallel(
+                lambda: None, lambda: idents.append(threading.get_ident()))
+        assert len(set(idents)) == 1
+        assert idents[0] != threading.get_ident()
+        assert threading.active_count() == threads
+
+    def test_call_from_the_worker_runs_in_place(self):
+        # a job that splits again would wait on itself; it runs both halves
+        ran = []
+
+        def nested():
+            geometry._in_parallel(lambda: ran.append(threading.get_ident()),
+                                  lambda: ran.append(threading.get_ident()))
+
+        caller = threading.Thread(  # a daemon, lest a deadlock hang the run
+            target=geometry._in_parallel, args=(lambda: None, nested),
+            daemon=True)
+        caller.start()
+        caller.join(timeout=30)
+        assert not caller.is_alive()
+        assert len(ran) == 2 and ran[0] == ran[1] == geometry._worker[1]
+
+    def test_finished_job_drops_its_buffers(self):
+        # a job kept until the next one held the last frame's buffers, which
+        # raised the stream's peak RSS
+        buf = np.zeros(1000)
+        ref = weakref.ref(buf)
+        geometry._in_parallel(lambda: None, lambda b=buf: b.fill(1.0))
+        del buf
+        assert ref() is None
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork start method")
+    def test_forked_child_starts_its_own_worker(self, monkeypatch):
+        # the parent's worker thread is not copied into a child; the child
+        # starts its own and computes the same bits
+        monkeypatch.setattr(geometry, "_THREADS", 2)
+        expected = _split_results()
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_child_results, args=(send,))
+        with warnings.catch_warnings():
+            # Python 3.12 and later warn that a fork from a process with
+            # threads may deadlock; the child uses none of the parent's worker
+            # state
+            warnings.simplefilter("ignore", DeprecationWarning)
+            child.start()
+        send.close()
+        assert recv.poll(60)
+        depths, weight, pid = recv.recv()
+        child.join(timeout=30)
+        assert child.exitcode == 0
+        assert pid == child.pid
+        assert np.array_equal(depths, expected[0])
+        assert weight == expected[1]

@@ -19,6 +19,8 @@ from streamstab.io_formats import (_pnm_header, read_pfm, read_pgm,
                                    write_pfm, write_pgm, write_ply_ascii,
                                    write_trajectory_tum)
 
+from streamstab.geometry import _SPLIT_ROWS
+
 from conftest import awkward_trajectory, random_trajectory
 
 # deterministic, and no example database written to disk
@@ -446,6 +448,41 @@ class TestPgm:
         img = GrayImage(rng.integers(0, 65536, size=(5, 7)) / 65535.0)
         back = read_pgm(write_pgm(img, maxval=65535))
         assert np.max(np.abs(back.pixels - img.pixels)) < 1e-12
+
+
+def read_pfm_serial_oracle(data: bytes, height: int, width: int,
+                           endian: str) -> DepthMap:
+    """The PFM payload cast, flipped and masked in one pass each: the code
+    before the rows were split between the caller and the worker thread."""
+    depths = np.frombuffer(data[-4 * height * width:],
+                           dtype=endian + "f4").astype(float)
+    depths = depths.reshape(height, width)[::-1]
+    valid = np.isfinite(depths) & (depths > 0)
+    return DepthMap(np.where(valid, depths, 0.0), valid)
+
+
+class TestPfmSplit:
+    """The rows split in halves between the caller and the worker thread
+    against the serial reader, bit for bit."""
+
+    @pytest.mark.parametrize("height", [1, 2, 37, _SPLIT_ROWS - 1, _SPLIT_ROWS,
+                                        _SPLIT_ROWS + 1, 384])
+    @pytest.mark.parametrize("endian", ["<", ">"])
+    def test_bit_identical(self, monkeypatch, height, endian):
+        monkeypatch.setattr("streamstab.geometry._THREADS", 2)
+        rng = np.random.default_rng(height)
+        width = 23
+        values = rng.uniform(-1.0, 5.0, (height, width)).astype(np.float32)
+        for i, x in enumerate([np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-45,
+                               3.4e38]):
+            values.flat[(7 * i + height // 2 * width) % values.size] = x
+        scale = b"-1.0" if endian == "<" else b"1.0"
+        data = (b"Pf\n%d %d\n%s\n" % (width, height, scale)
+                + values.astype(endian + "f4").tobytes())
+        got = read_pfm(data)
+        want = read_pfm_serial_oracle(data, height, width, endian)
+        assert got.depths.tobytes() == want.depths.tobytes()
+        assert np.array_equal(got.valid, want.valid)
 
 
 class TestPfm:

@@ -497,3 +497,37 @@ class TestOverflow:
             loss_rpe(pred, straight_line(12))
         with pytest.raises(NonFiniteResult, match="acceleration loss"):
             loss_acc(pred)
+
+    @staticmethod
+    def _huge_quaternion(n: int = 6) -> Trajectory:
+        # one component near float's limit, of either sign, so that a first
+        # or second difference of the components overflows
+        q = np.tile([1.0, 0.0, 0.0, 0.0], (n, 1))
+        q[2, 1], q[3, 1] = 1.7e308, -1.7e308
+        return Trajectory.from_arrays(np.zeros((n, 3)), q,
+                                      np.arange(n, dtype=float))
+
+    @pytest.mark.filterwarnings("error")
+    def test_quaternion_difference_overflow(self):
+        # np.diff of the aligned quaternions ran outside the errstate block
+        # and warned "overflow encountered in subtract"
+        pred = self._huge_quaternion()
+        with pytest.raises(NonFiniteResult, match="acceleration loss"):
+            loss_acc(pred)
+        with pytest.raises(NonFiniteResult, match="RPE loss"):
+            loss_rpe(pred, straight_line(6))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x", [math.nan, 1e200])
+    def test_gradient_without_ate_term(self, x):
+        # with w_a = 0 no scale normalizer checks the translations: a NaN gave
+        # NaN rows, and 1e200 warned and gave zero rows
+        t = np.zeros((6, 3))
+        t[:, 0] = x * np.arange(6)
+        t[0, 0] = 0.0
+        pred = Trajectory.from_arrays(t, [[1.0, 0.0, 0.0, 0.0]] * 6,
+                                      np.arange(6, dtype=float))
+        for w in (LossWeights(w_a=0.0), LossWeights(w_a=0.0, w_r=0.0),
+                  LossWeights(w_a=0.0, w_s=0.0)):
+            with pytest.raises(NonFiniteResult, match="pose-loss gradient"):
+                grad_pose_translations(pred, straight_line(6), w)

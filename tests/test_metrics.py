@@ -15,7 +15,8 @@ from streamstab.errors import (DegenerateConfiguration, InvalidValue,
 from streamstab.geometry import quat_to_matrix
 from streamstab.metrics import estimate_normals
 
-from conftest import awkward_trajectory, random_trajectory, random_unit_quat
+from conftest import (awkward_trajectory, quat_multiply, random_trajectory,
+                      random_unit_quat)
 
 
 def polyfit_depth_oracle(pred, gt):
@@ -248,7 +249,7 @@ class TestMetricRpe:
         rot_q = random_unit_quat(rng)
         rot = quat_to_matrix(rot_q)
         offset = rng.standard_normal(3)
-        pred = Trajectory([Pose(rot @ p.t + offset, rot_q.multiply(p.q), p.timestamp)
+        pred = Trajectory([Pose(rot @ p.t + offset, quat_multiply(rot_q, p.q), p.timestamp)
                            for p in gt])
         rpe_t, rpe_r = metric_rpe(pred, gt)
         assert rpe_t == pytest.approx(0.0, abs=1e-9)

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from streamstab import (BilateralConfig, DepthMap, Intrinsics,
-                        bilateral_depth, depth_to_points, refine_cloud, spatial)
+                        bilateral_depth, depth_to_points, geometry,
+                        refine_cloud, spatial)
 from streamstab.errors import (DegenerateConfiguration, InvalidValue,
                                NonFiniteResult, NoValidPixels, ShapeMismatch)
 
 STRIP = spatial._STRIP_ROWS
+SPLIT = geometry._SPLIT_ROWS
 
 
 def _shifted(d, valid, dy, dx):
@@ -701,6 +703,51 @@ class TestDepthToPoints:
         assert np.max(np.abs(u_back - us)) < 1e-9
         assert np.max(np.abs(v_back - vs)) < 1e-9
         assert np.max(np.abs(pts.points[:, 2] - depths[vs, us])) < 1e-9
+
+
+def depth_to_points_serial_oracle(depth_map, intrinsics):
+    """Each coordinate gathered and written in turn on one thread: the code
+    before the columns were shared with the worker thread."""
+    valid = depth_map.valid
+    h, w = valid.shape
+    z = depth_map.depths[valid]
+    x = np.broadcast_to(np.arange(w, dtype=float) - intrinsics.cx,
+                        (h, w))[valid]
+    y = np.broadcast_to((np.arange(h, dtype=float) - intrinsics.cy)[:, None],
+                        (h, w))[valid]
+    return np.stack([x * z / intrinsics.fx, y * z / intrinsics.fy, z], axis=1)
+
+
+class TestDepthToPointsSplit:
+    """The columns shared between the caller and the worker thread against
+    the serial back-projection, bit for bit."""
+
+    @pytest.mark.parametrize("height", [1, 2, 37, SPLIT - 1, SPLIT, SPLIT + 1,
+                                        384])
+    def test_bit_identical(self, monkeypatch, height):
+        monkeypatch.setattr("streamstab.geometry._THREADS", 2)
+        rng = np.random.default_rng(height)
+        depths = rng.uniform(0.5, 4.0, size=(height, 29))
+        depths[rng.uniform(size=depths.shape) < 0.3] = np.nan
+        depths[height - 1, :20] = 0.0  # a last row with few points
+        dm = DepthMap.from_depths(depths)
+        intr = Intrinsics(51.3, 47.9, 14.3, height / 2 - 0.7)
+        got = depth_to_points(dm, intr).points
+        assert np.array_equal(got, depth_to_points_serial_oracle(dm, intr))
+
+    def test_overflow_in_the_workers_column(self, monkeypatch):
+        # x * z is finite, and x * z / fx, which the worker writes, is past
+        # float's range: a NonFiniteResult in the caller, with no warning
+        monkeypatch.setattr("streamstab.geometry._THREADS", 2)
+        depths = np.ones((2 * SPLIT, 9))
+        depths[-3, 7] = 1e300
+        dm = DepthMap.from_depths(depths)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteResult, match="intrinsics"):
+                depth_to_points(dm, Intrinsics(1e-10, 1.0, 0.0, 0.0))
+            assert np.isfinite(depth_to_points(
+                dm, Intrinsics(1.0, 1.0, 0.0, 0.0)).points).all()
 
 
 class TestRefineCloud:

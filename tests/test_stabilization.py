@@ -9,7 +9,7 @@ from streamstab import (FilterState, GrayImage, OneEuroConfig, Pose,
                         smoothing_alpha, stabilize_trajectory)
 from streamstab.errors import InvalidGamma, NonFiniteResult, NonPositiveDt
 
-from conftest import awkward_trajectory, random_unit_quat
+from conftest import awkward_trajectory, quat_multiply, random_unit_quat
 
 
 # -- oracle: the filter as it was before its step moved to Python floats ------
@@ -270,8 +270,8 @@ def rotation_walk(rng, n, step):
     for _ in range(n - 1):
         axis = rng.standard_normal(3)
         axis *= math.sin(step / 2) / math.sqrt(axis @ axis)
-        q.append(quat_normalize(q[-1].multiply(
-            Quaternion(math.cos(step / 2), *axis.tolist()))))
+        q.append(quat_normalize(quat_multiply(
+            q[-1], Quaternion(math.cos(step / 2), *axis.tolist()))))
     return t, np.array(q, dtype=float)
 
 
