@@ -258,7 +258,8 @@ _SPLIT_ROWS = 64
 # CPUs this process may run on (sched_getaffinity is Linux-only)
 _THREADS = min(2, len(os.sched_getaffinity(0))
                if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
-_worker = None  # (pid, thread id, job queue), started on first use
+# (pid, thread id, job queue) of the worker, started on first use
+_worker = (None, None, None)
 _worker_start = threading.Lock()
 
 
@@ -280,9 +281,9 @@ def _in_parallel(upper, lower) -> None:
     callers queue their jobs. The worker starts on first use, and again in a
     forked child; a call made on the worker runs both in the caller."""
     global _worker
-    if _worker is None or _worker[0] != os.getpid():
+    if _worker[0] != os.getpid():
         with _worker_start:
-            if _worker is None or _worker[0] != os.getpid():
+            if _worker[0] != os.getpid():
                 jobs = queue.SimpleQueue()
                 thread = threading.Thread(target=_serve, args=(jobs,),
                                           name="streamstab-worker", daemon=True)

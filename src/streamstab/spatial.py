@@ -20,11 +20,11 @@ both pixels while it is still in cache. Each pixel starts from its centre
 to S, and a valid depth v becomes v + S / W.
 
 The work is shared with the process's one worker thread (geometry), which
-every split stage uses: read_pfm and the spectrum of score_frame split their
-rows or columns in halves with it, and depth_to_points its three columns.
-Here the worker builds the padded copy and the output while the caller finds
-sigma_r; then the strips are cut into two bands of rows at a strip boundary,
-and the lower band runs on the worker while the caller runs the upper one.
+every split stage uses: read_pfm, depth_to_points and the spectrum of
+score_frame split their rows or columns in halves with it. Here the worker
+builds the padded copy and the output while the caller finds sigma_r; then
+the strips are cut into two bands of rows at a strip boundary, and the lower
+band runs on the worker while the caller runs the upper one.
 The band count is min(2, the CPUs this process may run on, the strips);
 nothing sets it, and a map of fewer than 64 rows stays on the caller. The
 caller allocates every buffer, and a fault in the worker (an exception, a
@@ -226,30 +226,43 @@ def depth_to_points(depth_map: DepthMap, intrinsics: Intrinsics) -> PointSet:
     """Back-project valid pixels through a pinhole model, row-major order."""
     valid = depth_map.valid
     h, w = valid.shape
-    points = np.empty((np.count_nonzero(valid), 3))
-    # (u - cx) * z / fx and (v - cy) * z / fy: each product on its contiguous
-    # gathered copy, each quotient straight into its strided column. The
+    # z, u - cx and v - cy at every pixel
+    grids = (depth_map.depths,
+             np.broadcast_to(np.arange(w, dtype=float) - intrinsics.cx, (h, w)),
+             np.broadcast_to((np.arange(h, dtype=float)
+                              - intrinsics.cy)[:, None], (h, w)))
+    # the rows in two halves, the lower half's points after the upper's. The
     # caller makes every gathered copy (a gather allocates, and the worker
-    # allocates nothing); the worker writes the z and x columns while the
-    # caller gathers y and writes its column
-    z = depth_map.depths[valid]
+    # allocates nothing): the lower half's before the split, its own in it
+    mid = h // 2
+    m = np.count_nonzero(valid[:mid])
+    points = np.empty((m + np.count_nonzero(valid[mid:]), 3))
+    z, x, y = (g[mid:][valid[mid:]] for g in grids)
+
+    def column(p, c, depth, coord, f):
+        # (u - cx) * z / fx or (v - cy) * z / fy: the product on its
+        # contiguous gathered copy, the quotient straight into its strided
+        # column
+        coord *= depth
+        np.divide(coord, f, out=p[:, c])
+
+    def lower():
+        p = points[m:]
+        p[:, 2] = z
+        column(p, 0, z, x, intrinsics.fx)
+        column(p, 1, z, y, intrinsics.fy)
+
+    def upper():
+        # x goes before y is gathered, so the two copies can share one block
+        p, keep = points[:m], valid[:mid]
+        zu = grids[0][:mid][keep]
+        p[:, 2] = zu
+        column(p, 0, zu, grids[1][:mid][keep], intrinsics.fx)
+        column(p, 1, zu, grids[2][:mid][keep], intrinsics.fy)
+
     try:  # a point past float's range: an overflow flag, which costs no pass
         with np.errstate(over="raise"):
-            x = np.broadcast_to(np.arange(w, dtype=float) - intrinsics.cx,
-                                (h, w))[valid]
-            x *= z
-
-            def y_column():
-                y = np.broadcast_to((np.arange(h, dtype=float)
-                                     - intrinsics.cy)[:, None], (h, w))[valid]
-                y *= z
-                np.divide(y, intrinsics.fy, out=points[:, 1])
-
-            def z_x_columns():
-                points[:, 2] = z
-                np.divide(x, intrinsics.fx, out=points[:, 0])
-
-            _split(y_column, z_x_columns, h)
+            _split(upper, lower, h)
     except FloatingPointError:
         raise NonFiniteResult("a back-projected point is past float's range: "
                               "the intrinsics are out of scale with the depths")

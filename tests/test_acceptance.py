@@ -258,7 +258,8 @@ def test_criterion_12_slerp_oracle():
             rel = quat_multiply(quat_conjugate(a), b)
             if rel.w < 0:  # same hemisphere convention as slerp
                 rel = -rel
-            oracle = np.array(quat_multiply(a, quat_power(rel, gamma)), dtype=float)
+            oracle = np.array(quat_multiply(a, quat_power(rel, gamma)),
+                              dtype=float)
             err = min(np.max(np.abs(got - oracle)),
                       np.max(np.abs(got + oracle)))
             assert err < 1e-9

@@ -1,5 +1,6 @@
 import math
 import multiprocessing
+import sys
 import threading
 import warnings
 import weakref
@@ -304,6 +305,41 @@ class TestWorker:
         caller.join(timeout=30)
         assert not caller.is_alive()
         assert len(ran) == 2 and ran[0] == ran[1] == geometry._worker[1]
+
+    def test_concurrent_callers_each_get_their_own_result(self):
+        # more callers than CPUs, switching threads often: when a call
+        # returns, its own worker half has run, and so have its stages
+        maps = [geometry.DepthMap.from_depths(
+            np.random.default_rng(k).uniform(1.0, 3.0, (geometry._SPLIT_ROWS
+                                                        + 5, 21)))
+                for k in range(6)]
+        expected = [spatial.bilateral_depth(dm).depths for dm in maps]
+        bad = []
+
+        def caller(k):
+            for i in range(100):
+                got = np.zeros(2)
+                geometry._in_parallel(lambda: got.__setitem__(0, i),
+                                      lambda: got.__setitem__(1, i))
+                if got.tolist() != [i, i]:
+                    bad.append((k, i, got.tolist()))
+            if not np.array_equal(spatial.bilateral_depth(maps[k]).depths,
+                                  expected[k]):
+                bad.append((k, "bilateral"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller, args=(k,), daemon=True)
+                       for k in range(len(maps))]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert bad == []
 
     def test_finished_job_drops_its_buffers(self):
         # a job kept until the next one held the last frame's buffers, which

@@ -249,8 +249,8 @@ class TestMetricRpe:
         rot_q = random_unit_quat(rng)
         rot = quat_to_matrix(rot_q)
         offset = rng.standard_normal(3)
-        pred = Trajectory([Pose(rot @ p.t + offset, quat_multiply(rot_q, p.q), p.timestamp)
-                           for p in gt])
+        pred = Trajectory([Pose(rot @ p.t + offset, quat_multiply(rot_q, p.q),
+                                p.timestamp) for p in gt])
         rpe_t, rpe_r = metric_rpe(pred, gt)
         assert rpe_t == pytest.approx(0.0, abs=1e-9)
         assert rpe_r == pytest.approx(0.0, abs=1e-5)

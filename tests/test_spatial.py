@@ -707,7 +707,7 @@ class TestDepthToPoints:
 
 def depth_to_points_serial_oracle(depth_map, intrinsics):
     """Each coordinate gathered and written in turn on one thread: the code
-    before the columns were shared with the worker thread."""
+    before the rows were split between the caller and the worker thread."""
     valid = depth_map.valid
     h, w = valid.shape
     z = depth_map.depths[valid]
@@ -719,8 +719,8 @@ def depth_to_points_serial_oracle(depth_map, intrinsics):
 
 
 class TestDepthToPointsSplit:
-    """The columns shared between the caller and the worker thread against
-    the serial back-projection, bit for bit."""
+    """The rows split in halves between the caller and the worker thread
+    against the serial back-projection, bit for bit."""
 
     @pytest.mark.parametrize("height", [1, 2, 37, SPLIT - 1, SPLIT, SPLIT + 1,
                                         384])
@@ -735,9 +735,10 @@ class TestDepthToPointsSplit:
         got = depth_to_points(dm, intr).points
         assert np.array_equal(got, depth_to_points_serial_oracle(dm, intr))
 
-    def test_overflow_in_the_workers_column(self, monkeypatch):
-        # x * z is finite, and x * z / fx, which the worker writes, is past
-        # float's range: a NonFiniteResult in the caller, with no warning
+    def test_overflow_in_the_workers_half(self, monkeypatch):
+        # x * z is finite, and x * z / fx, in a row of the lower half, which
+        # the worker writes, is past float's range: a NonFiniteResult in the
+        # caller, with no warning
         monkeypatch.setattr("streamstab.geometry._THREADS", 2)
         depths = np.ones((2 * SPLIT, 9))
         depths[-3, 7] = 1e300
