@@ -13,7 +13,6 @@ from __future__ import annotations
 import contextvars
 import math
 import os
-import queue
 import threading
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -263,7 +262,7 @@ _worker = (None, None, None)
 _worker_start = threading.Lock()
 
 
-def _serve(jobs: queue.SimpleQueue) -> None:
+def _serve(jobs) -> None:
     while True:
         context, job, done = jobs.get()
         context.run(job)
@@ -284,6 +283,9 @@ def _in_parallel(upper, lower) -> None:
     if _worker[0] != os.getpid():
         with _worker_start:
             if _worker[0] != os.getpid():
+                # lazy: a process that never splits skips importing queue
+                # and heapq
+                import queue
                 jobs = queue.SimpleQueue()
                 thread = threading.Thread(target=_serve, args=(jobs,),
                                           name="streamstab-worker", daemon=True)
