@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextvars
 import math
 import os
+import queue
 import threading
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -283,9 +284,6 @@ def _in_parallel(upper, lower) -> None:
     if _worker[0] != os.getpid():
         with _worker_start:
             if _worker[0] != os.getpid():
-                # lazy: a process that never splits skips importing queue
-                # and heapq
-                import queue
                 jobs = queue.SimpleQueue()
                 thread = threading.Thread(target=_serve, args=(jobs,),
                                           name="streamstab-worker", daemon=True)

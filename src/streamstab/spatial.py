@@ -19,17 +19,17 @@ both pixels while it is still in cache. Each pixel starts from its centre
 (weight sum W = 1.0, term sum S = 0.0) and adds weight * (neighbour - depth)
 to S, and a valid depth v becomes v + S / W.
 
-The work is shared with the process's one worker thread (geometry), which
-every split stage uses: read_pfm, depth_to_points and the spectrum of
-score_frame split their rows or columns in halves with it. Here the worker
-builds the padded copy and the output while the caller finds sigma_r; then
-the strips are cut into two bands of rows at a strip boundary, and the lower
-band runs on the worker while the caller runs the upper one.
-The band count is min(2, the CPUs this process may run on, the strips);
-nothing sets it, and a map of fewer than 64 rows stays on the caller. The
-caller allocates every buffer, and a fault in the worker (an exception, a
-floating-point error under the caller's np.errstate) is raised in the
-caller. Every output is byte-identical whatever the number of threads.
+The strips are cut into two bands of rows at a strip boundary: the lower
+band runs on the process's one worker thread (geometry._in_parallel) while
+the caller runs the upper one, so a frame uses up to two CPUs. That worker
+is shared by every call and every split stage: read_pfm, depth_to_points
+and the spectrum behind score_frame split their rows or columns in halves
+with it too. The band count is min(2, the CPUs this process may run on, the
+strips); nothing sets it, so a map of at most _STRIP_ROWS rows stays on the
+caller. The caller allocates both bands' buffers, and a fault in the worker
+(an exception, a floating-point error under the caller's np.errstate) is
+raised in the caller. Every output is byte-identical whatever the number of
+threads.
 
 Each pixel sums its centre first, then o and -o for each pair in order, with
 the same arithmetic as a plain per-offset loop in that order, whatever the
@@ -117,30 +117,22 @@ def bilateral_depth(depth_map: DepthMap, cfg: BilateralConfig = BilateralConfig(
         raise NoValidPixels("depth map has no valid pixels")
     d = depth_map.depths
     valid = depth_map.valid
+    sigma_r = cfg.effective_sigma_r(depth_map)
+    neg_two_var = -2.0 * (sigma_r * sigma_r)
+    if not neg_two_var:  # a zero difference over it would be 0 / -0, NaN
+        raise DegenerateConfiguration(
+            f"sigma_r {sigma_r!r} is too small: 2 * sigma_r**2 underflows to 0")
     h, wid = d.shape
     # an offset past the map adds exactly 0.0 to both sums, so clamping the
     # window keeps the bits and bounds the padding
     w = min(cfg.window, max(h, wid) - 1)
     pw = wid + 2 * w  # padded row length
 
-    # a padded flat copy of the depths, 0.0 at invalid and padding pixels
-    # (offset (dy, dx) is a flat shift of dy*pw + dx), and the output, made
-    # on the worker while the caller finds sigma_r
+    # a padded flat copy of the depths, 0.0 at invalid and padding pixels;
+    # offset (dy, dx) is a flat shift of dy*pw + dx
     values = np.zeros((h + 2 * w, pw))
-    out = np.empty_like(d)
-    sigma = []
-
-    def copies():
-        np.copyto(values[w:w + h, w:w + wid], d, where=valid)
-        np.copyto(out, d)
-
-    _split(lambda: sigma.append(cfg.effective_sigma_r(depth_map)), copies, h)
-    sigma_r, = sigma
+    np.copyto(values[w:w + h, w:w + wid], d, where=valid)
     values = values.ravel()
-    neg_two_var = -2.0 * (sigma_r * sigma_r)
-    if not neg_two_var:  # a zero difference over it would be 0 / -0, NaN
-        raise DegenerateConfiguration(
-            f"sigma_r {sigma_r!r} is too small: 2 * sigma_r**2 underflows to 0")
 
     # the least weight e**least, as the docstring gives it; e**0 where
     # 2 sigma_r**2 overflows, so that each range weight is its limit 1.0
@@ -204,6 +196,7 @@ def bilateral_depth(depth_map: DepthMap, cfg: BilateralConfig = BilateralConfig(
             np.divide(shift, weight_sum[:r1 - r0, :wid], out=shift)
             np.add(d[r0:r1], shift, out=out[r0:r1], where=valid[r0:r1])
 
+    out = np.array(d, copy=True)
     strips = range(0, h, rows)
     # the caller allocates every band's buffers (a worker's allocations would
     # go to another malloc arena); the lower band runs on a worker thread
