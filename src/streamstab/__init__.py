@@ -1,24 +1,42 @@
-"""Streaming trajectory stabilization and 3D reconstruction evaluation toolkit."""
+"""Streaming trajectory stabilization and 3D reconstruction evaluation toolkit.
 
-from .frame_scoring import (ScoreConfig, ScoreTerms, adaptive_update_weight,
-                            dft2_magnitude_centered, highfreq_ratio,
-                            motion_score, quality_score, score_frame,
-                            score_terms, to_grayscale)
-from .geometry import (DepthMap, GrayImage, PointSet, Pose, Quaternion,
-                       Trajectory, quat_geodesic_angle, quat_normalize,
-                       relative_pose, slerp)
-from .losses import (LossWeights, grad_pose_translations, loss_acc, loss_ate,
-                     loss_conf, loss_pose, loss_rgb, loss_rpe, loss_total,
-                     scale_normalizer)
-from .metrics import (DepthEvalMode, Similarity3, metric_ate, metric_depth,
-                      metric_recon, metric_rpe, umeyama_align)
-from .simulate import stream_step
-from .spatial import (BilateralConfig, Intrinsics, bilateral_depth,
-                      depth_to_points, refine_cloud)
-from .stabilization import (FilterState, OneEuroConfig, cutoff_freq,
-                            filter_step, smoothing_alpha,
-                            stabilize_trajectory)
-from .state_update import (MemoryState, Observation, apply_update,
-                           associative_gradient, recall_error)
+Each name below is imported from its module when it is first used (PEP 562),
+so `import streamstab` loads neither NumPy nor any algorithm module.
+"""
 
+import importlib
+
+_EXPORTS = {name: module for module, names in {
+    "config": "BilateralConfig DepthEvalMode LossWeights OneEuroConfig "
+              "ScoreConfig",
+    "frame_scoring": "ScoreTerms adaptive_update_weight dft2_magnitude_centered "
+                     "highfreq_ratio motion_score quality_score score_frame "
+                     "score_terms to_grayscale",
+    "geometry": "DepthMap GrayImage PointSet Pose Quaternion Trajectory "
+                "quat_geodesic_angle quat_normalize relative_pose slerp",
+    "losses": "grad_pose_translations loss_acc loss_ate loss_conf loss_pose "
+              "loss_rgb loss_rpe loss_total scale_normalizer",
+    "metrics": "Similarity3 metric_ate metric_depth metric_recon metric_rpe "
+               "umeyama_align",
+    "simulate": "stream_step",
+    "spatial": "Intrinsics bilateral_depth depth_to_points refine_cloud",
+    "stabilization": "FilterState cutoff_freq filter_step smoothing_alpha "
+                     "stabilize_trajectory",
+    "state_update": "MemoryState Observation apply_update associative_gradient "
+                    "recall_error",
+}.items() for name in names.split()}
+
+__all__ = list(_EXPORTS)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

@@ -4,6 +4,9 @@ Deterministic, scriptable subcommands: CSV goes to stdout, diagnostics to
 stderr. Exit codes: 0 success, 2 usage or parse error, 3 numerical
 precondition failure. An optional flat key=value config file supplies
 defaults; explicit flags override it.
+
+Each subcommand imports the modules it runs when it runs, so that `--help`
+and a usage error load neither NumPy nor any algorithm module.
 """
 
 from __future__ import annotations
@@ -15,18 +18,9 @@ import string
 import sys
 from pathlib import Path
 
+from .config import (BilateralConfig, DepthEvalMode, LossWeights,
+                     OneEuroConfig, ScoreConfig)
 from .errors import CountMismatch, ParseError, ToolkitError
-from .frame_scoring import ScoreConfig, score_terms
-from .io_formats import (_decimals, _integer, format_rows, read_pfm, read_pgm,
-                         read_ply_ascii, read_trajectory_tum, write_pfm,
-                         write_ply_ascii, write_trajectory_tum)
-from .losses import (LossWeights, loss_acc, loss_ate, loss_pose, loss_rpe,
-                     loss_total)
-from .metrics import (DepthEvalMode, metric_ate, metric_depth, metric_recon,
-                      metric_rpe)
-from .simulate import simulate_stream
-from .spatial import BilateralConfig, Intrinsics, bilateral_depth, refine_cloud
-from .stabilization import OneEuroConfig, stabilize_trajectory
 
 
 def _text(path) -> str:
@@ -74,6 +68,7 @@ def _number(kind: type = float, low: float = -math.inf, above: bool = False,
     """argparse type: a finite `kind` from `low` (exclusive if `above`) to
     `high`, spelled as the file readers' integer or decimal fields."""
     def parse(text: str):
+        from .io_formats import _decimals, _integer
         token = text.encode("utf-8", "surrogatepass")
         try:
             value = _integer(token, "") if kind is int else _decimals([token])[0]
@@ -180,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add_command(subs, "eval-depth", _cmd_eval_depth, "depth metrics")
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
-    p.add_argument("--mode", choices=["original", "scale", "scale_and_shift"],
+    p.add_argument("--mode", choices=[mode.value for mode in DepthEvalMode],
                    default="original",
                    help="alignment mode (default %(default)s)")
 
@@ -223,6 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_score(args):
+    from .frame_scoring import score_terms
+    from .io_formats import read_pgm, read_trajectory_tum
     traj = read_trajectory_tum(_text(args.traj))
     frame_files = sorted(Path(args.frames).glob("*.pgm"))
     if len(frame_files) != len(traj):
@@ -243,6 +240,8 @@ def _cmd_score(args):
 
 
 def _cmd_stabilize(args) -> None:
+    from .io_formats import read_trajectory_tum, write_trajectory_tum
+    from .stabilization import stabilize_trajectory
     traj = read_trajectory_tum(_text(args.infile))
     cfg = OneEuroConfig(f_min=args.fmin, beta_gain=args.beta_gain)
     Path(args.outfile).write_text(
@@ -250,6 +249,8 @@ def _cmd_stabilize(args) -> None:
 
 
 def _cmd_refine(args) -> None:
+    from .io_formats import read_pfm, write_pfm, write_ply_ascii
+    from .spatial import Intrinsics, bilateral_depth, refine_cloud
     # the output's flags are checked before the map is read and filtered
     out = Path(args.outfile)
     if out.suffix.lower() == ".ply":
@@ -267,13 +268,15 @@ def _cmd_refine(args) -> None:
         out.write_bytes(write_ply_ascii(refine_cloud(depth_map, intr, cfg)))
 
 
-def _load_pair(args, read=read_trajectory_tum, load=_text):
+def _load_pair(args, read, load=_text):
     """`read` of the --pred and of the --gt file, as `load` gives them."""
     return read(load(Path(args.pred))), read(load(Path(args.gt)))
 
 
 def _cmd_eval_traj(args):
-    pred, gt = _load_pair(args)
+    from .io_formats import read_trajectory_tum
+    from .metrics import metric_ate, metric_rpe
+    pred, gt = _load_pair(args, read_trajectory_tum)
     k, shortest = args.prefix_frames, min(len(pred), len(gt))
     if k is not None and k > shortest:
         print(f"warning: --prefix-frames {k} exceeds trajectory length "
@@ -286,30 +289,35 @@ def _cmd_eval_traj(args):
 
 
 def _cmd_eval_depth(args):
+    from .io_formats import read_pfm
+    from .metrics import metric_depth
     pred, gt = _load_pair(args, read_pfm, Path.read_bytes)
     return "abs_rel,delta_125", [metric_depth(pred, gt, DepthEvalMode(args.mode))]
 
 
 def _cmd_eval_recon(args):
+    from .io_formats import read_ply_ascii
+    from .metrics import metric_recon
     pred, gt = _load_pair(args, read_ply_ascii, Path.read_bytes)
     return "acc,comp,nc", [metric_recon(pred, gt, k_normals=args.k_normals)]
 
 
 def _cmd_eval_loss(args):
-    pred, gt = _load_pair(args)
+    from .io_formats import read_trajectory_tum
+    from .losses import _pose_sum, loss_acc, loss_ate, loss_rpe, loss_total
+    pred, gt = _load_pair(args, read_trajectory_tum)
     w = LossWeights(w_a=args.wa, w_r=args.wr, w_s=args.ws,
                     lambda1=args.lambda1, lambda2=args.lambda2,
                     lambda3=args.lambda3)
-    ate = loss_ate(pred, gt)
-    rpe = loss_rpe(pred, gt)
-    acc = loss_acc(pred)
-    pose = loss_pose(pred, gt, w)
+    ate, rpe, acc = loss_ate(pred, gt), loss_rpe(pred, gt), loss_acc(pred)
+    pose = _pose_sum(w, ate, rpe, acc)
     total = loss_total(args.conf_loss, args.rgb_loss, pose, w)
     return "ate,rpe,acc,pose,conf,rgb,total", [
         (ate, rpe, acc, pose, args.conf_loss, args.rgb_loss, total)]
 
 
 def _cmd_simulate(args):
+    from .simulate import simulate_stream
     constant_beta = None if args.policy == "adaptive" else args.policy
     return "step,beta,recall_first,recall_latest", simulate_stream(
         args.frames, args.state_dim, args.seed, constant_beta)
@@ -326,6 +334,7 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         table = args.func(args)
         if table is not None:  # a CSV header and its rows, for stdout
+            from .io_formats import format_rows
             header, rows = table
             print(header)
             for row in rows:

@@ -1,10 +1,9 @@
 """Exception types raised by the toolkit.
 
 Everything derives from ToolkitError so callers can catch the whole family;
-parse-time failures additionally carry the offending line number.
+parse-time failures additionally carry the offending line number. The module
+imports no NumPy until a check runs, so that a usage error needs none.
 """
-
-import numpy as np
 
 
 class ToolkitError(ValueError):
@@ -24,6 +23,7 @@ class NonFiniteResult(ToolkitError):
     @classmethod
     def check(cls, value, what: str, cause: str = "a weighted term overflows"):
         """`value`, a number or an array, if all of it is finite."""
+        import numpy as np
         if not np.isfinite(value).all():
             raise cls(f"{what} is not finite: {cause}")
         return value

@@ -8,29 +8,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .config import ScoreConfig
 from .errors import (DegenerateConfiguration, EmptyImage, NegativeMagnitude,
                      NonFiniteResult)
 from .geometry import GrayImage, Pose, _halves, relative_pose
-
-
-@dataclass(frozen=True)
-class ScoreConfig:
-    w1: float = 1.0
-    w2: float = 1.0
-    radius: float | None = None  # None -> floor(min(H, W) / 8) at use time
-    epsilon: float = 1e-8
-    clip_max: float = 1.0
-    initial_weight: float = 1.0  # weight for the first frame of a stream
-
-    def effective_radius(self, height: int, width: int) -> float:
-        if self.radius is not None:
-            return self.radius
-        return float(min(height, width) // 8)
 
 
 def to_grayscale(rgb: np.ndarray) -> GrayImage:

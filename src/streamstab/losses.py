@@ -10,26 +10,15 @@ alignment live in metrics.py.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .config import LossWeights
 from .errors import (EmptyList, EmptyTrajectory, LengthMismatch,
                      MissingConfidence, NonFiniteResult, ShapeMismatch,
                      TooShort)
 from .geometry import PointSet, Trajectory, pair_length
 
 _OVERFLOW = "a translation's norm or difference overflows"
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    w_a: float = 1.0  # ATE term
-    w_r: float = 1.0  # RPE term
-    w_s: float = 1.0  # acceleration term
-    lambda1: float = 1.0  # confidence regression loss
-    lambda2: float = 1.0  # RGB loss
-    lambda3: float = 1.0  # pose loss
 
 
 def scale_normalizer(vectors) -> float:
@@ -134,11 +123,17 @@ def loss_acc(pred: Trajectory) -> float:
 def loss_pose(pred: Trajectory, gt: Trajectory, w: LossWeights = LossWeights()) -> float:
     """Weighted sum of the ATE, RPE and acceleration terms; a term of weight
     0 is skipped with the length it needs, any other weight scales it."""
-    total = w.w_a * loss_ate(pred, gt)
+    return _pose_sum(w, loss_ate(pred, gt), w.w_r and loss_rpe(pred, gt),
+                     w.w_s and loss_acc(pred))
+
+
+def _pose_sum(w: LossWeights, ate: float, rpe: float, acc: float) -> float:
+    """loss_pose from its three terms; a term of weight 0 is not added."""
+    total = w.w_a * ate
     if w.w_r:
-        total += w.w_r * loss_rpe(pred, gt)
+        total += w.w_r * rpe
     if w.w_s:
-        total += w.w_s * loss_acc(pred)
+        total += w.w_s * acc
     return NonFiniteResult.check(total, "pose loss")
 
 

@@ -9,11 +9,11 @@ from the training losses in losses.py.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
+from .config import DepthEvalMode
 from .errors import (DegenerateConfiguration, InvalidValue, LengthMismatch,
                      NoOverlappingValidity, NonFinitePoints, NonFiniteResult,
                      ShapeMismatch, TooFewPoints, TooShort)
@@ -34,12 +34,6 @@ class Similarity3(NamedTuple):
     def apply(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float).reshape(-1, 3)
         return self.scale * pts @ self.rotation.T + self.translation
-
-
-class DepthEvalMode(Enum):
-    ORIGINAL = "original"
-    SCALE = "scale"
-    SCALE_AND_SHIFT = "scale_and_shift"
 
 
 def umeyama_align(src, dst, with_scale: bool = True) -> Similarity3:

@@ -45,39 +45,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import BilateralConfig
 from .errors import (DegenerateConfiguration, InvalidValue, NonFiniteResult,
                      NoValidPixels)
-from .geometry import (_THREADS, DepthMap, PointSet, _in_parallel, _split,
-                       median)
+from .geometry import _THREADS, DepthMap, PointSet, _in_parallel, _split
 
 _STRIP_ROWS = 64  # rows per strip
 _MAX_BANDS = _THREADS  # row bands, one per thread
-
-
-@dataclass(frozen=True)
-class BilateralConfig:
-    window: int = 2          # half-width; neighborhood is (2w+1)^2
-    sigma_s: float = 2.0     # spatial sigma, pixels
-    sigma_r: float | None = None  # None -> adaptive: 0.05 * median valid depth
-
-    def __post_init__(self):
-        if self.window < 0:
-            raise InvalidValue(f"window must be at least 0, got {self.window}")
-        if not (math.isfinite(self.sigma_s) and self.sigma_s > 0):
-            raise InvalidValue(f"sigma_s must be finite and positive, "
-                               f"got {self.sigma_s}")
-        if self.sigma_r is not None and not (math.isfinite(self.sigma_r)
-                                             and self.sigma_r > 0):
-            raise InvalidValue(f"sigma_r must be finite and positive, "
-                               f"got {self.sigma_r}")
-
-    def effective_sigma_r(self, depth_map: DepthMap) -> float:
-        if self.sigma_r is not None:
-            return self.sigma_r
-        x = depth_map.depths[depth_map.valid]  # a copy, which median reorders
-        if not x.size:
-            raise NoValidPixels("depth map has no valid pixels")
-        return 0.05 * median(x)
 
 
 @dataclass(frozen=True)

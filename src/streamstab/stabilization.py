@@ -8,19 +8,13 @@ Strictly causal: each output pose depends only on inputs up to that frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
+from .config import OneEuroConfig
 from .errors import NonPositiveDt
 from .geometry import Pose, Quaternion, Trajectory, quat_normalize, slerp
 
 _DEFAULT_DT = 1.0 / 30.0  # frame interval, seconds, when ts does not increase
-
-
-@dataclass(frozen=True)
-class OneEuroConfig:
-    f_min: float = 1.0        # minimum cutoff frequency, Hz
-    beta_gain: float = 0.007  # cutoff gain per unit speed
 
 
 class FilterState(NamedTuple):

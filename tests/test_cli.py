@@ -254,8 +254,8 @@ class TestRefine:
 
         def never(*args):
             raise AssertionError("the map was read or filtered")
-        monkeypatch.setattr("streamstab.cli.read_pfm", never)
-        monkeypatch.setattr("streamstab.cli.bilateral_depth", never)
+        monkeypatch.setattr("streamstab.io_formats.read_pfm", never)
+        monkeypatch.setattr("streamstab.spatial.bilateral_depth", never)
         with pytest.raises(SystemExit) as exc:
             main(["refine", "--in", str(src), "--out", str(tmp_path / out),
                   *flags])
@@ -691,6 +691,32 @@ class TestEval:
                         + acc * weights["--ws"])
         assert total == pose
 
+    def test_eval_loss_evaluates_each_term_once(self, capsys, monkeypatch,
+                                                tmp_path):
+        # the table's terms are summed into pose, not evaluated again by
+        # loss_pose: loss_ate calls scale_normalizer twice, loss_rpe
+        # hemisphere_align twice and loss_acc once
+        from streamstab import losses
+        calls = []
+        for name in ("scale_normalizer", "hemisphere_align"):
+            def counted(*args, _f=getattr(losses, name), _name=name):
+                calls.append(_name)
+                return _f(*args)
+            monkeypatch.setattr(losses, name, counted)
+        rng = np.random.default_rng(16)
+        pred, gt = random_trajectory(rng, 6), random_trajectory(rng, 6)
+        p, g = tmp_path / "p.txt", tmp_path / "g.txt"
+        p.write_text(write_trajectory_tum(pred))
+        g.write_text(write_trajectory_tum(gt))
+        code, out, _ = run(capsys, ["eval-loss", "--pred", str(p),
+                                    "--gt", str(g)])
+        assert code == 0
+        assert sorted(calls) == (["hemisphere_align"] * 3
+                                 + ["scale_normalizer"] * 2)
+        pose = float(out.splitlines()[1].split(",")[3])
+        assert pose == losses.loss_pose(read_trajectory_tum(p.read_text()),
+                                        read_trajectory_tum(g.read_text()))
+
     @pytest.mark.parametrize("flags, name", [
         (["--ws", "1e308"], "pose"), (["--wa", "1e308", "--wr", "1e308"], "pose"),
         (["--conf-loss", "1e308", "--lambda1", "2"], "total")])
@@ -798,7 +824,7 @@ class TestSimulate:
     def test_memory_error_exit_3(self, capsys, monkeypatch):
         def simulate_stream(*args):
             raise MemoryError("Unable to allocate 7.28 PiB for an array")
-        monkeypatch.setattr("streamstab.cli.simulate_stream", simulate_stream)
+        monkeypatch.setattr("streamstab.simulate.simulate_stream", simulate_stream)
         code, out, err = run(capsys, ["simulate", "--frames", "1"])
         assert (code, out) == (3, "")
         assert err == "error: Unable to allocate 7.28 PiB for an array\n"
@@ -1363,8 +1389,8 @@ def test_value_error_neither_caught_by_main_nor_raised_in_src():
 
 
 def test_only_the_pipelines_import_algorithm_modules():
-    # values (errors, geometry) at the bottom, algorithms above them: only the
-    # stream pipeline and the CLI compose algorithm modules, and the
+    # values (errors, config, geometry) at the bottom, algorithms above them:
+    # only the stream pipeline and the CLI compose algorithm modules, and the
     # package's __init__ and __main__ re-export them
     src = Path(cli.__file__).parent
     composers = {"simulate.py", "cli.py", "__init__.py", "__main__.py"}
@@ -1380,7 +1406,7 @@ def test_only_the_pipelines_import_algorithm_modules():
         stray += [(path.name, name) for name in imported
                   if name.startswith((".", "streamstab"))
                   and name.lstrip(".").removeprefix("streamstab.")
-                  not in ("errors", "geometry")]
+                  not in ("errors", "config", "geometry")]
     assert stray == []
 
 
