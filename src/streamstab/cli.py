@@ -5,8 +5,9 @@ stderr. Exit codes: 0 success, 2 usage or parse error, 3 numerical
 precondition failure. An optional flat key=value config file supplies
 defaults; explicit flags override it.
 
-Each subcommand imports the modules it runs when it runs, so that `--help`
-and a usage error load neither NumPy nor any algorithm module.
+The algorithm modules are lazy (see the package's __init__): each body runs
+when a subcommand first uses it, so `--help` and a usage error load neither
+NumPy nor any algorithm module.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import string
 import sys
 from pathlib import Path
 
+from . import (frame_scoring, io_formats, losses, metrics, simulate, spatial,
+               stabilization)
 from .config import (BilateralConfig, DepthEvalMode, LossWeights,
                      OneEuroConfig, ScoreConfig)
 from .errors import CountMismatch, ParseError, ToolkitError
@@ -68,10 +71,10 @@ def _number(kind: type = float, low: float = -math.inf, above: bool = False,
     """argparse type: a finite `kind` from `low` (exclusive if `above`) to
     `high`, spelled as the file readers' integer or decimal fields."""
     def parse(text: str):
-        from .io_formats import _decimals, _integer
         token = text.encode("utf-8", "surrogatepass")
         try:
-            value = _integer(token, "") if kind is int else _decimals([token])[0]
+            value = (io_formats._integer(token, "") if kind is int
+                     else io_formats._decimals([token])[0])
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"invalid {kind.__name__} value: {text!r}")
@@ -218,9 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_score(args):
-    from .frame_scoring import score_terms
-    from .io_formats import read_pgm, read_trajectory_tum
-    traj = read_trajectory_tum(_text(args.traj))
+    traj = io_formats.read_trajectory_tum(_text(args.traj))
     frame_files = sorted(Path(args.frames).glob("*.pgm"))
     if len(frame_files) != len(traj):
         raise CountMismatch(
@@ -233,39 +234,37 @@ def _cmd_score(args):
         prev = None
         for i, (pose, path) in enumerate(zip(traj, frame_files)):
             # keeping `img` until the next frame is read saves ~2 ms of page faults
-            img = read_pgm(path.read_bytes())
-            yield (i, *score_terms(prev, pose, img, cfg))
+            img = io_formats.read_pgm(path.read_bytes())
+            yield (i, *frame_scoring.score_terms(prev, pose, img, cfg))
             prev = pose
     return "index,delta_x,delta_q,s1,R,s2,weight", rows()
 
 
 def _cmd_stabilize(args) -> None:
-    from .io_formats import read_trajectory_tum, write_trajectory_tum
-    from .stabilization import stabilize_trajectory
-    traj = read_trajectory_tum(_text(args.infile))
+    traj = io_formats.read_trajectory_tum(_text(args.infile))
     cfg = OneEuroConfig(f_min=args.fmin, beta_gain=args.beta_gain)
-    Path(args.outfile).write_text(
-        write_trajectory_tum(stabilize_trajectory(traj, cfg)), encoding="utf-8")
+    Path(args.outfile).write_text(io_formats.write_trajectory_tum(
+        stabilization.stabilize_trajectory(traj, cfg)), encoding="utf-8")
 
 
 def _cmd_refine(args) -> None:
-    from .io_formats import read_pfm, write_pfm, write_ply_ascii
-    from .spatial import Intrinsics, bilateral_depth, refine_cloud
     # the output's flags are checked before the map is read and filtered
     out = Path(args.outfile)
     if out.suffix.lower() == ".ply":
         if None in (args.fx, args.fy, args.cx, args.cy):
             args.parser.error("PLY output requires --fx --fy --cx --cy")
-        intr = Intrinsics(args.fx, args.fy, args.cx, args.cy)
+        intr = spatial.Intrinsics(args.fx, args.fy, args.cx, args.cy)
     elif out.suffix.lower() != ".pfm":
         args.parser.error(f"unsupported output extension {out.suffix!r}")
-    depth_map = read_pfm(Path(args.infile).read_bytes())
+    depth_map = io_formats.read_pfm(Path(args.infile).read_bytes())
     cfg = BilateralConfig(window=args.window, sigma_s=args.sigma_s,
                           sigma_r=args.sigma_r)
     if out.suffix.lower() == ".pfm":
-        out.write_bytes(write_pfm(bilateral_depth(depth_map, cfg)))
+        out.write_bytes(io_formats.write_pfm(
+            spatial.bilateral_depth(depth_map, cfg)))
     else:
-        out.write_bytes(write_ply_ascii(refine_cloud(depth_map, intr, cfg)))
+        out.write_bytes(io_formats.write_ply_ascii(
+            spatial.refine_cloud(depth_map, intr, cfg)))
 
 
 def _load_pair(args, read, load=_text):
@@ -274,52 +273,46 @@ def _load_pair(args, read, load=_text):
 
 
 def _cmd_eval_traj(args):
-    from .io_formats import read_trajectory_tum
-    from .metrics import metric_ate, metric_rpe
-    pred, gt = _load_pair(args, read_trajectory_tum)
+    pred, gt = _load_pair(args, io_formats.read_trajectory_tum)
     k, shortest = args.prefix_frames, min(len(pred), len(gt))
     if k is not None and k > shortest:
         print(f"warning: --prefix-frames {k} exceeds trajectory length "
               f"{shortest}; clamping", file=sys.stderr)
         k = shortest
     pred, gt = pred[:k], gt[:k]
-    ate = metric_ate(pred, gt, with_scale=args.align == "sim3")
-    rpe_trans, rpe_rot = metric_rpe(pred, gt)
+    ate = metrics.metric_ate(pred, gt, with_scale=args.align == "sim3")
+    rpe_trans, rpe_rot = metrics.metric_rpe(pred, gt)
     return "frames,ate,rpe_trans,rpe_rot", [(len(pred), ate, rpe_trans, rpe_rot)]
 
 
 def _cmd_eval_depth(args):
-    from .io_formats import read_pfm
-    from .metrics import metric_depth
-    pred, gt = _load_pair(args, read_pfm, Path.read_bytes)
-    return "abs_rel,delta_125", [metric_depth(pred, gt, DepthEvalMode(args.mode))]
+    pred, gt = _load_pair(args, io_formats.read_pfm, Path.read_bytes)
+    return "abs_rel,delta_125", [
+        metrics.metric_depth(pred, gt, DepthEvalMode(args.mode))]
 
 
 def _cmd_eval_recon(args):
-    from .io_formats import read_ply_ascii
-    from .metrics import metric_recon
-    pred, gt = _load_pair(args, read_ply_ascii, Path.read_bytes)
-    return "acc,comp,nc", [metric_recon(pred, gt, k_normals=args.k_normals)]
+    pred, gt = _load_pair(args, io_formats.read_ply_ascii, Path.read_bytes)
+    return "acc,comp,nc", [
+        metrics.metric_recon(pred, gt, k_normals=args.k_normals)]
 
 
 def _cmd_eval_loss(args):
-    from .io_formats import read_trajectory_tum
-    from .losses import _pose_sum, loss_acc, loss_ate, loss_rpe, loss_total
-    pred, gt = _load_pair(args, read_trajectory_tum)
+    pred, gt = _load_pair(args, io_formats.read_trajectory_tum)
     w = LossWeights(w_a=args.wa, w_r=args.wr, w_s=args.ws,
                     lambda1=args.lambda1, lambda2=args.lambda2,
                     lambda3=args.lambda3)
-    ate, rpe, acc = loss_ate(pred, gt), loss_rpe(pred, gt), loss_acc(pred)
-    pose = _pose_sum(w, ate, rpe, acc)
-    total = loss_total(args.conf_loss, args.rgb_loss, pose, w)
+    ate = losses.loss_ate(pred, gt)
+    rpe, acc = losses.loss_rpe(pred, gt), losses.loss_acc(pred)
+    pose = losses._pose_sum(w, ate, rpe, acc)
+    total = losses.loss_total(args.conf_loss, args.rgb_loss, pose, w)
     return "ate,rpe,acc,pose,conf,rgb,total", [
         (ate, rpe, acc, pose, args.conf_loss, args.rgb_loss, total)]
 
 
 def _cmd_simulate(args):
-    from .simulate import simulate_stream
     constant_beta = None if args.policy == "adaptive" else args.policy
-    return "step,beta,recall_first,recall_latest", simulate_stream(
+    return "step,beta,recall_first,recall_latest", simulate.simulate_stream(
         args.frames, args.state_dim, args.seed, constant_beta)
 
 
@@ -334,11 +327,10 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         table = args.func(args)
         if table is not None:  # a CSV header and its rows, for stdout
-            from .io_formats import format_rows
             header, rows = table
             print(header)
             for row in rows:
-                print(format_rows([row], sep=","), end="")
+                print(io_formats.format_rows([row], sep=","), end="")
     except (ToolkitError, UnicodeDecodeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         usage = (ParseError, CountMismatch, OSError, UnicodeDecodeError)

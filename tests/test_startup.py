@@ -2,7 +2,9 @@
 no NumPy, and each subcommand only the modules it runs.
 
 Each case runs in a fresh interpreter, so the modules this test process has
-imported do not count.
+imported do not count. A lazy module is in `sys.modules` before its body runs,
+with a subclass of the module type as its type until then, so only modules of
+the plain module type count as loaded.
 """
 
 import ast
@@ -23,7 +25,7 @@ SRC = Path(streamstab.__file__).parent
 # runs `python -m streamstab ARGV...` (or the statement STMT) and then prints,
 # as its last stdout line, the streamstab modules loaded, numpy and scipy
 _PROBE = """
-import json, runpy, sys
+import json, runpy, sys, types
 argv, stmt = json.loads(sys.argv[1])
 try:
     if stmt:
@@ -33,8 +35,8 @@ try:
         runpy.run_module("streamstab", run_name="__main__", alter_sys=True)
 finally:
     print(json.dumps(sorted(
-        [m.removeprefix("streamstab.") for m in sys.modules
-         if m.startswith("streamstab.")]
+        [name.removeprefix("streamstab.") for name, m in sys.modules.items()
+         if name.startswith("streamstab.") and type(m) is types.ModuleType]
         + [m for m in ("numpy", "scipy") if m in sys.modules])))
 """
 
@@ -54,6 +56,59 @@ def _loaded(argv=(), stmt="", cwd=None):
 ], ids=["import", "help", "usage-error"])
 def test_no_numpy_before_a_subcommand_runs(argv, stmt, code):
     assert _loaded(argv, stmt) == (code, {"cli", "config", "errors"})
+
+
+_ALGORITHMS = {"frame_scoring", "geometry", "io_formats", "losses", "metrics",
+               "simulate", "spatial", "stabilization", "state_update"}
+
+# an import hook, as a profiler installs, sees each algorithm module imported
+# by `import streamstab`; each is then an attribute of the package, and the
+# first access to one of its attributes runs its body and its imports only
+_HOOKED = """
+import builtins
+seen, original = set(), builtins.__import__
+def hook(name, *args):
+    seen.add(name)
+    return original(name, *args)
+builtins.__import__ = hook
+import streamstab
+builtins.__import__ = original
+assert {"streamstab." + name for name in %r} <= seen, seen
+assert all(isinstance(getattr(streamstab, name), type(streamstab))
+           for name in %r)
+streamstab.stabilization.filter_step
+"""
+
+
+def test_import_makes_each_algorithm_module_a_lazy_attribute():
+    stmt = _HOOKED % (sorted(_ALGORITHMS), sorted(_ALGORITHMS))
+    assert _loaded(stmt=stmt) == (0, {"config", "errors", "geometry",
+                                      "stabilization", "numpy"})
+
+
+# a profiler that walks sys.modules after `import streamstab`, wrapping each
+# module's functions as the walk loads it, walks every algorithm module and
+# never meets a function it has already wrapped
+_WALK = """
+import functools, sys, types
+import streamstab
+walked = set()
+for name, module in list(sys.modules.items()):
+    if not name.startswith("streamstab."):
+        continue
+    walked.add(name.removeprefix("streamstab."))
+    for attr, fn in list(vars(module).items()):  # vars() runs a lazy body
+        if (isinstance(fn, types.FunctionType) and not attr.startswith("_")
+                and fn.__module__.startswith("streamstab.")):
+            assert not hasattr(fn, "__wrapped__"), (name, attr)
+            setattr(module, attr, functools.wraps(fn)(lambda *a, **k: None))
+assert walked >= %r, walked
+"""
+
+
+def test_a_walk_over_the_modules_wraps_each_function_once():
+    code, _ = _loaded(stmt=_WALK % _ALGORITHMS)
+    assert code == 0
 
 
 # the streamstab modules each subcommand loads besides cli, config, errors,
