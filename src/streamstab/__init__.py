@@ -2,7 +2,8 @@
 
 Every module but `cli`, `config` and `errors` is a lazy module: `import
 streamstab` puts each in `sys.modules` and on the package, and its body runs at
-the first access to one of its attributes. The names below resolve through
+the first access to one of its attributes, once, while a first access from
+another thread waits for it. The names below resolve through
 them on first use (PEP 562), so `import streamstab` loads no NumPy: it runs
 only `config` and `errors`, which need none.
 """
@@ -10,6 +11,8 @@ only `config` and `errors`, which need none.
 import importlib.machinery
 import importlib.util
 import sys
+import threading
+import types
 
 from . import config, errors  # noqa: F401  (no NumPy)
 
@@ -37,13 +40,44 @@ __all__ = list(_EXPORTS)
 __version__ = "0.1.0"
 
 
+class _LazyModule(types.ModuleType):
+    """A module whose body runs at the first access to one of its
+    attributes, once. That access holds `_LOAD` while the body runs, and the
+    module keeps this type until the body has run, so that a first access
+    from another thread waits for the body rather than finding the module
+    without it. (The standard library's lazy module, before Python 3.12,
+    becomes a plain module before its body runs.)"""
+
+    def __getattribute__(self, attr):
+        get = types.ModuleType.__getattribute__
+        with _LOAD:  # re-entrant: the loader and the body's imports come back
+            if type(self) is _LazyModule and id(self) not in _loading:
+                _loading.add(id(self))
+                try:
+                    get(self, "__spec__").loader.exec_module(self)
+                    self.__class__ = types.ModuleType
+                finally:
+                    _loading.discard(id(self))
+        return get(self, attr)
+
+
+_LOAD = threading.RLock()
+_loading = set()  # the ids of the modules whose bodies are running
+
+
+class _LazyLoader(importlib.util.LazyLoader):
+    def exec_module(self, module):
+        super().exec_module(module)  # __spec__.loader is now the real loader
+        module.__class__ = _LazyModule
+
+
 class _LazyFinder:
     """Finds a module with a loader that defers its body to first use."""
 
     @staticmethod
     def find_spec(name, path, target=None):
         spec = importlib.machinery.PathFinder.find_spec(name, path)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
+        spec.loader = _LazyLoader(spec.loader)
         return spec
 
 

@@ -230,10 +230,15 @@ def _cmd_score(args):
                       epsilon=args.epsilon, clip_max=args.clip_max,
                       initial_weight=args.initial_weight)
 
+    # one untouched 16 MiB block, allocated and freed: glibc then raises its
+    # mmap threshold to 16 MiB and its trim threshold to 32 MiB (mallopt(3)),
+    # so that each frame's ~7 MB of temporaries reuse the last frame's heap
+    # rather than being trimmed off it and faulted in again
+    bytes(16 << 20)
+
     def rows():  # a generator: each row is written as its frame is scored
         prev = None
         for i, (pose, path) in enumerate(zip(traj, frame_files)):
-            # keeping `img` until the next frame is read saves ~2 ms of page faults
             img = io_formats.read_pgm(path.read_bytes())
             yield (i, *frame_scoring.score_terms(prev, pose, img, cfg))
             prev = pose

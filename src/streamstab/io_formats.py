@@ -8,6 +8,7 @@ All readers reject trailing garbage and fail fast on truncated payloads.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import re
@@ -26,12 +27,102 @@ from .geometry import DepthMap, GrayImage, PointSet, Trajectory, _halves
 # block and the payload
 _PLY_BLOCK_LINES = 4096
 
+# a table of fewer values is one `%.17g` template (a CSV row); a larger one is
+# formatted from exact integer digits, _FORMAT_STEP_ROWS rows at a time, so
+# that its temporaries stay small beside the text
+_FORMAT_MIN_VALUES = 256
+_FORMAT_STEP_ROWS = 1024
+
+# 10^p, exact as a double for p <= 22, and its halves by Veltkamp's split;
+# 10^p as an int64 for p <= 18
+_POW10 = np.array([float(10 ** p) for p in range(22)])
+_POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+_POW10_INT = 10 ** np.arange(19, dtype=np.int64)
+
 
 def format_rows(table, sep: str = " ") -> str:
     """One line per row of a 2D table, its fields as `%.17g` joined by `sep`."""
     table = np.asarray(table, dtype=float)
-    row = sep.join(["%.17g"] * table.shape[1]) + "\n"
-    return (row * len(table)) % tuple(table.ravel().tolist())
+    if table.size < _FORMAT_MIN_VALUES:
+        row = sep.join(["%.17g"] * table.shape[1]) + "\n"
+        return (row * len(table)) % tuple(table.ravel().tolist())
+    templates = _templates(sep)
+    return "".join(_format_step(table[i:i + _FORMAT_STEP_ROWS], templates)
+                   for i in range(0, len(table), _FORMAT_STEP_ROWS))
+
+
+@functools.cache
+def _templates(sep: str) -> np.ndarray:
+    """The `%` template of each kind of field, ended by `sep` or, at the end
+    of a row, by `\n`: one per sign, integer part (a digit, or `%d` for
+    more) and width of the fraction (0 for none), then `%.17g`'s own."""
+    bodies = [sign + lead + (f".%0{width}d" if width else "")
+              for sign in ("", "-") for lead in [*"0123456789", "%d"]
+              for width in range(21)] + ["%.17g"]
+    return np.array([body + end for body in bodies for end in (sep, "\n")],
+                    dtype=object)
+
+
+def _digits(a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """a · 10^(16 − k) rounded half to even, as an exact int64, for
+    1e-5 <= a < 1e17 and -5 <= k <= 16. 10^(16 − k) is an exact double, and
+    the product is hi + lo exactly (T. J. Dekker, Numer. Math. 18, 1971);
+    where the result has 17 digits, hi is past 2^53 and so an even integer."""
+    p = 16 - k
+    hi = a * _POW10[p]
+    split = a * 134217729.0
+    a_hi = split - (split - a)
+    a_lo = a - a_hi
+    lo = (((a_hi * _POW10_HI[p] - hi) + a_hi * _POW10_LO[p])
+          + a_lo * _POW10_HI[p]) + a_lo * _POW10_LO[p]
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+
+def _format_step(table: np.ndarray, templates: np.ndarray) -> str:
+    """The rows of `table`, each field as `%.17g` gives it. A field
+    1e-5 <= |x| < 1e17 has 17 significant digits D·10^(k − 16), with D an
+    exact int64 of 17 digits; where `%.17g` writes it without an exponent
+    (k >= -4), `%` formats only D's integer part and its fraction, stripped
+    of trailing zeros, in a template of that fraction's width. Every other
+    field (0, subnormal, NaN, inf, exponent form) keeps `%.17g`."""
+    x = table.ravel()
+    a = np.abs(x)
+    fast = (a >= 1e-5) & (a < 1e17)
+    a[~fast] = 1.0
+    # k from log10, then made exact by D's range: 10^16 <= D < 10^17
+    k = np.clip(np.floor(np.log10(a)), -5, 16).astype(np.int64)
+    d = _digits(a, k)
+    off = (d >= _POW10_INT[17]).astype(np.int64) - (d < _POW10_INT[16])
+    fix = np.flatnonzero(off)
+    k[fix] += off[fix]
+    d[fix] = _digits(a[fix], k[fix])
+    fast &= k >= -4
+    # 16 − k fraction digits; D is below 10^17, so 10^18 divides as 10^20
+    width = 16 - k
+    lead, frac = np.divmod(d, _POW10_INT[np.minimum(width, 18)])
+    # the trailing zeros (at most 19) of the fractions that end in one
+    ends = np.flatnonzero(frac // 10 * 10 == frac)
+    part, part_width = frac[ends], width[ends]
+    for strip in (16, 8, 4, 2, 1):
+        quotient = part // _POW10_INT[strip]
+        zeros = quotient * _POW10_INT[strip] == part
+        part[zeros] = quotient[zeros]
+        part_width[zeros] -= strip
+    frac[ends], width[ends] = part, np.maximum(part_width, 0)
+    code = ((np.signbit(x) * 11 + np.minimum(lead, 10)) * 21 + width) * 2
+    code[~fast] = len(templates) - 2
+    code.reshape(table.shape)[:, -1] += 1
+    # each field's arguments: a lead of more than one digit, the fraction,
+    # or the float itself where the template is `%.17g`
+    slots = np.flatnonzero(np.column_stack([(lead >= 10) | ~fast,
+                                            fast & (width > 0)]))
+    args = np.column_stack([lead, frac]).take(slots).tolist()
+    slow = np.flatnonzero(~fast)
+    for i, value in zip(np.searchsorted(slots, 2 * slow).tolist(),
+                        x[slow].tolist()):
+        args[i] = value
+    return "".join(templates[code].tolist()) % tuple(args)
 
 
 def _lf(data: bytes) -> bytes:

@@ -1,7 +1,9 @@
 import ast
 import io
 import math
+import platform
 import re
+import resource
 import subprocess
 import sys
 import warnings
@@ -159,6 +161,36 @@ class TestScore:
         assert code == 2
         assert message in err
         assert len(out.splitlines()) == 3  # the header and frames 0 and 1
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="glibc's dynamic malloc thresholds")
+    def test_each_frame_reuses_the_heap(self, tmp_path):
+        # a 384x512 frame makes ~7 MB of temporaries; if glibc trimmed them
+        # off the heap each frame would fault them in again, ~880 page faults
+        rng = np.random.default_rng(11)
+        traj = random_trajectory(rng, 40)
+        frames = [write_pgm(GrayImage(rng.uniform(size=(384, 512))))
+                  for _ in range(40)]
+
+        def score(n):
+            (tmp_path / f"traj{n}.txt").write_text(
+                write_trajectory_tum(traj[:n]))
+            (tmp_path / f"frames{n}").mkdir()
+            for i, frame in enumerate(frames[:n]):
+                (tmp_path / f"frames{n}" / f"{i:03d}.pgm").write_bytes(frame)
+            before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+            proc = subprocess.run(
+                [sys.executable, "-m", "streamstab", "score", "--traj",
+                 str(tmp_path / f"traj{n}.txt"), "--frames",
+                 str(tmp_path / f"frames{n}")],
+                capture_output=True, text=True, check=True)
+            after = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+            return proc.stdout, after - before
+
+        out10, faults10 = score(10)
+        out40, faults40 = score(40)
+        assert out40.splitlines()[:11] == out10.splitlines()
+        assert (faults40 - faults10) / 30 < 100
 
 
 class TestStabilize:

@@ -1,3 +1,4 @@
+import decimal
 import math
 import string
 import tracemalloc
@@ -14,8 +15,9 @@ from streamstab import io_formats
 from streamstab.errors import (InvalidValue, MissingProperty,
                                NonMonotonicTimestamps, ParseError,
                                UnsupportedMagic)
-from streamstab.io_formats import (_pnm_header, read_pfm, read_pgm,
-                                   read_ply_ascii, read_trajectory_tum,
+from streamstab.io_formats import (_pnm_header, format_rows, read_pfm,
+                                   read_pgm, read_ply_ascii,
+                                   read_trajectory_tum,
                                    write_pfm, write_pgm, write_ply_ascii,
                                    write_trajectory_tum)
 
@@ -95,6 +97,85 @@ def _same_outcome(a, b):
         return a == b
     return not isinstance(b[0], type) and all(
         x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+def format_rows_oracle(table, sep=" "):
+    """The writer's formatter before exact digits: one `%.17g` template."""
+    table = np.asarray(table, dtype=float)
+    row = sep.join(["%.17g"] * table.shape[1]) + "\n"
+    return (row * len(table)) % tuple(table.ravel().tolist())
+
+
+def tie_values(rng, count):
+    """`count` floats (2j + 1) / 2^(17 - k) in [10^k, 10^(k + 1)) for each
+    k from -4 to 15: x · 10^(16 - k) ends in exactly .5, so each is a tie at
+    17 significant digits, which `%.17g` rounds to even."""
+    ties = []
+    for k in range(-4, 16):
+        scale = 2 ** (17 - k)
+        lo = math.ceil(10.0 ** k * scale)
+        hi = min(2 ** 53, int(10.0 ** (k + 1) * scale))
+        ties.append((2 * rng.integers(lo // 2, hi // 2, count) + 1) / scale)
+    return np.concatenate(ties)
+
+
+def format_test_values():
+    """Over 1M floats, each with both signs: every decimal exponent from -8
+    to 20; 0, NaN, inf, the least subnormal and the largest float; each
+    power of ten 1e-6..1e17 and its neighbours; exact ties at 17 digits, and
+    multiples of 2^-25 and 2^-60; integers below 2^53; random bit
+    patterns."""
+    rng = np.random.default_rng(29)
+    decades = (rng.uniform(1.0, 10.0, (29, 12_000))
+               * 10.0 ** np.arange(-8, 21)[:, None])
+    powers = np.array([float(f"1e{k}") for k in range(-6, 18)])
+    values = np.concatenate([
+        decades.ravel(),
+        [0.0, math.nan, math.inf, 5e-324, 1.7976931348623157e308],
+        powers, np.nextafter(powers, math.inf),
+        np.nextafter(powers, -math.inf), tie_values(rng, 2_000),
+        rng.integers(0, 2 ** 40, 60_000) * 2.0 ** -25,
+        rng.integers(0, 2 ** 62, 60_000) * 2.0 ** -60,
+        rng.integers(0, 2 ** 53, 60_000).astype(float),
+        rng.integers(0, 2 ** 64, 100_000, dtype=np.uint64).view(np.float64)])
+    values = np.concatenate([values, -values])
+    rng.shuffle(values)
+    return values
+
+
+class TestFormatRows:
+    @pytest.fixture(scope="class")
+    def values(self):
+        return format_test_values()
+
+    def test_values_cover_the_cases(self, values):
+        assert len(values) >= 1_000_000
+        assert np.isin([-0.0, 5e-324, -math.inf, 1e17], values).all()
+        assert np.isnan(values).any()
+        for x in tie_values(np.random.default_rng(0), 5):
+            digits = decimal.Decimal(x).normalize().as_tuple().digits
+            assert len(digits) == 18 and digits[-1] == 5
+            assert "e" not in "%.17g" % x
+
+    def test_matches_oracle_byte_for_byte(self, values):
+        table = values[:len(values) // 4 * 4].reshape(-1, 4)
+        assert format_rows(table) == format_rows_oracle(table)
+
+    @pytest.mark.parametrize("shape, sep", [
+        ((1, 1), " "), ((1, 7), ","), ((36, 7), ","), ((37, 7), ","),
+        ((300, 4), ","), ((1025, 3), " "), ((10_000, 8), " ")])
+    def test_shapes_on_each_side_of_the_size_selection(self, values, shape,
+                                                       sep):
+        table = values[:shape[0] * shape[1]].reshape(shape)
+        assert format_rows(table, sep) == format_rows_oracle(table, sep)
+
+    def test_trailing_zeros_and_integers(self):
+        table = np.array([[1.0, -2.5, 10.0, 0.125], [1e16, 99999999999999984.0,
+                          0.0001, 1e-4 * (1 - 2 ** -52)]] * 100)
+        assert format_rows(table) == format_rows_oracle(table)
+        assert format_rows(table).splitlines()[1] == (
+            "10000000000000000 99999999999999984 0.0001 "
+            "9.9999999999999978e-05")
 
 
 # TUM text: any text, or lines of number-like fields
