@@ -239,8 +239,8 @@ def _cmd_score(args):
     def rows():  # a generator: each row is written as its frame is scored
         prev = None
         for i, (pose, path) in enumerate(zip(traj, frame_files)):
-            img = io_formats.read_pgm(path.read_bytes())
-            yield (i, *frame_scoring.score_terms(prev, pose, img, cfg))
+            yield (i, *frame_scoring.score_terms(
+                prev, pose, io_formats.read_pgm(path.read_bytes()), cfg))
             prev = pose
     return "index,delta_x,delta_q,s1,R,s2,weight", rows()
 
