@@ -62,17 +62,9 @@ def median(x: np.ndarray) -> float:
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    """Rotation matrices (..., 3, 3) of scalar-first unit quaternions (..., 4).
-
-    A row whose norm is not within _UNIT_TOL of 1, NaN included, raises
-    NonUnitQuaternion, as one Quaternion does in _require_unit."""
+    """Rotation matrices (..., 3, 3) of scalar-first unit quaternions (..., 4),
+    such as the rows a Trajectory holds."""
     w, x, y, z = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
-    with np.errstate(over="ignore"):
-        norm = np.sqrt(w * w + x * x + y * y + z * z).reshape(-1)
-    bad = np.flatnonzero(~(np.abs(norm - 1.0) <= _UNIT_TOL))
-    if bad.size:
-        raise NonUnitQuaternion(
-            f"quaternion row {bad[0]} has norm {norm[bad[0]]}, expected 1")
     return np.stack([
         1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
         2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
@@ -87,14 +79,16 @@ class Pose:
     timestamp: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "t", np.asarray(self.t, dtype=float).reshape(3))
+        object.__setattr__(self, "t", NonFiniteResult.check(np.asarray(
+            self.t, dtype=float).reshape(3), "a pose's translation", "NaN or inf"))
+        NonFiniteResult.check(self.timestamp, "a pose's timestamp", "NaN or inf")
 
 
 class Trajectory:
-    """Poses held as three read-only arrays: translations `t` (N, 3),
-    scalar-first quaternions `q` (N, 4) and strictly increasing timestamps
-    `ts` (N,). Indexing and iteration build `Pose` values on demand; a slice
-    is a Trajectory."""
+    """Poses held as three read-only arrays: finite translations `t` (N, 3),
+    scalar-first unit quaternions `q` (N, 4) and finite, strictly increasing
+    timestamps `ts` (N,); other rows raise, none is normalised. Indexing and
+    iteration build `Pose` values on demand; a slice is a Trajectory."""
 
     def __init__(self, poses: Iterable[Pose] = ()):
         poses = list(poses)
@@ -118,6 +112,14 @@ class Trajectory:
             a, b = self.ts[bad[0]:bad[0] + 2].tolist()
             raise InvalidValue(
                 f"timestamps must be strictly increasing ({a} -> {b})")
+        NonFiniteResult.check(self.t, "a translation", "NaN or inf")
+        NonFiniteResult.check(self.ts, "a timestamp", "NaN or inf")
+        # einsum does not warn: an overflowing norm is inf, and fails the test
+        norm = np.sqrt(np.einsum("ij,ij->i", self.q, self.q))
+        bad = np.flatnonzero(~(np.abs(norm - 1.0) <= _UNIT_TOL))  # NaN too
+        if bad.size:
+            raise NonUnitQuaternion(
+                f"quaternion row {bad[0]} has norm {norm[bad[0]]}, expected 1")
         for a in (self.t, self.q, self.ts):
             a.flags.writeable = False
 
@@ -164,7 +166,7 @@ class PointSet:
 
 @dataclass(frozen=True)
 class GrayImage:
-    """H x W grayscale raster with values in [0, 1]."""
+    """H x W grayscale raster of finite values, nominally in [0, 1]."""
 
     pixels: np.ndarray
 
@@ -172,6 +174,8 @@ class GrayImage:
         px = np.asarray(self.pixels, dtype=float)
         if px.ndim != 2 or px.size == 0:
             raise EmptyImage("grayscale image must be a nonempty 2D raster")
+        if not np.isfinite(px).all():
+            raise InvalidValue("grayscale pixels must be finite")
         object.__setattr__(self, "pixels", px)
 
 
@@ -206,18 +210,14 @@ def quat_normalize(q: Quaternion) -> Quaternion:
     return Quaternion(q.w / n, q.x / n, q.y / n, q.z / n)
 
 
-def _require_unit(q: Quaternion, name: str = "quaternion"):
-    if not abs(q.norm() - 1.0) <= _UNIT_TOL:  # NaN fails too
-        raise NonUnitQuaternion(f"{name} has norm {q.norm()}, expected 1")
-
-
 def quat_geodesic_angle(a: Quaternion, b: Quaternion) -> float:
     """Rotation angle in [0, pi] between two unit quaternions.
 
     Uses |a.b| so q and -q (same rotation) give angle 0.
     """
-    _require_unit(a, "a")
-    _require_unit(b, "b")
+    for name, q in (("a", a), ("b", b)):
+        if not abs(q.norm() - 1.0) <= _UNIT_TOL:  # NaN fails too
+            raise NonUnitQuaternion(f"{name} has norm {q.norm()}, expected 1")
     return 2.0 * math.acos(min(1.0, abs(a.dot(b))))
 
 

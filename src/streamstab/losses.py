@@ -82,14 +82,11 @@ def loss_ate(pred: Trajectory, gt: Trajectory) -> float:
     n = pair_length(pred, gt)
     if n == 0:
         raise EmptyTrajectory("loss_ate needs at least one pose")
-    tp, tg = pred.t, gt.t
-    sp, sg = scale_normalizer(tp), scale_normalizer(tg)
-    with np.errstate(over="ignore", invalid="ignore"):
-        trans = np.linalg.norm(tp / sp - tg / sg, axis=1)
-        qdots = np.minimum(np.abs(np.sum(pred.q * gt.q, axis=1)), 1.0)
-        return NonFiniteResult.check(float(np.mean(trans + (1.0 - qdots))),
-                                     "ATE loss", "a quaternion is not finite"
-                                     " or its product overflows")
+    # finite normalizers bound each |t / s| by n, and the rows of q are unit
+    sp, sg = scale_normalizer(pred.t), scale_normalizer(gt.t)
+    trans = np.linalg.norm(pred.t / sp - gt.t / sg, axis=1)
+    qdots = np.minimum(np.abs(np.sum(pred.q * gt.q, axis=1)), 1.0)
+    return float(np.mean(trans + (1.0 - qdots)))
 
 
 def loss_rpe(pred: Trajectory, gt: Trajectory) -> float:
@@ -171,8 +168,7 @@ def grad_pose_translations(pred: Trajectory, gt: Trajectory,
         sp, sg = scale_normalizer(tp), scale_normalizer(tg)
         grad += w.w_a * _unit_rows(tp / sp - tg / sg) / (sp * n)
 
-    # a difference or norm past float's range, or a NaN, is caught by
-    # _unit_rows, as scale_normalizer catches it when w_a > 0
+    # _unit_rows catches a difference or norm past float's range
     with np.errstate(over="ignore", invalid="ignore"):
         if w.w_r:
             step = np.diff(tp, axis=0) - np.diff(tg, axis=0)

@@ -1390,6 +1390,23 @@ def test_every_square_in_src_is_a_product():
     assert stray == []
 
 
+def test_unit_quaternion_rule_lives_in_geometry():
+    # a Trajectory holds unit rows, and Quaternion values are checked in
+    # geometry; a module above that names the tolerance or raises the error
+    # is a second copy of the rule (errors only defines the class)
+    src = Path(cli.__file__).parent
+    users = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name in ("_UNIT_TOL", "NonUnitQuaternion"):
+                users.add((path.name, name))
+    assert users == {("geometry.py", "_UNIT_TOL"),
+                     ("geometry.py", "NonUnitQuaternion")}
+
+
 def test_value_error_neither_caught_by_main_nor_raised_in_src():
     # every input error is a ToolkitError raised at its precondition, so
     # main names no ValueError, and one from a defect ends in a traceback.

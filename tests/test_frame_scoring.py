@@ -8,8 +8,8 @@ from streamstab import (GrayImage, Pose, Quaternion, ScoreConfig,
                         highfreq_ratio, motion_score, quality_score,
                         score_frame, score_terms, to_grayscale)
 from streamstab.errors import (DegenerateConfiguration, EmptyImage,
-                               NegativeMagnitude, NonFiniteResult,
-                               NonUnitQuaternion)
+                               InvalidValue, NegativeMagnitude,
+                               NonFiniteResult, NonUnitQuaternion)
 from streamstab.frame_scoring import _outside_disk
 from streamstab.geometry import _SPLIT_ROWS, quat_to_matrix
 
@@ -334,6 +334,20 @@ def test_nan_quaternion_weight_is_an_error():
     cur = Pose(np.zeros(3), Quaternion(math.nan, 0.0, 0.0, 0.0), 1.0)
     with pytest.raises(NonUnitQuaternion):
         score_frame(prev, cur, GrayImage(np.full((8, 8), 0.5)))
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_non_finite_pixel_is_invalid_value(x):
+    # a NaN pixel gave a NaN weight, and an inf one warned "invalid value
+    # encountered in fft"; neither image can now be built
+    prev = Pose(np.zeros(3), Quaternion.identity(), 0.0)
+    cur = Pose(np.ones(3), Quaternion.identity(), 1.0)
+    px = np.full((16, 16), 0.5)
+    px[3, 4] = x
+    with pytest.raises(InvalidValue, match="pixels must be finite"):
+        score_terms(prev, cur, GrayImage(px))
+    with pytest.raises(InvalidValue, match="pixels must be finite"):
+        to_grayscale(np.repeat(px[:, :, None], 3, axis=2))
 
 
 def test_quality_score_past_exp_range_is_its_limit():

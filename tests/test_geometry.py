@@ -11,7 +11,7 @@ import pytest
 import streamstab
 from streamstab import (Pose, Quaternion, Trajectory, frame_scoring, geometry,
                         quat_geodesic_angle, quat_normalize, relative_pose,
-                        slerp, spatial)
+                        slerp, spatial, stabilize_trajectory)
 from streamstab.errors import (InvalidGamma, InvalidValue, LengthMismatch,
                                NonFiniteResult, NonUnitQuaternion,
                                ZeroQuaternion)
@@ -169,6 +169,73 @@ class TestTrajectoryFromArrays:
         with pytest.raises(ValueError, match=f"strictly increasing \\({step}\\)"):
             Trajectory.from_arrays(np.zeros((3, 3)), [[1.0, 0, 0, 0]] * 3, ts)
 
+    # each value goes into t's y, q's x (beside w = 1) or ts; of the last of
+    # three rows, of all three, or of a one-pose trajectory. Warnings are
+    # errors in this suite, so none may be raised on the way.
+    @pytest.mark.parametrize("x", [0.0, -0.0, 5e-324, 1e154, 1e200, 1.7e308,
+                                   -1.7e308, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("rows", ["last", "all", "one pose"])
+    @pytest.mark.parametrize("field", ["t", "q", "ts"])
+    def test_awkward_values(self, field, rows, x):
+        n = 1 if rows == "one pose" else 3
+        arrays = {"t": np.zeros((n, 3)), "q": np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)),
+                  "ts": np.arange(float(n))}
+        at = -1 if rows == "last" else slice(None)
+        if field == "ts":
+            arrays["ts"][at] = x
+        else:
+            arrays[field][at, 1] = x
+        if field == "t":
+            expected = None if math.isfinite(x) else NonFiniteResult
+        elif field == "q":  # 1 + x * x is 1 only for a tiny x, and not NaN
+            expected = None if abs(x) < 1e-3 else NonUnitQuaternion
+        elif rows == "all" or rows == "last" and not 1.0 < x:
+            expected = InvalidValue  # not strictly increasing
+        else:
+            expected = None if math.isfinite(x) else NonFiniteResult
+        if expected is None:
+            traj = Trajectory.from_arrays(arrays["t"], arrays["q"], arrays["ts"])
+            for name, a in arrays.items():  # held as given, -0.0 too
+                assert getattr(traj, name).tobytes() == a.tobytes()
+        else:
+            with pytest.raises(expected):
+                Trajectory.from_arrays(arrays["t"], arrays["q"], arrays["ts"])
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_non_finite_is_named_by_kind(self, x):
+        q = [[1.0, 0.0, 0.0, 0.0]] * 2
+        with pytest.raises(NonFiniteResult, match="^a translation is not finite"):
+            Trajectory.from_arrays([[0.0, 0.0, 0.0], [0.0, x, 0.0]], q, [0.0, 1.0])
+        with pytest.raises(NonFiniteResult, match="^a timestamp is not finite"):
+            Trajectory.from_arrays(np.zeros((1, 3)), q[:1], [x])
+        with pytest.raises(NonUnitQuaternion,
+                           match=f"^quaternion row 1 has norm {x}, expected 1$"):
+            Trajectory.from_arrays(np.zeros((2, 3)), [q[0], [1.0, 0.0, x, 0.0]],
+                                   [0.0, 1.0])
+
+    def test_rows_within_unit_tolerance(self):
+        Trajectory.from_arrays(np.zeros((2, 3)), [[1.0 + 9e-7, 0.0, 0.0, 0.0],
+                                                  [0.0, 0.0, 0.0, 1.0 - 9e-7]],
+                               [0.0, 1.0])
+        for w in (1.0 + 2e-6, 1.0 - 2e-6):
+            with pytest.raises(NonUnitQuaternion, match="^quaternion row 1 "):
+                Trajectory.from_arrays(np.zeros((2, 3)), [[1.0, 0.0, 0.0, 0.0],
+                                                          [w, 0.0, 0.0, 0.0]],
+                                       [0.0, 1.0])
+
+    def test_stabilize_inf_last_translation(self):
+        # stabilize_trajectory returned an inf last row: the inf made alpha 1.
+        # Such a trajectory is now rejected as it is built
+        t = np.zeros((12, 3))
+        t[-1, 0] = math.inf
+        with pytest.raises(NonFiniteResult, match="^a translation"):
+            stabilize_trajectory(Trajectory.from_arrays(
+                t, [[1.0, 0.0, 0.0, 0.0]] * 12, np.arange(12.0)))
+        t[:, 0] = 1.7e308 * (-1.0) ** np.arange(12)  # each step overflows
+        out = stabilize_trajectory(Trajectory.from_arrays(
+            t, [[1.0, 0.0, 0.0, 0.0]] * 12, np.arange(12.0)))
+        assert np.isfinite(out.t).all()
+
 
 class TestTrajectoryErrorTypes:
     def test_rows_per_pose_is_length_mismatch(self):
@@ -236,20 +303,21 @@ def test_overflowing_norm_is_not_unit():
         quat_geodesic_angle(Quaternion.identity(), OVERFLOWING)
 
 
-# a row that is not a unit quaternion, and the norm quat_to_matrix reports
+# a row that is not a unit quaternion, and the norm Trajectory reports
 @pytest.mark.parametrize("row, norm", [([1.0, 1.0, 1.0, 1.0], "2.0"),
                                        ([0.0, 0.0, 0.0, 0.0], "0.0"),
                                        ([1.0, math.nan, 0.0, 0.0], "nan"),
                                        ([1e200, 0.0, 0.0, 0.0], "inf")])
 def test_quat_to_matrix_rejects_non_unit_row(row, norm):
-    # the matrix of a non-unit row is not a rotation: RPE read it silently
+    # the matrix of a non-unit row is not a rotation: RPE read it silently.
+    # quat_to_matrix takes the rows a Trajectory holds, which rejects it
     q = np.tile([0.5, 0.5, 0.5, 0.5], (5, 1))
     q[3] = row
     with pytest.raises(NonUnitQuaternion, match=f"^quaternion row 3 has norm "
                                                 f"{norm}, expected 1$"):
-        geometry.quat_to_matrix(q)
+        Trajectory.from_arrays(np.zeros((5, 3)), q, np.arange(5.0))
     with pytest.raises(NonUnitQuaternion, match="row 0"):
-        geometry.quat_to_matrix(row)
+        Trajectory.from_arrays(np.zeros(3), row, [0.0])
 
 
 def test_quat_to_matrix_takes_rows_within_unit_tolerance():

@@ -243,8 +243,9 @@ class TestTum:
             for make in (random_trajectory, awkward_trajectory):
                 traj = make(rng, n)
                 assert write_trajectory_tum(traj) == write_tum_loop_oracle(traj)
+        # a unit quaternion: 0.6 * 0.6 + 0.8 * 0.8 is 1 within _UNIT_TOL
         odd = Trajectory.from_arrays([[-0.0, 5e-324, -1.7976931348623157e308]],
-                                     [[-0.0, 0.5, -0.5, 0.5]], [-1e-300])
+                                     [[-0.0, 0.6, -0.8, 5e-324]], [-1e-300])
         assert write_trajectory_tum(odd) == write_tum_loop_oracle(odd)
 
     def test_reader_matches_loop_oracle(self):

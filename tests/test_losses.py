@@ -9,7 +9,8 @@ from streamstab import (LossWeights, PointSet, Pose, Quaternion, Trajectory,
                         scale_normalizer)
 from streamstab.errors import (EmptyList, EmptyTrajectory, InvalidValue,
                                LengthMismatch, MissingConfidence,
-                               NonFiniteResult, ShapeMismatch, TooShort)
+                               NonFiniteResult, NonUnitQuaternion,
+                               ShapeMismatch, TooShort)
 from streamstab.losses import hemisphere_align
 
 from conftest import awkward_trajectory, random_trajectory
@@ -243,14 +244,15 @@ class TestLossAte:
             assert loss_ate(scaled, gt) == pytest.approx(base, abs=1e-9)
 
     def test_nan_quaternion(self):
-        # from_arrays does not check quaternions; the loss was nan
+        # from_arrays did not check quaternions, and the loss was nan;
+        # loss_ate's own guard for it went once a NaN row could not be built
         gt = random_trajectory(np.random.default_rng(39), 5)
         q = gt.q.copy()
         q[2, 1] = math.nan
-        pred = Trajectory.from_arrays(gt.t, q, gt.ts)
-        for pair in ((pred, gt), (gt, pred)):
-            with pytest.raises(NonFiniteResult, match="^ATE loss"):
-                loss_ate(*pair)
+        for order in (1, -1):  # (pred, gt), then (gt, pred)
+            with pytest.raises(NonUnitQuaternion, match="^quaternion row 2 "
+                                                        "has norm nan"):
+                loss_ate(*(Trajectory.from_arrays(gt.t, q, gt.ts), gt)[::order])
 
 
 class TestHemisphereAlign:
@@ -510,24 +512,26 @@ class TestOverflow:
     @pytest.mark.filterwarnings("error")
     def test_quaternion_difference_overflow(self):
         # np.diff of the aligned quaternions ran outside the errstate block
-        # and warned "overflow encountered in subtract"
-        pred = self._huge_quaternion()
-        with pytest.raises(NonFiniteResult, match="acceleration loss"):
-            loss_acc(pred)
-        with pytest.raises(NonFiniteResult, match="RPE loss"):
-            loss_rpe(pred, straight_line(6))
+        # and warned "overflow encountered in subtract"; such a row is not a
+        # unit quaternion, and no Trajectory now holds it
+        with pytest.raises(NonUnitQuaternion, match="row 2 has norm inf"):
+            loss_acc(self._huge_quaternion())
+        with pytest.raises(NonUnitQuaternion, match="row 2 has norm inf"):
+            loss_rpe(self._huge_quaternion(), straight_line(6))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("x", [math.nan, 1e200])
     def test_gradient_without_ate_term(self, x):
         # with w_a = 0 no scale normalizer checks the translations: a NaN gave
-        # NaN rows, and 1e200 warned and gave zero rows
+        # NaN rows, and 1e200 warned and gave zero rows. A NaN translation
+        # is now rejected as the Trajectory is built
         t = np.zeros((6, 3))
         t[:, 0] = x * np.arange(6)
         t[0, 0] = 0.0
-        pred = Trajectory.from_arrays(t, [[1.0, 0.0, 0.0, 0.0]] * 6,
-                                      np.arange(6, dtype=float))
+        where = "pose-loss gradient" if math.isfinite(x) else "^a translation"
         for w in (LossWeights(w_a=0.0), LossWeights(w_a=0.0, w_r=0.0),
                   LossWeights(w_a=0.0, w_s=0.0)):
-            with pytest.raises(NonFiniteResult, match="pose-loss gradient"):
+            with pytest.raises(NonFiniteResult, match=where):
+                pred = Trajectory.from_arrays(t, [[1.0, 0.0, 0.0, 0.0]] * 6,
+                                              np.arange(6, dtype=float))
                 grad_pose_translations(pred, straight_line(6), w)

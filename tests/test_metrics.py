@@ -309,23 +309,21 @@ class TestMetricRpe:
                                            ([1e200, 0.0, 0.0, 0.0], "inf")])
     def test_non_unit_quaternion_row(self, row, norm):
         # from_arrays does not normalise: a non-unit row read as a rotation
-        # gave a wrong RPE, not an error
+        # gave a wrong RPE, not an error; it now cannot be built
         gt = random_trajectory(np.random.default_rng(36), 6)
         q = gt.q.copy()
         q[3] = row
-        pred = Trajectory.from_arrays(gt.t, q, gt.ts)
-        for pair in ((pred, gt), (gt, pred)):
+        for order in (1, -1):  # (pred, gt), then (gt, pred)
             with pytest.raises(NonUnitQuaternion,
                                match=f"row 3 has norm {norm}, expected 1"):
-                metric_rpe(*pair)
+                metric_rpe(*(Trajectory.from_arrays(gt.t, q, gt.ts), gt)[::order])
 
     def test_doubled_quaternions(self):
         # 2q holds the rotations of q, but its matrices are not rotations:
-        # the RPE read a nonzero error, not (0, 0)
+        # the RPE read a nonzero error, not (0, 0); 2q now cannot be built
         gt = random_trajectory(np.random.default_rng(37), 6)
-        pred = Trajectory.from_arrays(gt.t, 2.0 * gt.q, gt.ts)
         with pytest.raises(NonUnitQuaternion, match="row 0 has norm"):
-            metric_rpe(pred, gt)
+            metric_rpe(Trajectory.from_arrays(gt.t, 2.0 * gt.q, gt.ts), gt)
 
 
 class TestMetricDepth:

@@ -7,7 +7,8 @@ from streamstab import (FilterState, GrayImage, OneEuroConfig, Pose,
                         Quaternion, Trajectory, cutoff_freq, filter_step,
                         loss_acc, quat_normalize, score_terms, slerp,
                         smoothing_alpha, stabilize_trajectory)
-from streamstab.errors import InvalidGamma, NonFiniteResult, NonPositiveDt
+from streamstab.errors import (InvalidGamma, NonFiniteResult, NonPositiveDt,
+                               NonUnitQuaternion)
 
 from conftest import awkward_trajectory, quat_multiply, random_unit_quat
 
@@ -391,8 +392,25 @@ def test_nan_quaternion_is_non_finite_result():
     for state in (FilterState(), first):
         with pytest.raises(NonFiniteResult, match="NaN component"):
             filter_step(state, raw, OneEuroConfig())
+    # a Trajectory holds unit rows only: the NaN row is rejected as it is
+    # built, before the filter could normalise it
     q = np.tile([1.0, 0.0, 0.0, 0.0], (4, 1))
     q[2, 3] = math.nan
-    traj = Trajectory.from_arrays(np.zeros((4, 3)), q, np.arange(4.0))
-    with pytest.raises(NonFiniteResult, match="NaN component"):
-        stabilize_trajectory(traj)
+    with pytest.raises(NonUnitQuaternion, match="row 2 has norm nan"):
+        stabilize_trajectory(Trajectory.from_arrays(np.zeros((4, 3)), q,
+                                                    np.arange(4.0)))
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_filter_step_on_non_finite_pose_is_non_finite_result(x):
+    # an inf translation came back as an inf pose, and the next step's as NaN;
+    # a NaN one raised InvalidGamma. Neither Pose can now be built
+    start = Pose(np.zeros(3), Quaternion.identity(), 0.0)
+    first, _ = filter_step(FilterState(), start, OneEuroConfig())
+    for state in (FilterState(), first):
+        with pytest.raises(NonFiniteResult, match="^a pose's translation"):
+            filter_step(state, Pose([0.0, x, 0.0], Quaternion.identity(), 1.0),
+                        OneEuroConfig())
+        with pytest.raises(NonFiniteResult, match="^a pose's timestamp"):
+            filter_step(state, Pose(np.zeros(3), Quaternion.identity(), x),
+                        OneEuroConfig())
