@@ -2,8 +2,9 @@
 
 Deterministic, scriptable subcommands: CSV goes to stdout, diagnostics to
 stderr. Exit codes: 0 success, 2 usage or parse error, 3 numerical
-precondition failure. An optional flat key=value config file supplies
-defaults; explicit flags override it.
+precondition failure, 141 (128 + SIGPIPE) when the reader of stdout closes
+it early, with nothing on stderr. An optional flat key=value config file
+supplies defaults; explicit flags override it.
 
 The algorithm modules are lazy (see the package's __init__): each body runs
 when a subcommand first uses it, so `--help` and a usage error load neither
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import string
 import sys
@@ -336,6 +338,10 @@ def main(argv=None) -> int:
             print(header)
             for row in rows:
                 print(io_formats.format_rows([row], sep=","), end="")
+            sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+    except BrokenPipeError:  # as the Python docs' "Note on SIGPIPE" does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ToolkitError, UnicodeDecodeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         usage = (ParseError, CountMismatch, OSError, UnicodeDecodeError)

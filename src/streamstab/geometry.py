@@ -22,8 +22,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (EmptyImage, InvalidGamma, InvalidValue, LengthMismatch,
-                     NonFiniteResult, NonUnitQuaternion, ShapeMismatch,
-                     ZeroQuaternion)
+                     NonFinitePoints, NonFiniteResult, NonUnitQuaternion,
+                     ShapeMismatch, ZeroQuaternion)
 
 _UNIT_TOL = 1e-6
 
@@ -144,13 +144,15 @@ def pair_length(pred: Trajectory, gt: Trajectory) -> int:
 
 @dataclass(frozen=True)
 class PointSet:
-    """Point cloud with optional per-point positive confidences."""
+    """Point cloud of finite coordinates, with optional positive confidences."""
 
-    points: np.ndarray  # (n, 3)
+    points: np.ndarray  # (n, 3) finite; NaN or ±inf raises NonFinitePoints
     confidences: np.ndarray | None = None  # (n,)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float).reshape(-1, 3)
+        if not np.isfinite(pts).all():
+            raise NonFinitePoints("point cloud has a non-finite coordinate")
         object.__setattr__(self, "points", pts)
         if self.confidences is not None:
             conf = np.asarray(self.confidences, dtype=float).reshape(-1)

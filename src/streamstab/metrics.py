@@ -15,8 +15,8 @@ import numpy as np
 
 from .config import DepthEvalMode
 from .errors import (DegenerateConfiguration, InvalidValue, LengthMismatch,
-                     NoOverlappingValidity, NonFinitePoints, NonFiniteResult,
-                     ShapeMismatch, TooFewPoints, TooShort)
+                     NoOverlappingValidity, NonFiniteResult, ShapeMismatch,
+                     TooFewPoints, TooShort)
 from .geometry import (DepthMap, PointSet, Trajectory, median, pair_length,
                        quat_to_matrix)
 
@@ -152,11 +152,9 @@ def metric_depth(pred: DepthMap, gt: DepthMap,
 
 
 def _kdtrees(k: int, *clouds: np.ndarray) -> list:
-    """A KD-tree over each cloud. Rejected: a non-finite coordinate, a sum of
-    k + 1 coordinates (a neighbourhood's mean) past float's range, and an inf
-    squared distance between points, at which a query returns index n."""
-    if not all(np.isfinite(c).all() for c in clouds):
-        raise NonFinitePoints("point cloud has a non-finite coordinate")
+    """A KD-tree over each cloud, a PointSet's finite points. Rejected: a sum
+    of k + 1 coordinates (a neighbourhood's mean) past float's range, and an
+    inf squared distance between points, at which a query returns index n."""
     lo = np.min([c.min(axis=0) for c in clouds], axis=0)
     hi = np.max([c.max(axis=0) for c in clouds], axis=0)
     with np.errstate(over="ignore"):
@@ -191,7 +189,7 @@ def estimate_normals(points: np.ndarray, k: int = 16) -> np.ndarray:
     the normal is their smallest-variance direction, the last right-singular
     vector of the centred neighbourhood, oriented toward the origin.
     """
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    pts = PointSet(points).points  # a non-finite coordinate raises there
     if pts.shape[0] < k + 1:
         raise TooFewPoints(f"normal estimation needs at least {k + 1} points")
     return _tree_normals(*_kdtrees(k, pts), k, pts)

@@ -1,9 +1,9 @@
 """Fast-weight memory state updated once per frame.
 
-The state is an n x c linear associative memory written with delta-rule
-gradient steps of any learning rate; simulate.stream_step takes it from the
-frame score. A rate far from (0, 2) makes the state grow without bound: a
-gradient, state or recall error that is not finite is a NonFiniteResult.
+The state is an n x c linear associative memory of finite values, written
+with delta-rule gradient steps of any learning rate; simulate.stream_step
+takes it from the frame score. A rate far from (0, 2) makes it diverge: a
+MemoryState, gradient or recall error that is not finite is a NonFiniteResult.
 """
 
 from __future__ import annotations
@@ -18,13 +18,14 @@ from .errors import DimensionMismatch, EmptySet, NonFiniteResult
 
 @dataclass(frozen=True)
 class MemoryState:
-    values: np.ndarray  # (n, c)
+    values: np.ndarray  # (n, c) finite; NaN or ±inf raises NonFiniteResult
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2:
             raise DimensionMismatch("state must be a 2D matrix")
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", NonFiniteResult.check(
+            v, "memory state", "it diverges"))
 
     @staticmethod
     def zeros(n: int, c: int) -> "MemoryState":
@@ -39,9 +40,9 @@ class Observation(NamedTuple):
 def _residual(state: MemoryState, obs: Observation) -> np.ndarray:
     """S k - v, the recall residual of one stored pair."""
     n, c = state.values.shape
-    if obs.key.shape[0] != c or obs.value.shape[0] != n:
-        raise DimensionMismatch(
-            f"observation ({obs.value.shape[0]}, {obs.key.shape[0]}) does not "
+    if np.shape(obs.key) != (c,) or np.shape(obs.value) != (n,):
+        raise DimensionMismatch(  # the shape of v k^T against the state's
+            f"observation {np.shape(obs.value) + np.shape(obs.key)} does not "
             f"match state ({n}, {c})")
     return state.values @ obs.key - obs.value
 
@@ -58,9 +59,8 @@ def apply_update(state: MemoryState, gradient: np.ndarray, beta: float) -> Memor
     gradient = np.asarray(gradient, dtype=float)
     if gradient.shape != state.values.shape:
         raise DimensionMismatch("gradient shape does not match state")
-    with np.errstate(over="ignore", invalid="ignore"):
-        return MemoryState(NonFiniteResult.check(
-            state.values - beta * gradient, "memory state", "it diverges"))
+    with np.errstate(over="ignore", invalid="ignore"):  # the state checks it
+        return MemoryState(state.values - beta * gradient)
 
 
 def recall_error(state: MemoryState, observations: list[Observation]) -> float:

@@ -853,6 +853,26 @@ class TestSimulate:
         assert len(rows) == 200 and np.isfinite(rows).all()
         assert rows[-1, 2] > 1e26
 
+    def test_closed_stdout_exits_141_quietly(self):
+        # the reader closes the pipe after one line of about 126 kB: the
+        # command ends as SIGPIPE would end it (128 + 13), with no error line
+        # and no "Exception ignored" from the flush at exit; it printed
+        # "error: [Errno 32] Broken pipe" and exited 2, a usage error's code
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "streamstab", "simulate", "--frames",
+             "2000"], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            assert proc.stdout.readline() == \
+                b"step,beta,recall_first,recall_latest\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 141
+            assert proc.stderr.read() == b""
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+            proc.stderr.close()
+
     def test_memory_error_exit_3(self, capsys, monkeypatch):
         def simulate_stream(*args):
             raise MemoryError("Unable to allocate 7.28 PiB for an array")
@@ -1405,6 +1425,25 @@ def test_unit_quaternion_rule_lives_in_geometry():
                 users.add((path.name, name))
     assert users == {("geometry.py", "_UNIT_TOL"),
                      ("geometry.py", "NonUnitQuaternion")}
+
+
+def test_finiteness_of_points_and_state_lives_in_their_types():
+    # PointSet and MemoryState reject a non-finite value as they are built;
+    # metrics, which takes clouds, and apply_update, which builds a state,
+    # hold no second copy of the rule
+    src = Path(cli.__file__).parent
+    metrics = ast.parse((src / "metrics.py").read_text(encoding="utf-8"))
+    names = {getattr(node, attr) for node in ast.walk(metrics)
+             for attr in ("id", "attr", "name") if hasattr(node, attr)}
+    calls = {ast.unparse(node.func).rpartition(".")[2]
+             for node in ast.walk(metrics) if isinstance(node, ast.Call)}
+    assert "NonFinitePoints" not in names and "isfinite" not in calls
+    state = ast.parse((src / "state_update.py").read_text(encoding="utf-8"))
+    apply_def, = [node for node in state.body if isinstance(
+        node, ast.FunctionDef) and node.name == "apply_update"]
+    assert "NonFiniteResult.check" not in {
+        ast.unparse(node.func) for node in ast.walk(apply_def)
+        if isinstance(node, ast.Call)}
 
 
 def test_value_error_neither_caught_by_main_nor_raised_in_src():

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 import streamstab
-from streamstab import (Pose, Quaternion, Trajectory, frame_scoring, geometry,
-                        quat_geodesic_angle, quat_normalize, relative_pose,
-                        slerp, spatial, stabilize_trajectory)
+from streamstab import (PointSet, Pose, Quaternion, Trajectory, frame_scoring,
+                        geometry, quat_geodesic_angle, quat_normalize,
+                        relative_pose, slerp, spatial, stabilize_trajectory)
 from streamstab.errors import (InvalidGamma, InvalidValue, LengthMismatch,
-                               NonFiniteResult, NonUnitQuaternion,
-                               ZeroQuaternion)
+                               NonFinitePoints, NonFiniteResult,
+                               NonUnitQuaternion, ZeroQuaternion)
 
 from conftest import (quat_conjugate, quat_multiply, quat_power,
                       random_unit_quat)
@@ -213,6 +213,21 @@ class TestTrajectoryFromArrays:
             Trajectory.from_arrays(np.zeros((2, 3)), [q[0], [1.0, 0.0, x, 0.0]],
                                    [0.0, 1.0])
 
+    # a row that is not a unit quaternion, and the norm Trajectory reports
+    @pytest.mark.parametrize("row, norm", [([1.0, 1.0, 1.0, 1.0], "2.0"),
+                                           ([0.0, 0.0, 0.0, 0.0], "0.0"),
+                                           ([1.0, math.nan, 0.0, 0.0], "nan"),
+                                           ([1e200, 0.0, 0.0, 0.0], "inf")])
+    def test_non_unit_row_rejected(self, row, norm):
+        # the matrix of a non-unit row is not a rotation: RPE read it silently
+        q = np.tile([0.5, 0.5, 0.5, 0.5], (5, 1))
+        q[3] = row
+        with pytest.raises(NonUnitQuaternion, match=f"^quaternion row 3 has "
+                                                    f"norm {norm}, expected 1$"):
+            Trajectory.from_arrays(np.zeros((5, 3)), q, np.arange(5.0))
+        with pytest.raises(NonUnitQuaternion, match="row 0"):
+            Trajectory.from_arrays(np.zeros(3), row, [0.0])
+
     def test_rows_within_unit_tolerance(self):
         Trajectory.from_arrays(np.zeros((2, 3)), [[1.0 + 9e-7, 0.0, 0.0, 0.0],
                                                   [0.0, 0.0, 0.0, 1.0 - 9e-7]],
@@ -303,26 +318,32 @@ def test_overflowing_norm_is_not_unit():
         quat_geodesic_angle(Quaternion.identity(), OVERFLOWING)
 
 
-# a row that is not a unit quaternion, and the norm Trajectory reports
-@pytest.mark.parametrize("row, norm", [([1.0, 1.0, 1.0, 1.0], "2.0"),
-                                       ([0.0, 0.0, 0.0, 0.0], "0.0"),
-                                       ([1.0, math.nan, 0.0, 0.0], "nan"),
-                                       ([1e200, 0.0, 0.0, 0.0], "inf")])
-def test_quat_to_matrix_rejects_non_unit_row(row, norm):
-    # the matrix of a non-unit row is not a rotation: RPE read it silently.
-    # quat_to_matrix takes the rows a Trajectory holds, which rejects it
-    q = np.tile([0.5, 0.5, 0.5, 0.5], (5, 1))
-    q[3] = row
-    with pytest.raises(NonUnitQuaternion, match=f"^quaternion row 3 has norm "
-                                                f"{norm}, expected 1$"):
-        Trajectory.from_arrays(np.zeros((5, 3)), q, np.arange(5.0))
-    with pytest.raises(NonUnitQuaternion, match="row 0"):
-        Trajectory.from_arrays(np.zeros(3), row, [0.0])
-
-
 def test_quat_to_matrix_takes_rows_within_unit_tolerance():
-    q = np.array([[1.0 + 9e-7, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0 - 9e-7]])
-    assert geometry.quat_to_matrix(q).shape == (2, 3, 3)
+    # each row's matrix is that of the row as given, not normalised: the
+    # Trajectory that holds the rows has checked them
+    z = 1.0 - 9e-7
+    q = np.array([[1.0 + 9e-7, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, z]])
+    m = geometry.quat_to_matrix(q)
+    assert np.array_equal(m[0], np.eye(3))
+    assert np.array_equal(m[1], np.diag([1 - 2 * z * z, 1 - 2 * z * z, 1.0]))
+
+
+# each value in one coordinate or in all of them, with and without
+# confidences: a non-finite one is rejected as the cloud is built, and any
+# other is held as given, -0.0 too
+@pytest.mark.parametrize("x", [0.0, -0.0, 5e-324, 1.7e308, -1.7e308,
+                               math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["one", "all"])
+@pytest.mark.parametrize("conf", [None, 1.0])
+def test_point_set_awkward_values(x, where, conf):
+    pts = np.arange(12.0).reshape(4, 3)
+    pts[(2, 1) if where == "one" else ...] = x
+    conf = None if conf is None else np.full(4, conf)
+    if math.isfinite(x):
+        assert PointSet(pts, conf).points.tobytes() == pts.tobytes()
+    else:
+        with pytest.raises(NonFinitePoints, match="non-finite coordinate"):
+            PointSet(pts, conf)
 
 
 def _split_results():

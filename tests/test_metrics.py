@@ -9,8 +9,8 @@ from streamstab import (DepthEvalMode, DepthMap, PointSet, Pose, Quaternion,
                         metric_rpe, umeyama_align)
 from streamstab.errors import (DegenerateConfiguration, InvalidValue,
                                LengthMismatch, NoOverlappingValidity,
-                               NonFiniteResult, NonUnitQuaternion,
-                               ShapeMismatch, ToolkitError, TooFewPoints,
+                               NonFinitePoints, NonFiniteResult,
+                               NonUnitQuaternion, ShapeMismatch, TooFewPoints,
                                TooShort)
 from streamstab.geometry import quat_to_matrix
 from streamstab.metrics import estimate_normals
@@ -481,13 +481,16 @@ class TestMetricRecon:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("side", ["pred", "gt"])
     def test_non_finite_point_rejected(self, bad, side):
+        # the cloud rejects the point as it is built; estimate_normals, which
+        # takes a raw array, builds one
         pts = np.random.default_rng(18).standard_normal((40, 3))
         broken = pts.copy()
         broken[7, 1] = bad
-        pair = {"pred": PointSet(pts), "gt": PointSet(pts)}
-        pair[side] = PointSet(broken)
-        with pytest.raises(ToolkitError):
-            metric_recon(pair["pred"], pair["gt"])
+        pair = {"pred": pts, "gt": pts, side: broken}
+        with pytest.raises(NonFinitePoints, match="non-finite coordinate"):
+            metric_recon(PointSet(pair["pred"]), PointSet(pair["gt"]))
+        with pytest.raises(NonFinitePoints, match="non-finite coordinate"):
+            estimate_normals(broken)
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_non_positive_k_rejected(self, k):

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -18,6 +19,64 @@ def test_state_must_be_2d():
     for values in (np.zeros(3), np.zeros((2, 2, 2))):
         with pytest.raises(DimensionMismatch, match="2D"):
             MemoryState(values)
+
+
+# each value in one element or in all of them: a non-finite one is rejected
+# as the state is built, and any other is held as given, -0.0 too
+@pytest.mark.parametrize("x", [0.0, -0.0, 5e-324, 1.7e308, -1.7e308,
+                               math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["one", "all"])
+def test_state_awkward_values(x, where):
+    values = np.arange(6.0).reshape(2, 3)
+    values[(1, 2) if where == "one" else ...] = x
+    if math.isfinite(x):
+        assert MemoryState(values).values.tobytes() == values.tobytes()
+    else:
+        with pytest.raises(NonFiniteResult,
+                           match="^memory state is not finite: it diverges$"):
+            MemoryState(values)
+
+
+# an observation whose key is not a (c,) vector or whose value is not an
+# (n,) vector, against a 2 x 2 state: a 2-D key or value read as a wrong
+# number, and a 0-d key or a list of the wrong length ended in a traceback
+_MISSHAPEN = {"2-D key": (np.eye(2), np.ones(2)),
+              "2-D value": (np.ones(2), np.eye(2)),
+              "0-d key": (np.float64(1.0), np.ones(2)),
+              "0-d value": (np.ones(2), 1.0),
+              "short list key": ([1.0], np.ones(2)),
+              "long list value": (np.ones(2), [1.0, 2.0, 3.0])}
+
+
+def _through(call, state, obs):
+    if call == "associative_gradient":
+        return associative_gradient(state, obs)
+    if call == "recall_error":
+        return recall_error(state, [obs])
+    pose = Pose(np.zeros(3), Quaternion.identity(), 0.0)
+    moved = Pose(np.ones(3), Quaternion.identity(), 1.0)
+    return stream_step(state, pose, moved, GrayImage(np.full((8, 8), 0.5)),
+                       obs)[0].values
+
+
+_CALLS = ["associative_gradient", "recall_error", "stream_step"]
+
+
+@pytest.mark.parametrize("key, value", _MISSHAPEN.values(), ids=_MISSHAPEN)
+@pytest.mark.parametrize("call", _CALLS)
+def test_misshapen_observation_rejected(call, key, value):
+    with pytest.raises(DimensionMismatch,
+                       match="^observation .* does not match state"):
+        _through(call, MemoryState(np.eye(2)), Observation(key, value))
+
+
+@pytest.mark.parametrize("call", _CALLS)
+def test_list_observation_read_as_its_array(call):
+    state = MemoryState(np.arange(4.0).reshape(2, 2))
+    got = _through(call, state, Observation([1.0, -2.0], [0.5, 3.0]))
+    want = _through(call, state, Observation(np.array([1.0, -2.0]),
+                                             np.array([0.5, 3.0])))
+    assert np.array_equal(got, want)
 
 
 class TestAssociativeGradient:
